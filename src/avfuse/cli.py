@@ -84,13 +84,6 @@ def _echo_config(resolved: dict, out_dir: Path | None) -> None:
         (out_dir / "resolved_config.json").write_text(text + "\n", encoding="utf-8")
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("AVFUSE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class _DirLock:
     """One process owns one checkpoint directory; stale locks are reclaimed."""
 
@@ -323,7 +316,8 @@ def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam:
             f"({ck.config.max_audio_len})"
         )
 
-    def decode_one(ex: data.PreparedExample) -> tuple[str, str]:
+    candidates = {}
+    for ex in examples:
         enc = model.encode_modalities(
             ck.params, ck.config,
             audio=ex.audio_patches if model.mode_uses_audio(ck.config.fusion_mode) else None,
@@ -333,17 +327,8 @@ def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam:
             ids = inference.caption_greedy(ck.params, ck.config, enc)
         else:
             ids = inference.decode_example(ck.params, ck.config, enc, beam=beam)
-        return ex.id, " ".join(data.decode_caption(ids, ck.vocab))
-
-    workers = _workers()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(decode_one, examples))
-    else:
-        pairs = [decode_one(ex) for ex in examples]
-    return dict(pairs)
+        candidates[ex.id] = " ".join(data.decode_caption(ids, ck.vocab))
+    return candidates
 
 
 def cmd_eval(args) -> int:

@@ -206,6 +206,7 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
     path = Path(path)
     root = path.parent
     records: list[ManifestRecord] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -224,8 +225,15 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
                 raise ValidationError(
                     f"{path}: line {lineno}: {len(captions)} captions exceeds the maximum of {MAX_CAPTIONS}"
                 )
+            rec_id = str(obj["id"])
+            if rec_id in first_line:
+                raise ValidationError(
+                    f"{path}: line {lineno}: duplicate id {rec_id!r} "
+                    f"(first on line {first_line[rec_id]})"
+                )
+            first_line[rec_id] = lineno
             rec = ManifestRecord(
-                id=str(obj["id"]),
+                id=rec_id,
                 audio=str(obj["audio"]),
                 captions=[str(c) for c in captions],
                 visual_features=(

@@ -216,9 +216,10 @@ def load_candidates(path) -> dict[str, str]:
                 raise ValidationError(f"{path}: line {lineno}: invalid record: {exc}") from exc
             if "id" not in obj or "caption" not in obj:
                 raise ValidationError(f"{path}: line {lineno}: needs 'id' and 'caption'")
-            if obj["id"] in out:
-                raise ValidationError(f"{path}: line {lineno}: duplicate id {obj['id']!r}")
-            out[str(obj["id"])] = str(obj["caption"])
+            cid = str(obj["id"])
+            if cid in out:
+                raise ValidationError(f"{path}: line {lineno}: duplicate id {cid!r}")
+            out[cid] = str(obj["caption"])
     if not out:
         raise ValidationError(f"{path}: no candidate records found")
     return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -106,6 +106,9 @@ def full_size_config(vocab_size: int, **overrides) -> ModelConfig:
 # parameters
 # ---------------------------------------------------------------------------
 
+# Field order is checkpoint order: ``parameter_slots`` walks the fields depth
+# first, so reordering a field changes every saved checkpoint.
+
 
 @dataclass
 class LinearParams:
@@ -138,33 +141,34 @@ class DecoderBlockParams:
     norm_self: NormParams
     self_attn: AttentionParams
     norm_fuse: NormParams
+    cross_audio: AttentionParams | None
+    cross_video: AttentionParams | None
+    conf_fc: LinearParams | None
     norm_mlp: NormParams
     mlp: MlpParams
-    cross_audio: AttentionParams | None = None
-    cross_video: AttentionParams | None = None
-    conf_fc: LinearParams | None = None
 
 
 @dataclass
 class ModelParams:
     word_embedding: Tensor
     decoder_pos: Tensor
+    patch_proj: LinearParams | None
+    encoder_pos: Tensor | None
+    encoder: list[EncoderBlockParams]
+    visual_proj: LinearParams | None
     decoder: list[DecoderBlockParams]
     final_norm: NormParams
     out_proj: LinearParams
-    patch_proj: LinearParams | None = None
-    encoder_pos: Tensor | None = None
-    encoder: list[EncoderBlockParams] = field(default_factory=list)
-    visual_proj: LinearParams | None = None
 
 
 WEIGHT_STD = 0.02
+_ZERO_INIT = frozenset({"bias", "bq", "bk", "bv", "bo"})
 
 
-def _make_tensor(name: str, shape: tuple[int, ...], kind: str, seed: int | None) -> Tensor:
-    if seed is None or kind == "bias":
+def _init_tensor(name: str, attr: str, shape: tuple[int, ...], seed: int | None) -> Tensor:
+    if seed is None or attr in _ZERO_INIT:
         arr = np.zeros(shape)
-    elif kind == "gain":
+    elif attr == "gain":
         arr = np.ones(shape)
     else:  # weight or embedding
         ss = np.random.SeedSequence((seed, zlib.crc32(name.encode("utf-8"))))
@@ -175,77 +179,57 @@ def _make_tensor(name: str, shape: tuple[int, ...], kind: str, seed: int | None)
 def _build_params(config: ModelConfig, seed: int | None) -> ModelParams:
     """Construct the parameter tree for ``config``.
 
-    Every tensor is drawn from its own seed substream keyed by (seed, name),
+    The tree is first built with each tensor's shape in its place, then every
+    leaf is filled in ``parameter_slots`` order, so the dataclass field order
+    is the checkpoint order.  Gains start at one, biases at zero, and every
+    other tensor is drawn from its own seed substream keyed by (seed, name),
     so a parameter shared between two fusion modes initializes identically
-    regardless of which other parameters exist.
+    regardless of which other parameters exist.  ``seed=None`` gives zeros.
     """
     d, V = config.d, config.vocab_size
     hidden = int(round(config.mlp_ratio * d))
-
-    def lin(name, k, n):
-        return LinearParams(
-            _make_tensor(f"{name}.weight", (k, n), "weight", seed),
-            _make_tensor(f"{name}.bias", (n,), "bias", seed),
-        )
-
-    def norm(name):
-        return NormParams(
-            _make_tensor(f"{name}.gain", (d,), "gain", seed),
-            _make_tensor(f"{name}.bias", (d,), "bias", seed),
-        )
-
-    def attn(name):
-        kw = {}
-        for part in ("wq", "wk", "wv", "wo"):
-            kw[part] = _make_tensor(f"{name}.{part}", (d, d), "weight", seed)
-        for part in ("bq", "bk", "bv", "bo"):
-            kw[part] = _make_tensor(f"{name}.{part}", (d,), "bias", seed)
-        return AttentionParams(**kw)
-
-    def mlp(name):
-        return MlpParams(lin(f"{name}.fc1", d, hidden), lin(f"{name}.fc2", hidden, d))
-
     mode = config.fusion_mode
-    params = ModelParams(
-        word_embedding=_make_tensor("word_embedding", (V, d), "embedding", seed),
-        decoder_pos=_make_tensor("decoder_pos", (config.max_caption_len, d), "embedding", seed),
-        decoder=[],
-        final_norm=norm("final_norm"),
-        out_proj=lin("out_proj", d, V),
-    )
-    if mode_uses_audio(mode):
-        params.patch_proj = lin("patch_proj", config.audio_in_dim, d)
-        params.encoder_pos = _make_tensor(
-            "encoder_pos", (config.max_audio_len, d), "embedding", seed
-        )
-        params.encoder = [
-            EncoderBlockParams(
-                norm_attn=norm(f"encoder.{i}.norm_attn"),
-                attn=attn(f"encoder.{i}.attn"),
-                norm_mlp=norm(f"encoder.{i}.norm_mlp"),
-                mlp=mlp(f"encoder.{i}.mlp"),
-            )
-            for i in range(config.encoder_blocks)
-        ]
-    if mode_uses_visual(mode):
-        params.visual_proj = lin("visual_proj", config.visual_in_dim, d)
-
+    audio = mode_uses_audio(mode)
     adaava = mode.startswith("adaava")
-    for i in range(config.decoder_blocks):
-        blk = DecoderBlockParams(
-            norm_self=norm(f"decoder.{i}.norm_self"),
-            self_attn=attn(f"decoder.{i}.self_attn"),
-            norm_fuse=norm(f"decoder.{i}.norm_fuse"),
-            norm_mlp=norm(f"decoder.{i}.norm_mlp"),
-            mlp=mlp(f"decoder.{i}.mlp"),
-        )
-        if mode in ("audio_only", "concatenate") or adaava:
-            blk.cross_audio = attn(f"decoder.{i}.cross_audio")
-        if mode == "video_only" or adaava:
-            blk.cross_video = attn(f"decoder.{i}.cross_video")
-        if adaava:
-            blk.conf_fc = lin(f"decoder.{i}.conf_fc", 2 * d, d)
-        params.decoder.append(blk)
+
+    def lin(k, n):
+        return LinearParams(weight=(k, n), bias=(n,))
+
+    def norm():
+        return NormParams(gain=(d,), bias=(d,))
+
+    def attn():
+        return AttentionParams(wq=(d, d), bq=(d,), wk=(d, d), bk=(d,),
+                               wv=(d, d), bv=(d,), wo=(d, d), bo=(d,))
+
+    def mlp():
+        return MlpParams(fc1=lin(d, hidden), fc2=lin(hidden, d))
+
+    params = ModelParams(
+        word_embedding=(V, d),
+        decoder_pos=(config.max_caption_len, d),
+        patch_proj=lin(config.audio_in_dim, d) if audio else None,
+        encoder_pos=(config.max_audio_len, d) if audio else None,
+        encoder=[
+            EncoderBlockParams(norm_attn=norm(), attn=attn(), norm_mlp=norm(), mlp=mlp())
+            for _ in range(config.encoder_blocks if audio else 0)
+        ],
+        visual_proj=lin(config.visual_in_dim, d) if mode_uses_visual(mode) else None,
+        decoder=[
+            DecoderBlockParams(
+                norm_self=norm(), self_attn=attn(), norm_fuse=norm(),
+                cross_audio=attn() if audio else None,
+                cross_video=attn() if mode == "video_only" or adaava else None,
+                conf_fc=lin(2 * d, d) if adaava else None,
+                norm_mlp=norm(), mlp=mlp(),
+            )
+            for _ in range(config.decoder_blocks)
+        ],
+        final_norm=norm(),
+        out_proj=lin(d, V),
+    )
+    for name, owner, attr in parameter_slots(params):
+        setattr(owner, attr, _init_tensor(name, attr, getattr(owner, attr), seed))
     return params
 
 
@@ -254,57 +238,30 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     return _build_params(config, seed)
 
 
-def parameter_slots(params: ModelParams) -> list[tuple[str, object, str]]:
-    """(name, owner, attribute) triples in a stable order.
+def _collect_slots(node, prefix: str, out: list) -> None:
+    if isinstance(node, list):
+        children = [(str(i), child) for i, child in enumerate(node)]
+    else:
+        children = [(f.name, getattr(node, f.name)) for f in fields(node)]
+    for key, child in children:
+        if child is None:
+            continue
+        if isinstance(child, list) or is_dataclass(child):
+            _collect_slots(child, f"{prefix}{key}.", out)
+        else:
+            out.append((prefix + key, node, key))
 
+
+def parameter_slots(params: ModelParams) -> list[tuple[str, object, str]]:
+    """(name, owner, attribute) triples, depth first in dataclass field order.
+
+    Field order is checkpoint order.  Names are attribute paths such as
+    ``decoder.1.cross_audio.wq``; absent (``None``) sublayers are skipped.
     ``setattr(owner, attribute, tensor)`` swaps a parameter structurally,
     which is how gradcheck substitutes probe leaves into the network.
     """
     out: list[tuple[str, object, str]] = []
-
-    def lin(name, p: LinearParams):
-        out.append((f"{name}.weight", p, "weight"))
-        out.append((f"{name}.bias", p, "bias"))
-
-    def norm(name, p: NormParams):
-        out.append((f"{name}.gain", p, "gain"))
-        out.append((f"{name}.bias", p, "bias"))
-
-    def attn(name, p: AttentionParams):
-        for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
-            out.append((f"{name}.{part}", p, part))
-
-    def mlp(name, p: MlpParams):
-        lin(f"{name}.fc1", p.fc1)
-        lin(f"{name}.fc2", p.fc2)
-
-    out.append(("word_embedding", params, "word_embedding"))
-    out.append(("decoder_pos", params, "decoder_pos"))
-    if params.patch_proj is not None:
-        lin("patch_proj", params.patch_proj)
-        out.append(("encoder_pos", params, "encoder_pos"))
-        for i, blk in enumerate(params.encoder):
-            norm(f"encoder.{i}.norm_attn", blk.norm_attn)
-            attn(f"encoder.{i}.attn", blk.attn)
-            norm(f"encoder.{i}.norm_mlp", blk.norm_mlp)
-            mlp(f"encoder.{i}.mlp", blk.mlp)
-    if params.visual_proj is not None:
-        lin("visual_proj", params.visual_proj)
-    for i, blk in enumerate(params.decoder):
-        norm(f"decoder.{i}.norm_self", blk.norm_self)
-        attn(f"decoder.{i}.self_attn", blk.self_attn)
-        norm(f"decoder.{i}.norm_fuse", blk.norm_fuse)
-        if blk.cross_audio is not None:
-            attn(f"decoder.{i}.cross_audio", blk.cross_audio)
-        if blk.cross_video is not None:
-            attn(f"decoder.{i}.cross_video", blk.cross_video)
-        if blk.conf_fc is not None:
-            lin(f"decoder.{i}.conf_fc", blk.conf_fc)
-        norm(f"decoder.{i}.norm_mlp", blk.norm_mlp)
-        mlp(f"decoder.{i}.mlp", blk.mlp)
-    out.append(("final_norm.gain", params.final_norm, "gain"))
-    out.append(("final_norm.bias", params.final_norm, "bias"))
-    lin("out_proj", params.out_proj)
+    _collect_slots(params, "", out)
     return out
 
 

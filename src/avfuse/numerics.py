@@ -8,8 +8,7 @@ produce one gradient per ``requires_grad`` leaf.  A finite-difference
 
 Conventions that the rest of the package relies on:
 
-* float64 by default (``set_default_dtype`` switches to float32 for speed;
-  all stated tolerances assume float64),
+* every tensor is float64, and all stated tolerances assume it,
 * every forward result is checked for NaN/Inf and rejected,
 * op ordering is deterministic, so repeated runs are bit-identical,
 * masked attention logits are *set* to a large negative finite constant
@@ -28,8 +27,6 @@ from scipy.special import erf
 
 from .errors import ConfigError, DimensionError, DomainError, UsageError
 
-_DEFAULT_DTYPE = np.float64
-
 # Large negative finite logit for masked attention positions.  Any real logit
 # added near it is absorbed (|logit| << ulp(1e30)), and exp() underflows to an
 # exact 0.0, which is what makes causality bit-exact.
@@ -37,19 +34,6 @@ MASKED_LOGIT = -1.0e30
 
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the global tensor dtype (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ConfigError(f"unsupported tensor dtype {dt}; use float64 or float32")
-    _DEFAULT_DTYPE = dt.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class Tensor:
@@ -61,8 +45,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=np.float64)
         _check_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -154,7 +138,7 @@ def _check_finite(arr: np.ndarray, opname: str) -> None:
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _result(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable, opname: str) -> Tensor:

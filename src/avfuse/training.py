@@ -265,7 +265,8 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, key))))
 
 
-_SHUFFLE, _DROPOUT, _AUGMENT = 0, 1, 2
+# Substream key of each training rng, by its name in ``TrainState.rng_states``.
+_STREAM_KEYS = {"shuffle": 0, "dropout": 1, "augment": 2}
 
 
 def batch_loss(params, config, batch, targets, eps, rng=None) -> Tensor:
@@ -314,18 +315,12 @@ def fit(
     named = model.named_parameters(params)
     name_of = {id(t): name for name, t in named}
 
+    streams = {name: _stream(cfg.seed, key) for name, key in _STREAM_KEYS.items()}
     if state is None:
         state = TrainState()
-        shuffle_rng = _stream(cfg.seed, _SHUFFLE)
-        dropout_rng = _stream(cfg.seed, _DROPOUT)
-        augment_rng = _stream(cfg.seed, _AUGMENT)
     else:
-        shuffle_rng = _stream(cfg.seed, _SHUFFLE)
-        dropout_rng = _stream(cfg.seed, _DROPOUT)
-        augment_rng = _stream(cfg.seed, _AUGMENT)
-        shuffle_rng.bit_generator.state = state.rng_states["shuffle"]
-        dropout_rng.bit_generator.state = state.rng_states["dropout"]
-        augment_rng.bit_generator.state = state.rng_states["augment"]
+        for name, rng in streams.items():
+            rng.bit_generator.state = state.rng_states[name]
 
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -341,14 +336,13 @@ def fit(
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
             log_fh.flush()
 
+    def record_rng_states() -> None:
+        state.rng_states = {name: rng.bit_generator.state for name, rng in streams.items()}
+
     def save(tag: str) -> None:
         if out_dir is None:
             return
-        state.rng_states = {
-            "shuffle": shuffle_rng.bit_generator.state,
-            "dropout": dropout_rng.bit_generator.state,
-            "augment": augment_rng.bit_generator.state,
-        }
+        record_rng_states()
         model.save_checkpoint(
             out_dir / f"{tag}.avck", params, config, vocab,
             state={"train": state.to_json(), "train_config": cfg.to_json()},
@@ -357,12 +351,12 @@ def fit(
 
     try:
         for epoch in range(state.epoch, cfg.epochs):
-            perm = shuffle_rng.permutation(len(train_examples))
+            perm = streams["shuffle"].permutation(len(train_examples))
             for lo in range(0, len(train_examples), cfg.batch_size):
                 chunk = [train_examples[i] for i in perm[lo : lo + cfg.batch_size]]
-                batch, targets = collate(chunk, config, cfg.augment, augment_rng)
+                batch, targets = collate(chunk, config, cfg.augment, streams["augment"])
                 lr = lr_at(state.step, steps_per_epoch, cfg)
-                rng = dropout_rng if config.dropout > 0 else None
+                rng = streams["dropout"] if config.dropout > 0 else None
                 try:
                     with GradTape() as tape:
                         loss = batch_loss(params, config, batch, targets,
@@ -396,11 +390,7 @@ def fit(
     finally:
         if log_fh is not None:
             log_fh.close()
-    state.rng_states = {
-        "shuffle": shuffle_rng.bit_generator.state,
-        "dropout": dropout_rng.bit_generator.state,
-        "augment": augment_rng.bit_generator.state,
-    }
+    record_rng_states()
     return state, history
 
 

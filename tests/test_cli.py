@@ -171,16 +171,6 @@ class TestEvalInfer:
         a.pop("settings"), b.pop("settings")  # the echoed flags legitimately differ
         assert a == b
 
-    def test_thread_cap_does_not_change_results(self, trained, dataset, tmp_path, monkeypatch):
-        reports = []
-        for workers in ("1", "3"):
-            monkeypatch.setenv("AVFUSE_THREADS", workers)
-            path = tmp_path / f"rep{workers}.json"
-            assert run(["eval", "--checkpoint", trained, "--manifest",
-                        dataset / "eval.jsonl", "--report", path]) == EXIT_OK
-            reports.append(path.read_bytes())
-        assert reports[0] == reports[1]
-
     def test_report_contains_all_six_metrics(self, trained, dataset, tmp_path, capsys):
         report_path = tmp_path / "rep.json"
         assert run(["eval", "--checkpoint", trained, "--manifest", dataset / "eval.jsonl",

@@ -185,6 +185,16 @@ class TestManifest:
             D.load_manifest(p)
         assert "line 2" in str(exc.value)
 
+    def test_duplicate_id_names_second_line(self, tmp_path):
+        feat = self._feature(tmp_path)
+        first = json.dumps({"id": "x", "audio": feat, "captions": ["a dog"]})
+        other = json.dumps({"id": "y", "audio": feat, "captions": ["a cat"]})
+        again = json.dumps({"id": "x", "audio": feat, "captions": ["a bell"]})
+        p = self._write(tmp_path, [first, other, again])
+        with pytest.raises(ValidationError) as exc:
+            D.load_manifest(p)
+        assert "line 3" in str(exc.value) and "'x'" in str(exc.value)
+
     def test_too_many_captions(self, tmp_path):
         feat = self._feature(tmp_path)
         p = self._write(

@@ -306,6 +306,17 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             MX.load_candidates(path)
 
+    @pytest.mark.parametrize("lines", [
+        ['{"id": "x", "caption": "a"}', '{"id": "x", "caption": "b"}'],
+        ['{"id": "1", "caption": "a"}', '{"id": 1, "caption": "b"}'],
+    ])
+    def test_duplicate_candidate_ids_rejected(self, tmp_path, lines):
+        path = tmp_path / "cand.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            MX.load_candidates(path)
+        assert "line 2" in str(exc.value)
+
     def test_candidates_round_trip(self, tmp_path):
         path = tmp_path / "cand.jsonl"
         path.write_text('{"id": "a", "caption": "dog barks"}\n')

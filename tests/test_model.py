@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -494,6 +496,28 @@ class TestCheckpoint:
         M.save_checkpoint(p1, params, cfg, vocab, state={"step": 1})
         M.save_checkpoint(p2, params, cfg, vocab, state={"step": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("mode, digest, count, size", [
+        ("audio_only", "55d20e73380de050", 77, 107218),
+        ("video_only", "f2c31f7ee38d6cc4", 60, 78820),
+        ("concatenate", "ec782bee95179e17", 79, 108259),
+        ("adaava_audio", "22c7714e3a9e6ac8", 99, 135704),
+        ("adaava_video", "593e54da144a3646", 99, 135704),
+    ])
+    def test_golden_bytes(self, tmp_path, mode, digest, count, size):
+        # Pins parameter names, checkpoint order and initial values together.
+        vocab = Vocabulary.build([["dog", "barks"]])
+        cfg = M.ModelConfig(
+            vocab_size=len(vocab), d=16, heads=2, encoder_blocks=1, decoder_blocks=2,
+            audio_in_dim=8, visual_in_dim=6, max_audio_len=5, max_caption_len=6,
+            fusion_mode=mode,
+        )
+        params = M.init_params(cfg, seed=3)
+        path = tmp_path / "golden.avck"
+        M.save_checkpoint(path, params, cfg, vocab)
+        raw = path.read_bytes()
+        assert (len(M.named_parameters(params)), len(raw)) == (count, size)
+        assert hashlib.sha256(raw).hexdigest()[:16] == digest
 
 
 class TestConfigValidation:
