@@ -4,6 +4,12 @@ Both decoders drive an abstract ``step_fn(prefix_tokens) -> log-probs`` so the
 search logic is testable against toy models and exhaustive enumeration.  All
 tie-breaks are deterministic: lowest token id at expansion, lexicographic
 token sequence at ranking.
+
+:func:`make_step_fn` binds that contract to the model.  It decodes
+incrementally: the cross-attention keys and values are projected once per
+clip, and each step extends the cached decoder state of the prefix's parent
+by one position, so a caption of n tokens costs n single-position decoder
+passes rather than n full-prefix ones.
 """
 
 from __future__ import annotations
@@ -102,11 +108,24 @@ def beam_search(step_fn: StepFn, beam: int, max_len: int, length_norm: bool = Tr
 
 def make_step_fn(params: model.ModelParams, config: model.ModelConfig,
                  enc: model.EncodedModalities) -> StepFn:
-    """Full-prefix re-decoding step function (no KV cache; desk scale)."""
+    """Incremental step function for one clip: log-probs of the next token.
+
+    Keeps the :class:`model.DecoderState` after every prefix it has stepped,
+    keyed by the prefix.  A step finds the longest stored ancestor of its
+    prefix and decodes only the positions after it: one position for greedy
+    and beam search, whose every prefix extends one stepped before.  A prefix
+    with no stepped parent decodes its missing positions in the same call.
+    """
+    states = {(): model.init_decoder_state(params, config, enc)}
 
     def step(prefix: Sequence[int]) -> np.ndarray:
-        ids = np.asarray(prefix, dtype=np.int64)
-        logits = model.decode_logits(params, config, enc, ids)
+        key = tuple(int(t) for t in prefix)
+        known = len(key) - 1
+        while key[:known] not in states:
+            known -= 1
+        ids = np.asarray(key[known:], dtype=np.int64)
+        logits, states[key] = model.decode_logits(params, config, enc, ids,
+                                                  state=states[key[:known]])
         row = logits.data[-1]
         shifted = row - row.max()
         return shifted - np.log(np.exp(shifted).sum())

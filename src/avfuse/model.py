@@ -355,12 +355,12 @@ def adaava_fuse(a_cross: Tensor, v_cross: Tensor, a_conf: Tensor, beta: float,
 # ---------------------------------------------------------------------------
 
 
-def _pos_slice(table: Tensor, length: int, what: str) -> Tensor:
-    if length > table.shape[0]:
+def _pos_slice(table: Tensor, length: int, what: str, start: int = 0) -> Tensor:
+    if start + length > table.shape[0]:
         raise DomainError(
-            f"{what} length {length} exceeds positional table of {table.shape[0]}"
+            f"{what} length {start + length} exceeds positional table of {table.shape[0]}"
         )
-    return N.slice_axis(table, 0, 0, length)
+    return N.slice_axis(table, 0, start, length)
 
 
 def _mlp_forward(x: Tensor, p: MlpParams, dropout: float, rng) -> Tensor:
@@ -420,24 +420,34 @@ def encode_modalities(params, config, audio=None, visual=None,
 
 
 def decoder_self_attend(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
-                        rng=None) -> Tensor:
-    """Causal self-attention with residual over the token stream."""
+                        rng=None, past_kv=None):
+    """Causal self-attention with residual over the token stream.
+
+    With ``past_kv``, the cached self-attention (k, v) of the positions
+    before ``x``, returns ``(output, (k, v))`` with the keys and values
+    extended by ``x``'s rows.
+    """
     if x.shape[-2] < 1:
         raise DomainError("decoder prefix is empty")
     attn_in = N.layer_norm(x, blk.norm_self.gain, blk.norm_self.bias, config.ln_eps)
-    return N.add(x, N.multi_head_attention(
+    out = N.multi_head_attention(
         attn_in, attn_in, blk.self_attn, config.heads, causal=True,
         attn_dropout=config.dropout if rng is not None else 0.0, dropout_rng=rng,
-    ))
+        past_kv=past_kv,
+    )
+    if past_kv is None:
+        return N.add(x, out)
+    out, kv = out
+    return N.add(x, out), kv
 
 
-def cross_attend(h_hidden: Tensor, features: Tensor, attn: AttentionParams,
+def cross_attend(h_hidden: Tensor, features, attn: AttentionParams,
                  config: ModelConfig, kv_mask=None, rng=None) -> Tensor:
-    """Multi-head cross attention: hidden states query the modality features."""
-    if features.shape[-1] != h_hidden.shape[-1]:
-        raise DimensionError(
-            f"modality width {features.shape[-1]} != hidden width {h_hidden.shape[-1]}"
-        )
+    """Multi-head cross attention: hidden states query the modality features.
+
+    ``features`` are the raw (..., T, d) rows or their (k, v) pair from
+    :func:`numerics.project_kv`.
+    """
     return N.multi_head_attention(
         h_hidden, features, attn, config.heads, kv_padding_mask=kv_mask,
         attn_dropout=config.dropout if rng is not None else 0.0, dropout_rng=rng,
@@ -465,75 +475,159 @@ def _concat_masks(a_mask, a_len, v_mask, v_len, batchish):
     return np.concatenate([full(a_mask, a_len), full(v_mask, v_len)], axis=-1)
 
 
-def decoder_block(x: Tensor, enc: EncodedModalities, blk: DecoderBlockParams,
-                  config: ModelConfig, rng=None, collect_trace: bool = False):
-    """One decoder block: self-attention, fusion sublayer, MLP.
+def _fusion_inputs(enc: EncodedModalities, mode: str):
+    """(features, padding mask) read by the cross_audio and the cross_video
+    attention of ``mode``, each ``None`` where the mode has no such attention.
 
-    Returns (output, trace); the trace is None outside the adaava modes.
+    ``concatenate`` reads the time-concatenated features through cross_audio.
     """
-    mode = config.fusion_mode
-    h = decoder_self_attend(x, blk, config, rng=rng)
-    hn = N.layer_norm(h, blk.norm_fuse.gain, blk.norm_fuse.bias, config.ln_eps)
-    trace = None
-
     if mode == "audio_only":
-        fused = N.add(h, cross_attend(hn, enc.audio, blk.cross_audio, config,
-                                      kv_mask=enc.audio_mask, rng=rng))
-    elif mode == "video_only":
-        fused = N.add(h, cross_attend(hn, enc.visual, blk.cross_video, config,
-                                      kv_mask=enc.visual_mask, rng=rng))
-    elif mode == "concatenate":
+        return (enc.audio, enc.audio_mask), None
+    if mode == "video_only":
+        return None, (enc.visual, enc.visual_mask)
+    if mode == "concatenate":
         kv = _concat_time(enc.audio, enc.visual)
         t_v = enc.visual.shape[-2] if enc.visual is not None else 0
         if t_v == 0:
             kv_mask = enc.audio_mask
         else:
-            batchish = kv.shape[:-2]
             kv_mask = _concat_masks(enc.audio_mask, enc.audio.shape[-2],
-                                    enc.visual_mask, t_v, batchish)
-        fused = N.add(h, cross_attend(hn, kv, blk.cross_audio, config,
-                                      kv_mask=kv_mask, rng=rng))
-    else:  # adaava_audio / adaava_video
-        a_cross = cross_attend(hn, enc.audio, blk.cross_audio, config,
-                               kv_mask=enc.audio_mask, rng=rng)
-        v_cross = cross_attend(hn, enc.visual, blk.cross_video, config,
-                               kv_mask=enc.visual_mask, rng=rng)
+                                    enc.visual_mask, t_v, kv.shape[:-2])
+        return (kv, kv_mask), None
+    return (enc.audio, enc.audio_mask), (enc.visual, enc.visual_mask)
+
+
+@dataclass(frozen=True)
+class BlockCache:
+    """One decoder block's keys and values for incremental decoding.
+
+    ``self_kv`` is the self-attention (k, v) of every position decoded so
+    far.  ``cross`` is what :func:`_fusion_inputs` gives for the block's
+    cross_audio and cross_video attentions, with the features replaced by
+    their (k, v), projected once per clip.
+    """
+
+    self_kv: tuple[Tensor, Tensor]
+    cross: tuple
+
+
+@dataclass(frozen=True)
+class DecoderState:
+    """Where incremental decoding of one clip stands: ``length`` positions
+    decoded, with one :class:`BlockCache` per decoder block."""
+
+    length: int
+    blocks: tuple[BlockCache, ...]
+
+
+def init_decoder_state(params: ModelParams, config: ModelConfig,
+                       enc: EncodedModalities) -> DecoderState:
+    """The state before the first position: empty self-attention caches, and
+    every block's cross-attention keys and values projected from ``enc``."""
+    audio, video = _fusion_inputs(enc, config.fusion_mode)
+    lead = (audio or video)[0].shape[:-2]
+    empty = Tensor(np.zeros(lead + (config.heads, 0, config.d // config.heads)))
+
+    def projected(side, attn):
+        if side is None:
+            return None
+        return N.project_kv(side[0], attn, config.heads), side[1]
+
+    return DecoderState(length=0, blocks=tuple(
+        BlockCache(self_kv=(empty, empty),
+                   cross=(projected(audio, blk.cross_audio), projected(video, blk.cross_video)))
+        for blk in params.decoder
+    ))
+
+
+def decoder_block(x: Tensor, enc: EncodedModalities, blk: DecoderBlockParams,
+                  config: ModelConfig, rng=None, collect_trace: bool = False,
+                  cache: BlockCache | None = None):
+    """One decoder block: self-attention, fusion sublayer, MLP.
+
+    Returns (output, trace); the trace is None outside the adaava modes.
+    With ``cache``, ``x`` holds the positions after the cached ones, the
+    cross attentions read the cached keys and values instead of ``enc``, and
+    the result is (output, trace, cache extended by ``x``'s positions).
+    """
+    mode = config.fusion_mode
+    h = decoder_self_attend(x, blk, config, rng=rng,
+                            past_kv=None if cache is None else cache.self_kv)
+    if cache is not None:
+        h, self_kv = h
+    hn = N.layer_norm(h, blk.norm_fuse.gain, blk.norm_fuse.bias, config.ln_eps)
+    audio_kv, video_kv = _fusion_inputs(enc, mode) if cache is None else cache.cross
+    trace = None
+
+    if mode.startswith("adaava"):
+        a_cross = cross_attend(hn, audio_kv[0], blk.cross_audio, config,
+                               kv_mask=audio_kv[1], rng=rng)
+        v_cross = cross_attend(hn, video_kv[0], blk.cross_video, config,
+                               kv_mask=video_kv[1], rng=rng)
         primary = a_cross if mode == "adaava_audio" else v_cross
         a_conf = confidence(primary, hn, blk.conf_fc)
         trace = adaava_fuse(a_cross, v_cross, a_conf, config.beta, h_hidden=hn)
         fused = trace.av_out  # no residual into the fusion output
+    elif mode == "video_only":
+        fused = N.add(h, cross_attend(hn, video_kv[0], blk.cross_video, config,
+                                      kv_mask=video_kv[1], rng=rng))
+    else:  # audio_only / concatenate
+        fused = N.add(h, cross_attend(hn, audio_kv[0], blk.cross_audio, config,
+                                      kv_mask=audio_kv[1], rng=rng))
 
     mlp_in = N.layer_norm(fused, blk.norm_mlp.gain, blk.norm_mlp.bias, config.ln_eps)
     out = N.add(fused, _mlp_forward(mlp_in, blk.mlp, config.dropout if rng is not None else 0.0, rng))
-    return out, (trace if collect_trace else None)
+    trace = trace if collect_trace else None
+    if cache is None:
+        return out, trace
+    return out, trace, BlockCache(self_kv, cache.cross)
 
 
 def decode_logits(params: ModelParams, config: ModelConfig, enc: EncodedModalities,
-                  tokens, rng=None, collect_traces: bool = False):
+                  tokens, rng=None, collect_traces: bool = False,
+                  state: DecoderState | None = None):
     """Logits over the vocabulary for every position of ``tokens``.
 
     ``tokens`` is (L,) for a single prefix or (B, L) for a batch; the result
-    has one trailing vocab axis and one trace per decoder block when
-    requested.
+    has one trailing vocab axis.  With ``collect_traces`` the result is
+    (logits, traces) with one trace per decoder block.
+
+    Without ``state``, ``tokens`` is the whole prefix and every position is
+    computed from ``enc``: the teacher-forced path.  With a
+    :class:`DecoderState` from :func:`init_decoder_state` or an earlier
+    call, ``tokens`` are the positions after ``state.length``: they take the
+    positional rows from there on and attend to the cached keys and values,
+    the logits cover only them, and the extended state is appended to the
+    result, as in (logits, state).
     """
     ids = np.asarray(tokens, dtype=np.int64)
     L = ids.shape[-1]
     if L < 1:
         raise DomainError("empty token prefix")
+    start = 0 if state is None else state.length
     x = N.add(
         N.embedding(params.word_embedding, ids),
-        _pos_slice(params.decoder_pos, L, "caption prefix"),
+        _pos_slice(params.decoder_pos, L, "caption prefix", start=start),
     )
-    traces = []
-    for blk in params.decoder:
-        x, trace = decoder_block(x, enc, blk, config, rng=rng, collect_trace=collect_traces)
-        if collect_traces:
-            traces.append(trace)
+    traces, caches = [], []
+    for i, blk in enumerate(params.decoder):
+        if state is None:
+            x, trace = decoder_block(x, enc, blk, config, rng=rng,
+                                     collect_trace=collect_traces)
+        else:
+            x, trace, cache = decoder_block(x, enc, blk, config, rng=rng,
+                                            collect_trace=collect_traces,
+                                            cache=state.blocks[i])
+            caches.append(cache)
+        traces.append(trace)
     x = N.layer_norm(x, params.final_norm.gain, params.final_norm.bias, config.ln_eps)
     logits = N.linear(x, params.out_proj.weight, params.out_proj.bias)
+    result = (logits,)
     if collect_traces:
-        return logits, traces
-    return logits
+        result += (traces,)
+    if state is not None:
+        result += (DecoderState(start + L, tuple(caches)),)
+    return result if len(result) > 1 else logits
 
 
 @dataclass

@@ -503,6 +503,14 @@ def _merge_heads(t: Tensor) -> Tensor:
     return reshape(h, (*lead, L, heads * e))
 
 
+def project_kv(kv_in, params: AttentionParams, heads: int) -> tuple[Tensor, Tensor]:
+    """Keys and values of ``kv_in`` (..., L_kv, d), split to (..., heads, L_kv, d/heads)."""
+    kv_in = _as_tensor(kv_in)
+    k = _split_heads(linear(kv_in, params.wk, params.bk), heads)
+    v = _split_heads(linear(kv_in, params.wv, params.bv), heads)
+    return k, v
+
+
 def multi_head_attention(
     q_in,
     kv_in,
@@ -512,37 +520,57 @@ def multi_head_attention(
     kv_padding_mask: np.ndarray | None = None,
     attn_dropout: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
-) -> Tensor:
+    past_kv: tuple[Tensor, Tensor] | None = None,
+):
     """Scaled dot-product multi-head attention with output projection.
 
-    ``q_in`` is (..., L_q, d) and ``kv_in`` (..., L_kv, d); ``kv_in`` acts as
-    both keys and values.  ``kv_padding_mask`` marks *valid* kv positions
-    (True = attend) with shape (L_kv,) or (batch, L_kv).  Causal attention
-    requires L_q == L_kv and forbids attending past the query index.  A query
-    row whose kv positions are all masked is an error, not a NaN.
+    ``q_in`` is (..., L_q, d).  ``kv_in`` is either the raw (..., L_kv, d)
+    rows, which act as both keys and values and are projected here after the
+    queries, or a (k, v) pair that :func:`project_kv` already projected.
+
+    ``past_kv`` is a (k, v) pair of cached keys and values that goes before
+    those of ``kv_in``; with it the call returns ``(output, (k, v))``, where
+    (k, v) covers the cached rows and the new ones, ready to be passed as the
+    next call's ``past_kv``.
+
+    ``kv_padding_mask`` marks *valid* kv positions (True = attend) with shape
+    (L_kv,) or (batch, L_kv), counting every key.  Causal attention requires
+    L_q <= L_kv: the queries are the last L_q positions of the sequence, so
+    query i may attend keys 0 .. i + L_kv - L_q.  A query row whose kv
+    positions are all masked is an error, not a NaN.
     """
-    q_in, kv_in = _as_tensor(q_in), _as_tensor(kv_in)
+    q_in = _as_tensor(q_in)
     d = q_in.shape[-1]
     if d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by heads {heads}")
-    if kv_in.shape[-1] != d:
-        raise DimensionError(f"query width {d} != key/value width {kv_in.shape[-1]}")
-    L_q, L_kv = q_in.shape[-2], kv_in.shape[-2]
-    if causal and L_q != L_kv:
-        raise DimensionError(f"causal attention needs L_q == L_kv, got {L_q} vs {L_kv}")
+    if isinstance(kv_in, tuple):
+        k_shape = kv_in[0].shape
+        kv_width, L_kv = k_shape[-3] * k_shape[-1], k_shape[-2]
+    else:
+        kv_in = _as_tensor(kv_in)
+        kv_width, L_kv = kv_in.shape[-1], kv_in.shape[-2]
+    if kv_width != d:
+        raise DimensionError(f"query width {d} != key/value width {kv_width}")
+    if past_kv is not None:
+        L_kv += past_kv[0].shape[-2]
+    L_q = q_in.shape[-2]
+    if causal and L_q > L_kv:
+        raise DimensionError(f"causal attention needs L_q <= L_kv, got {L_q} vs {L_kv}")
     if L_kv == 0:
         raise DomainError("attention with zero key/value positions")
 
     q = _split_heads(linear(q_in, params.wq, params.bq), heads)
-    k = _split_heads(linear(kv_in, params.wk, params.bk), heads)
-    v = _split_heads(linear(kv_in, params.wv, params.bv), heads)
+    k, v = kv_in if isinstance(kv_in, tuple) else project_kv(kv_in, params, heads)
+    if past_kv is not None:
+        k = concat([past_kv[0], k], axis=-2)
+        v = concat([past_kv[1], v], axis=-2)
 
     scale = 1.0 / math.sqrt(d / heads)
     logits = mul(matmul(q, swapaxes(k, -1, -2)), scale)  # (..., heads, L_q, L_kv)
 
     valid = np.ones((L_q, L_kv), dtype=bool)
     if causal:
-        valid = np.tril(valid)
+        valid = np.tril(valid, k=L_kv - L_q)
     if kv_padding_mask is not None:
         km = np.asarray(kv_padding_mask, dtype=bool)
         if km.shape[-1] != L_kv:
@@ -560,7 +588,8 @@ def multi_head_attention(
         probs = mul(probs, keep / (1.0 - attn_dropout))
 
     ctx = _merge_heads(matmul(probs, v))
-    return linear(ctx, params.wo, params.bo)
+    out = linear(ctx, params.wo, params.bo)
+    return out if past_kv is None else (out, (k, v))
 
 
 # ---------------------------------------------------------------------------

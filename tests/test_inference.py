@@ -4,8 +4,12 @@ Toy models map a prefix to a seeded random log-distribution over a 3-token
 vocabulary (eos plus two words).  The exhaustive-oracle tests use the
 position-dependent family (logits keyed by prefix length), on which beam
 search provably recovers the global optimum; the fully prefix-dependent
-family still exercises greedy equivalence and score dominance.
+family still exercises greedy equivalence and score dominance.  The
+model-bound step function is checked against full-prefix ``decode_logits``.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -150,3 +154,85 @@ class TestModelBound:
         tokens = I.decode_example(params, cfg, enc, beam=3)
         assert tokens[0] == SOS_ID
         assert len(tokens) <= cfg.max_caption_len
+
+
+def full_prefix_step_fn(params, cfg, enc) -> I.StepFn:
+    """The plain decoder the incremental step function replaces: one
+    full-prefix ``decode_logits`` call per step."""
+
+    def step(prefix):
+        row = M.decode_logits(params, cfg, enc, np.asarray(prefix, dtype=np.int64)).data[-1]
+        shifted = row - row.max()
+        return shifted - np.log(np.exp(shifted).sum())
+
+    return step
+
+
+def clip(mode, masked, seed=0):
+    cfg = M.ModelConfig(
+        vocab_size=12, d=16, heads=2, encoder_blocks=1, decoder_blocks=2, fusion_mode=mode,
+        max_caption_len=9, audio_in_dim=6, visual_in_dim=4, max_audio_len=10, dropout=0.0,
+    )
+    params = M.init_params(cfg, seed=seed)
+    # 7x the init scale peaks the logits: captions vary, and the masks change them
+    for _, tensor in M.named_parameters(params):
+        tensor.data = tensor.data * 7.0
+    rng = np.random.default_rng(seed)
+    enc = M.encode_modalities(
+        params, cfg, audio=rng.normal(size=(6, cfg.audio_in_dim)),
+        visual=rng.normal(size=(3, cfg.visual_in_dim)),
+        audio_mask=np.array([1, 1, 1, 1, 0, 0], bool) if masked else None,
+        visual_mask=np.array([1, 1, 0], bool) if masked else None,
+    )
+    return cfg, params, enc
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("mode", M.FUSION_MODES)
+class TestIncrementalStep:
+    def test_rows_match_full_prefix_decode(self, mode, masked):
+        cfg, params, enc = clip(mode, masked)
+        tokens = [SOS_ID] + np.random.default_rng(1).integers(0, cfg.vocab_size, 8).tolist()
+        logits = M.decode_logits(params, cfg, enc, np.asarray(tokens)).data
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        full = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        step = I.make_step_fn(params, cfg, enc)
+        for n in range(1, len(tokens) + 1):
+            np.testing.assert_allclose(step(tokens[:n]), full[n - 1], rtol=0, atol=1e-12)
+        # a prefix whose ancestors were never stepped fills them in
+        fresh = I.make_step_fn(params, cfg, enc)
+        np.testing.assert_allclose(fresh(tokens[:5]), full[4], rtol=0, atol=1e-12)
+
+    def test_greedy_and_beam_match_full_prefix(self, mode, masked):
+        cfg, params, enc = clip(mode, masked)
+        ref = full_prefix_step_fn(params, cfg, enc)
+        max_len = cfg.max_caption_len
+        greedy = I.greedy_decode(I.make_step_fn(params, cfg, enc), max_len)
+        assert greedy == I.greedy_decode(ref, max_len)
+        beam = I.beam_search(I.make_step_fn(params, cfg, enc), 3, max_len)
+        assert [h.tokens for h in beam] == [h.tokens for h in I.beam_search(ref, 3, max_len)]
+
+
+def test_dropped_step_fn_frees_its_cache(monkeypatch):
+    """The cached states die with the step function, without waiting for the
+    cycle collector: a reference cycle would hold every clip's cache."""
+    cfg, params, enc = clip("adaava_audio", masked=False)
+    cached = []
+    decode_logits = M.decode_logits
+
+    def recording(*args, **kwargs):
+        result = decode_logits(*args, **kwargs)
+        if kwargs.get("state") is not None:
+            cached.append(weakref.ref(result[-1].blocks[0].self_kv[0].data))
+        return result
+
+    monkeypatch.setattr(M, "decode_logits", recording)
+    gc.disable()
+    try:
+        step = I.make_step_fn(params, cfg, enc)
+        I.greedy_decode(step, cfg.max_caption_len)
+        assert cached and all(ref() is not None for ref in cached)
+        del step
+        assert all(ref() is None for ref in cached)
+    finally:
+        gc.enable()

@@ -233,6 +233,28 @@ class TestMultiHeadAttention:
         truncated = N.multi_head_attention(N.Tensor(q), N.Tensor(kv[:3]), params, 2)
         np.testing.assert_allclose(masked.data, truncated.data, atol=1e-12)
 
+    @pytest.mark.parametrize("past", [1, 3, 5])
+    def test_cached_kv_matches_last_rows_of_full_call(self, rng, past):
+        d, L = 8, 6
+        params = make_attention_params(rng, d)
+        x = rng.normal(size=(L, d))
+        full = N.multi_head_attention(N.Tensor(x), N.Tensor(x), params, 2, causal=True)
+        cached = N.project_kv(x[:past], params, 2)
+        new_rows = x[past:]
+        for kv_in in (N.Tensor(new_rows), N.project_kv(new_rows, params, 2)):
+            out, (k, v) = N.multi_head_attention(N.Tensor(new_rows), kv_in, params, 2,
+                                                 causal=True, past_kv=cached)
+            np.testing.assert_allclose(out.data, full.data[past:], rtol=0, atol=1e-12)
+            assert k.shape == v.shape == (2, L, d // 2)
+
+    def test_causal_needs_no_more_queries_than_keys(self, rng):
+        d = 8
+        params = make_attention_params(rng, d)
+        q = N.Tensor(rng.normal(size=(4, d)))
+        kv = N.Tensor(rng.normal(size=(3, d)))
+        with pytest.raises(DimensionError):
+            N.multi_head_attention(q, kv, params, 2, causal=True)
+
     def test_batched_matches_single(self, rng):
         d = 8
         params = make_attention_params(rng, d)

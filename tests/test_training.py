@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -347,3 +348,37 @@ class TestTrainConfigValidation:
         cfg = T.TrainConfig(epochs=7, augment=F.SpecAugmentPolicy(1, 2, 3, 4))
         back = T.TrainConfig.from_json(cfg.to_json())
         assert back == cfg
+
+
+# sha256 prefix and size of last.avck from the fit below, recorded before
+# decoding became incremental; the teacher-forced path must not move a bit.
+GOLDEN_FIT = {
+    "audio_only": ("59fdc5b34afe334a", 104820),
+    "video_only": ("179ca37325520cd9", 79378),
+    "concatenate": ("71ea0b916a20652b", 106973),
+    "adaava_audio": ("12f6a9429a4997cc", 132015),
+    "adaava_video": ("c44cf0cb70addc40", 132016),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_FIT))
+def test_fit_checkpoint_golden_bytes(tmp_path, mode):
+    spec = D.SyntheticTaskSpec(
+        n_classes=2, n_ambiguous_pairs=1, feature_dim=8, noise_std=0.1, examples_per_class=4,
+        eval_examples_per_class=2, t_audio=4, t_visual=2, seed=7,
+    )
+    task = D.generate_synthetic_task(spec, tmp_path / "data")
+    train_m = D.load_manifest(task.train_manifest)
+    vocab = D.build_vocabulary_from_manifest(train_m)
+    cfg = M.ModelConfig(
+        vocab_size=len(vocab), d=8, heads=2, encoder_blocks=1, decoder_blocks=2,
+        fusion_mode=mode, max_caption_len=10, audio_in_dim=8, visual_in_dim=8,
+        max_audio_len=4, dropout=0.1,
+    )
+    train = D.load_examples(train_m, vocab, cfg.max_caption_len)
+    val = D.load_examples(D.load_manifest(task.eval_manifest), vocab, cfg.max_caption_len)
+    tcfg = T.TrainConfig(lr_peak=1e-3, epochs=2, warmup_epochs=1, batch_size=4,
+                         label_smoothing=0.1, seed=7, checkpoint_interval=1)
+    T.fit(M.init_params(cfg, seed=7), cfg, vocab, train, val, tcfg, out_dir=tmp_path / "run")
+    blob = (tmp_path / "run" / "last.avck").read_bytes()
+    assert (hashlib.sha256(blob).hexdigest()[:16], len(blob)) == GOLDEN_FIT[mode]
