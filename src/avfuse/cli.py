@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -308,7 +309,8 @@ def cmd_train(args) -> int:
 
 
 def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam: int,
-                     greedy: bool) -> dict[str, str]:
+                     greedy: bool) -> tuple[dict[str, str], list[float]]:
+    """Candidate captions by id, and the seconds each clip took to decode."""
     examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)
     if _max_audio_rows(examples) > ck.config.max_audio_len:
         raise ConfigError(
@@ -316,25 +318,24 @@ def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam:
             f"({ck.config.max_audio_len})"
         )
 
-    candidates = {}
+    candidates, clip_s = {}, []
     for ex in examples:
+        start = time.perf_counter()
         enc = model.encode_modalities(
             ck.params, ck.config,
             audio=ex.audio_patches if model.mode_uses_audio(ck.config.fusion_mode) else None,
             visual=ex.visual if model.mode_uses_visual(ck.config.fusion_mode) else None,
         )
-        if greedy:
-            ids = inference.caption_greedy(ck.params, ck.config, enc)
-        else:
-            ids = inference.decode_example(ck.params, ck.config, enc, beam=beam)
+        ids = inference.decode_example(ck.params, ck.config, enc, beam=1 if greedy else beam)
         candidates[ex.id] = " ".join(data.decode_caption(ids, ck.vocab))
-    return candidates
+        clip_s.append(time.perf_counter() - start)
+    return candidates, clip_s
 
 
 def cmd_eval(args) -> int:
     ck = model.load_checkpoint(args.checkpoint)
     manifest = data.load_manifest(args.manifest)
-    candidates = _decode_manifest(ck, manifest, beam=args.beam, greedy=args.greedy)
+    candidates, clip_s = _decode_manifest(ck, manifest, beam=args.beam, greedy=args.greedy)
     if args.candidates_out:
         with open(args.candidates_out, "w", encoding="utf-8") as fh:
             for cid, caption in candidates.items():
@@ -346,6 +347,10 @@ def cmd_eval(args) -> int:
         "beam": args.beam, "greedy": args.greedy,
         "fusion_mode": ck.config.fusion_mode,
     }
+    decode_s = sum(clip_s)  # evaluate() has rejected an empty manifest
+    payload["timing"] = {"clips": len(clip_s), "decode_s": decode_s,
+                         "clips_per_s": len(clip_s) / decode_s,
+                         "ms_per_clip_p50": 1000.0 * float(np.median(clip_s))}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.report:
@@ -567,6 +572,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "beam", 1) < 1:  # eval and infer, before the checkpoint is read
+            raise ConfigError(f"--beam must be >= 1, got {args.beam}")
         return args.func(args)
     except ValidationError as exc:
         for problem in exc.problems:

@@ -130,12 +130,6 @@ def patchify(spec: MelSpec | np.ndarray, frames_per_patch: int = FRAMES_PER_PATC
     return trimmed.reshape(n_patches, frames_per_patch * n_mels)
 
 
-def unpatchify(patches: np.ndarray, n_mels: int, frames_per_patch: int = FRAMES_PER_PATCH) -> np.ndarray:
-    """Inverse of patchify on the retained frames."""
-    n_patches = patches.shape[0]
-    return patches.reshape(n_patches * frames_per_patch, n_mels)
-
-
 @dataclass
 class SpecAugmentPolicy:
     """Mild default policy; the masking technique matters, not these numbers."""

@@ -1,15 +1,16 @@
 """Auto-regressive caption generation: greedy and beam search.
 
-Both decoders drive an abstract ``step_fn(prefix_tokens) -> log-probs`` so the
-search logic is testable against toy models and exhaustive enumeration.  All
+Greedy decoding drives a per-prefix ``step_fn(prefix) -> log-probs`` and beam
+search a batched ``step_many(prefixes) -> (n, V) log-probs``, so the search
+logic is testable against toy models and exhaustive enumeration.  All
 tie-breaks are deterministic: lowest token id at expansion, lexicographic
 token sequence at ranking.
 
-:func:`make_step_fn` binds that contract to the model.  It decodes
-incrementally: the cross-attention keys and values are projected once per
-clip, and each step extends the cached decoder state of the prefix's parent
-by one position, so a caption of n tokens costs n single-position decoder
-passes rather than n full-prefix ones.
+:func:`make_batch_step_fn` binds the batched contract to the model: one
+single-position decoder pass steps every live hypothesis, the cross-attention
+keys and values are projected once per clip, and only the decoder state of
+the latest generation is held.  :func:`make_step_fn` and :func:`beam_search`
+are its per-prefix adapters.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 
 from . import model
 from .data import EOS_ID, SOS_ID
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 StepFn = Callable[[Sequence[int]], np.ndarray]
+BatchStepFn = Callable[[Sequence[Sequence[int]]], np.ndarray]
 
 
 @dataclass
@@ -34,12 +36,8 @@ class Hypothesis:
     logprob: float
     finished: bool
 
-    @property
-    def emitted(self) -> int:
-        return max(1, len(self.tokens) - 1)
-
     def score(self, length_norm: bool) -> float:
-        return self.logprob / self.emitted if length_norm else self.logprob
+        return self.logprob / max(1, len(self.tokens) - 1) if length_norm else self.logprob
 
 
 def greedy_decode(step_fn: StepFn, max_len: int, sos_id: int = SOS_ID,
@@ -57,14 +55,16 @@ def greedy_decode(step_fn: StepFn, max_len: int, sos_id: int = SOS_ID,
     return tokens
 
 
-def beam_search(step_fn: StepFn, beam: int, max_len: int, length_norm: bool = True,
-                sos_id: int = SOS_ID, eos_id: int = EOS_ID) -> list[Hypothesis]:
+def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int,
+                        length_norm: bool = True, sos_id: int = SOS_ID,
+                        eos_id: int = EOS_ID) -> list[Hypothesis]:
     """Standard beam search returning up to ``beam`` ranked hypotheses.
 
-    Each live hypothesis expands by its top-``beam`` tokens.  Finished
-    candidates (eos emitted) retire straight into a pool and never occupy a
-    beam slot; the top-``beam`` unfinished candidates stay live.  The final
-    ranking merges pool and live frontier.
+    Each step makes one ``step_many`` call over the live hypotheses, and each
+    expands by its top-``beam`` tokens.  Finished candidates (eos emitted)
+    retire straight into a pool and never occupy a beam slot; the
+    top-``beam`` unfinished candidates stay live.  The final ranking merges
+    pool and live frontier.
     """
     if beam < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam}")
@@ -80,11 +80,10 @@ def beam_search(step_fn: StepFn, beam: int, max_len: int, length_norm: bool = Tr
         if not live:
             break
         candidates: list[Hypothesis] = []
-        for hyp in live:
-            logprobs = np.asarray(step_fn(hyp.tokens))
+        for hyp, logprobs in zip(live, step_many([hyp.tokens for hyp in live])):
+            logprobs = np.asarray(logprobs)
             top = np.argsort(-logprobs, kind="stable")[:beam]  # stable: ties -> lowest id
-            for tok in top:
-                tok = int(tok)
+            for tok in top.tolist():
                 candidates.append(Hypothesis(
                     tokens=hyp.tokens + [tok],
                     logprob=hyp.logprob + float(logprobs[tok]),
@@ -97,8 +96,14 @@ def beam_search(step_fn: StepFn, beam: int, max_len: int, length_norm: bool = Tr
                 pool.append(cand)
             elif len(live) < beam:
                 live.append(cand)
-    final = sorted(pool + live, key=rank_key)
-    return final[:beam]
+    return sorted(pool + live, key=rank_key)[:beam]
+
+
+def beam_search(step_fn: StepFn, beam: int, max_len: int, length_norm: bool = True,
+                sos_id: int = SOS_ID, eos_id: int = EOS_ID) -> list[Hypothesis]:
+    """:func:`beam_search_batched` over a per-prefix step function."""
+    return beam_search_batched(lambda prefixes: [step_fn(p) for p in prefixes], beam,
+                               max_len, length_norm=length_norm, sos_id=sos_id, eos_id=eos_id)
 
 
 # ---------------------------------------------------------------------------
@@ -106,73 +111,59 @@ def beam_search(step_fn: StepFn, beam: int, max_len: int, length_norm: bool = Tr
 # ---------------------------------------------------------------------------
 
 
+def make_batch_step_fn(params: model.ModelParams, config: model.ModelConfig,
+                       enc: model.EncodedModalities) -> BatchStepFn:
+    """Batched incremental step function for one clip: ``step_many(prefixes)``
+    gives the (n, V) next-token log-probs after n prefixes of one length.
+
+    Holds the previous call's :class:`model.DecoderState` and the row of each
+    of its prefixes.  When every prefix extends one of them, a call gathers
+    the parents' rows and decodes the last tokens in one (n, 1) pass; else it
+    decodes every position from the empty state in one (n, L) pass.
+    """
+    empty = model.init_decoder_state(params, config, enc)
+    held, held_rows = empty, {}
+
+    def step_many(prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        nonlocal held, held_rows
+        keys = [tuple(int(t) for t in p) for p in prefixes]
+        if not keys or any(len(k) != len(keys[0]) for k in keys):
+            raise DomainError(f"prefixes must share one length, got {[len(k) for k in keys]}")
+        parents = [held_rows.get(k[:-1]) for k in keys]
+        if None in parents:
+            state, parents, ids = empty, [0] * len(keys), keys
+        else:
+            state, ids = held, [k[-1:] for k in keys]
+        state = model.gather_state(state, parents)
+        logits, held = model.decode_logits(params, config, enc, np.asarray(ids, dtype=np.int64),
+                                           state=state)
+        held_rows = {k: i for i, k in enumerate(keys)}
+        last = logits.data[:, -1]
+        shifted = last - last.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    return step_many
+
+
 def make_step_fn(params: model.ModelParams, config: model.ModelConfig,
                  enc: model.EncodedModalities) -> StepFn:
-    """Incremental step function for one clip: log-probs of the next token.
-
-    Keeps the :class:`model.DecoderState` after every prefix it has stepped,
-    keyed by the prefix.  A step finds the longest stored ancestor of its
-    prefix and decodes only the positions after it: one position for greedy
-    and beam search, whose every prefix extends one stepped before.  A prefix
-    with no stepped parent decodes its missing positions in the same call.
-    """
-    states = {(): model.init_decoder_state(params, config, enc)}
-
-    def step(prefix: Sequence[int]) -> np.ndarray:
-        key = tuple(int(t) for t in prefix)
-        known = len(key) - 1
-        while key[:known] not in states:
-            known -= 1
-        ids = np.asarray(key[known:], dtype=np.int64)
-        logits, states[key] = model.decode_logits(params, config, enc, ids,
-                                                  state=states[key[:known]])
-        row = logits.data[-1]
-        shifted = row - row.max()
-        return shifted - np.log(np.exp(shifted).sum())
-
-    return step
+    """:func:`make_batch_step_fn` for one prefix at a time."""
+    step_many = make_batch_step_fn(params, config, enc)
+    return lambda prefix: step_many([prefix])[0]
 
 
-def caption_greedy(params, config, enc, max_len: int | None = None) -> list[int]:
-    return greedy_decode(make_step_fn(params, config, enc),
-                         max_len or config.max_caption_len)
+def caption_greedy(params, config, enc) -> list[int]:
+    return greedy_decode(make_step_fn(params, config, enc), config.max_caption_len)
 
 
-def caption_beam(params, config, enc, beam: int = 3, max_len: int | None = None,
-                 length_norm: bool = True) -> list[Hypothesis]:
-    return beam_search(make_step_fn(params, config, enc), beam,
-                       max_len or config.max_caption_len, length_norm=length_norm)
+def caption_beam(params, config, enc, beam: int = 3) -> list[Hypothesis]:
+    return beam_search_batched(make_batch_step_fn(params, config, enc), beam,
+                               config.max_caption_len)
 
 
-def decode_example(params, config, enc, beam: int = 3,
-                   length_norm: bool = True) -> list[int]:
+def decode_example(params, config, enc, beam: int = 3) -> list[int]:
     """Decode one clip: beam search for beam > 1, greedy otherwise."""
     if beam == 1:
         return caption_greedy(params, config, enc)
-    hyps = caption_beam(params, config, enc, beam=beam, length_norm=length_norm)
-    return hyps[0].tokens
+    return caption_beam(params, config, enc, beam=beam)[0].tokens
 
-
-def exhaustive_best(step_fn: StepFn, token_ids: Sequence[int], max_len: int,
-                    length_norm: bool = True, sos_id: int = SOS_ID,
-                    eos_id: int = EOS_ID) -> Hypothesis:
-    """Brute-force oracle: enumerate every sequence and rank like beam_search.
-
-    Only usable for toy vocabularies; the search space is |tokens|^(max_len-1).
-    """
-    finals: list[Hypothesis] = []
-
-    def recurse(tokens: list[int], logprob: float):
-        if len(tokens) == max_len:
-            finals.append(Hypothesis(tokens, logprob, tokens[-1] == eos_id))
-            return
-        logprobs = np.asarray(step_fn(tokens))
-        for tok in token_ids:
-            lp = logprob + float(logprobs[tok])
-            if tok == eos_id:
-                finals.append(Hypothesis(tokens + [tok], lp, True))
-            else:
-                recurse(tokens + [tok], lp)
-
-    recurse([sos_id], 0.0)
-    return min(finals, key=lambda h: (-h.score(length_norm), h.tokens))

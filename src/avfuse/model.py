@@ -514,7 +514,8 @@ class BlockCache:
 @dataclass(frozen=True)
 class DecoderState:
     """Where incremental decoding of one clip stands: ``length`` positions
-    decoded, with one :class:`BlockCache` per decoder block."""
+    decoded for each hypothesis, with one :class:`BlockCache` per decoder
+    block whose self-attention (k, v) lead with the hypothesis axis."""
 
     length: int
     blocks: tuple[BlockCache, ...]
@@ -522,11 +523,10 @@ class DecoderState:
 
 def init_decoder_state(params: ModelParams, config: ModelConfig,
                        enc: EncodedModalities) -> DecoderState:
-    """The state before the first position: empty self-attention caches, and
+    """The state of one empty hypothesis: empty self-attention caches, and
     every block's cross-attention keys and values projected from ``enc``."""
     audio, video = _fusion_inputs(enc, config.fusion_mode)
-    lead = (audio or video)[0].shape[:-2]
-    empty = Tensor(np.zeros(lead + (config.heads, 0, config.d // config.heads)))
+    empty = Tensor(np.zeros((1, config.heads, 0, config.d // config.heads)))
 
     def projected(side, attn):
         if side is None:
@@ -537,6 +537,18 @@ def init_decoder_state(params: ModelParams, config: ModelConfig,
         BlockCache(self_kv=(empty, empty),
                    cross=(projected(audio, blk.cross_audio), projected(video, blk.cross_video)))
         for blk in params.decoder
+    ))
+
+
+def gather_state(state: DecoderState, rows) -> DecoderState:
+    """``state`` with hypothesis i continuing its hypothesis ``rows[i]``: the
+    self-attention keys and values are copied unless ``rows`` is the identity,
+    and the cross-attention caches are shared."""
+    if list(rows) == list(range(len(state.blocks[0].self_kv[0].data))):
+        return state
+    return DecoderState(state.length, tuple(
+        BlockCache(tuple(Tensor(t.data[rows]) for t in blk.self_kv), blk.cross)
+        for blk in state.blocks
     ))
 
 
@@ -594,8 +606,8 @@ def decode_logits(params: ModelParams, config: ModelConfig, enc: EncodedModaliti
 
     Without ``state``, ``tokens`` is the whole prefix and every position is
     computed from ``enc``: the teacher-forced path.  With a
-    :class:`DecoderState` from :func:`init_decoder_state` or an earlier
-    call, ``tokens`` are the positions after ``state.length``: they take the
+    :class:`DecoderState` of n hypotheses, ``tokens`` are (n, L): row i holds
+    hypothesis i's positions after ``state.length``.  They take the
     positional rows from there on and attend to the cached keys and values,
     the logits cover only them, and the extended state is appended to the
     result, as in (logits, state).
@@ -611,15 +623,11 @@ def decode_logits(params: ModelParams, config: ModelConfig, enc: EncodedModaliti
     )
     traces, caches = [], []
     for i, blk in enumerate(params.decoder):
-        if state is None:
-            x, trace = decoder_block(x, enc, blk, config, rng=rng,
-                                     collect_trace=collect_traces)
-        else:
-            x, trace, cache = decoder_block(x, enc, blk, config, rng=rng,
-                                            collect_trace=collect_traces,
-                                            cache=state.blocks[i])
-            caches.append(cache)
+        x, trace, *cache = decoder_block(x, enc, blk, config, rng=rng,
+                                         collect_trace=collect_traces,
+                                         cache=None if state is None else state.blocks[i])
         traces.append(trace)
+        caches += cache
     x = N.layer_norm(x, params.final_norm.gain, params.final_norm.bias, config.ln_eps)
     logits = N.linear(x, params.out_proj.weight, params.out_proj.bias)
     result = (logits,)

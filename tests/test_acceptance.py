@@ -16,6 +16,7 @@ import pytest
 from avfuse import cli, data as D, frontend as F, inference as I, metrics as MX
 from avfuse import model as M, numerics as N, training as T
 
+from decoding_oracles import exhaustive_best
 from test_inference import TOY_TOKENS, toy_model
 from test_metrics import fuzz_corpus, oracle_bleu, oracle_cider_d, oracle_rouge_l
 
@@ -271,7 +272,7 @@ def test_criterion_08_decoding():
     for seed in range(100):
         step = toy_model(seed, position_only=True)
         top = I.beam_search(step, 3, 5)[0]
-        best = I.exhaustive_best(step, TOY_TOKENS, 5)
+        best = exhaustive_best(step, TOY_TOKENS, 5)
         if top.tokens == best.tokens:
             exhaustive_agree += 1
     report(8, greedy_agree == 100 and exhaustive_agree == 100,

@@ -168,8 +168,18 @@ class TestEvalInfer:
         assert run(["eval", "--checkpoint", trained, "--manifest", dataset / "eval.jsonl",
                     "--greedy", "--report", r2]) == EXIT_OK
         a, b = json.loads(r1.read_text()), json.loads(r2.read_text())
-        a.pop("settings"), b.pop("settings")  # the echoed flags legitimately differ
+        # the echoed flags and the wall-clock timing legitimately differ
+        a.pop("settings"), b.pop("settings"), a.pop("timing"), b.pop("timing")
         assert a == b
+
+    def test_report_times_the_decode_loop(self, trained, dataset, tmp_path):
+        report_path = tmp_path / "rep.json"
+        assert run(["eval", "--checkpoint", trained, "--manifest", dataset / "eval.jsonl",
+                    "--greedy", "--report", report_path]) == EXIT_OK
+        timing = json.loads(report_path.read_text())["timing"]
+        assert set(timing) == {"clips", "decode_s", "clips_per_s", "ms_per_clip_p50"}
+        assert timing["clips"] == len(data.load_manifest(dataset / "eval.jsonl").records)
+        assert all(value > 0 for value in timing.values())
 
     def test_report_contains_all_six_metrics(self, trained, dataset, tmp_path, capsys):
         report_path = tmp_path / "rep.json"
@@ -262,3 +272,17 @@ class TestExitCodes:
         rc = run(["eval", "--checkpoint", tmp_path / "none.avck",
                   "--manifest", tmp_path / "none.jsonl"])
         assert rc == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("flags", [["--beam", 0], ["--beam", -1], ["--greedy", "--beam", 0]])
+    def test_eval_beam_below_one_is_validation(self, tmp_path, capsys, flags):
+        # rejected before the (missing) checkpoint is read, which would exit 2
+        rc = run(["eval", "--checkpoint", tmp_path / "none.avck",
+                  "--manifest", tmp_path / "none.jsonl", *flags])
+        assert rc == EXIT_VALIDATION
+        assert "--beam" in capsys.readouterr().err
+
+    def test_infer_beam_below_one_is_validation(self, tmp_path, capsys):
+        rc = run(["infer", "--checkpoint", tmp_path / "none.avck",
+                  "--audio", tmp_path / "none.wav", "--beam", 0])
+        assert rc == EXIT_VALIDATION
+        assert "--beam" in capsys.readouterr().err

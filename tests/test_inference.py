@@ -17,7 +17,9 @@ import pytest
 from avfuse import inference as I
 from avfuse import model as M
 from avfuse.data import EOS_ID, SOS_ID
-from avfuse.errors import ConfigError
+from avfuse.errors import ConfigError, DomainError
+
+from decoding_oracles import exhaustive_best
 
 TOY_TOKENS = [EOS_ID, 4, 5]
 TABLE = 6
@@ -80,7 +82,7 @@ class TestBeam:
         for seed in range(100):
             step = toy_model(seed, position_only=True)
             top = I.beam_search(step, 3, 5, length_norm=length_norm)[0]
-            best = I.exhaustive_best(step, TOY_TOKENS, 5, length_norm=length_norm)
+            best = exhaustive_best(step, TOY_TOKENS, 5, length_norm=length_norm)
             assert top.tokens == best.tokens, f"seed {seed}"
             assert top.logprob == pytest.approx(best.logprob, abs=1e-12)
 
@@ -156,16 +158,18 @@ class TestModelBound:
         assert len(tokens) <= cfg.max_caption_len
 
 
+def full_prefix_log_probs(params, cfg, enc, tokens) -> np.ndarray:
+    """Log-softmax over one teacher-forced ``decode_logits`` call: row i is
+    the next-token distribution after ``tokens[:i + 1]``."""
+    logits = M.decode_logits(params, cfg, enc, np.asarray(tokens, dtype=np.int64)).data
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def full_prefix_step_fn(params, cfg, enc) -> I.StepFn:
     """The plain decoder the incremental step function replaces: one
     full-prefix ``decode_logits`` call per step."""
-
-    def step(prefix):
-        row = M.decode_logits(params, cfg, enc, np.asarray(prefix, dtype=np.int64)).data[-1]
-        shifted = row - row.max()
-        return shifted - np.log(np.exp(shifted).sum())
-
-    return step
+    return lambda prefix: full_prefix_log_probs(params, cfg, enc, prefix)[-1]
 
 
 def clip(mode, masked, seed=0):
@@ -193,9 +197,7 @@ class TestIncrementalStep:
     def test_rows_match_full_prefix_decode(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
         tokens = [SOS_ID] + np.random.default_rng(1).integers(0, cfg.vocab_size, 8).tolist()
-        logits = M.decode_logits(params, cfg, enc, np.asarray(tokens)).data
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        full = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        full = full_prefix_log_probs(params, cfg, enc, tokens)
         step = I.make_step_fn(params, cfg, enc)
         for n in range(1, len(tokens) + 1):
             np.testing.assert_allclose(step(tokens[:n]), full[n - 1], rtol=0, atol=1e-12)
@@ -212,10 +214,68 @@ class TestIncrementalStep:
         beam = I.beam_search(I.make_step_fn(params, cfg, enc), 3, max_len)
         assert [h.tokens for h in beam] == [h.tokens for h in I.beam_search(ref, 3, max_len)]
 
+    def test_batch_rows_match_full_prefix_decode(self, mode, masked):
+        cfg, params, enc = clip(mode, masked)
+        rng = np.random.default_rng(2)
+        step_many = I.make_batch_step_fn(params, cfg, enc)
+        prefixes = [[SOS_ID]]
+        # each generation's parent rows in the previous one: two children of
+        # one parent, a permutation, repeats with a drop, a shrink, a growth,
+        # the identity, and a batch of one
+        for parents in ([0, 0, 0], [2, 0, 1], [1, 1, 0], [2, 1], [1, 0, 0], [0, 1, 2], [1]):
+            prefixes = [prefixes[r] + [int(rng.integers(cfg.vocab_size))] for r in parents]
+            rows = step_many(prefixes)
+            assert rows.shape == (len(parents), cfg.vocab_size)
+            for prefix, row in zip(prefixes, rows):
+                ref = full_prefix_log_probs(params, cfg, enc, prefix)[-1]
+                np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+
+    def test_batch_with_unheld_parent_matches_full_prefix(self, mode, masked):
+        cfg, params, enc = clip(mode, masked)
+        step_many = I.make_batch_step_fn(params, cfg, enc)
+        step_many([[SOS_ID, 3], [SOS_ID, 4]])
+        # [sos, 3, 5] extends a held prefix, [sos, 6, 7] and [sos, 8, 1] do not
+        for prefixes in ([[SOS_ID, 3, 5], [SOS_ID, 6, 7]], [[SOS_ID, 8, 1]],
+                         [[SOS_ID, 8, 1, 2], [SOS_ID, 8, 1, 0]]):
+            for prefix, row in zip(prefixes, step_many(prefixes)):
+                ref = full_prefix_log_probs(params, cfg, enc, prefix)[-1]
+                np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+
+    def test_batched_beam_matches_full_prefix(self, mode, masked):
+        cfg, params, enc = clip(mode, masked)
+        ref = I.beam_search(full_prefix_step_fn(params, cfg, enc), 3, cfg.max_caption_len)
+        got = I.beam_search_batched(I.make_batch_step_fn(params, cfg, enc), 3,
+                                    cfg.max_caption_len)
+        assert [h.tokens for h in got] == [h.tokens for h in ref]
+        np.testing.assert_allclose([h.logprob for h in got], [h.logprob for h in ref],
+                                   rtol=0, atol=1e-12)
+
+    def test_unequal_prefix_lengths_rejected(self, mode, masked):
+        cfg, params, enc = clip(mode, masked)
+        step_many = I.make_batch_step_fn(params, cfg, enc)
+        with pytest.raises(DomainError):
+            step_many([[SOS_ID], [SOS_ID, 3]])
+        with pytest.raises(DomainError):
+            step_many([])
+
+
+def test_gather_state_copies_only_moved_rows():
+    cfg, params, enc = clip("adaava_audio", masked=False)
+    two = M.gather_state(M.init_decoder_state(params, cfg, enc), [0, 0])
+    _, state = M.decode_logits(params, cfg, enc, np.array([[SOS_ID, 3], [SOS_ID, 4]]), state=two)
+    assert M.gather_state(state, [0, 1]) is state
+    moved = M.gather_state(state, [1, 1, 0])
+    assert moved.length == state.length == 2
+    for old, new in zip(state.blocks, moved.blocks):
+        for old_t, new_t in zip(old.self_kv, new.self_kv):
+            np.testing.assert_array_equal(new_t.data, old_t.data[[1, 1, 0]])
+        assert new.cross is old.cross
+
 
 def test_dropped_step_fn_frees_its_cache(monkeypatch):
-    """The cached states die with the step function, without waiting for the
-    cycle collector: a reference cycle would hold every clip's cache."""
+    """A decode holds only the decoder state of its latest generation: every
+    earlier state is freed as soon as it has been extended, without waiting
+    for the cycle collector, and the latest dies with the step function."""
     cfg, params, enc = clip("adaava_audio", masked=False)
     cached = []
     decode_logits = M.decode_logits
@@ -230,9 +290,19 @@ def test_dropped_step_fn_frees_its_cache(monkeypatch):
     gc.disable()
     try:
         step = I.make_step_fn(params, cfg, enc)
-        I.greedy_decode(step, cfg.max_caption_len)
-        assert cached and all(ref() is not None for ref in cached)
+        tokens = I.greedy_decode(step, cfg.max_caption_len)
+        assert len(cached) == len(tokens) - 1 >= 3
+        assert cached[-1]() is not None
+        assert all(ref() is None for ref in cached[:-1])
         del step
-        assert all(ref() is None for ref in cached)
+        assert cached[-1]() is None
+
+        cached.clear()
+        step_many = I.make_batch_step_fn(params, cfg, enc)
+        I.beam_search_batched(step_many, 3, cfg.max_caption_len)
+        assert len(cached) >= 3 and cached[-1]() is not None
+        assert all(ref() is None for ref in cached[:-1])
+        del step_many
+        assert cached[-1]() is None
     finally:
         gc.enable()
