@@ -9,6 +9,7 @@ artifact the command writes.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import math
 import os
@@ -86,40 +87,38 @@ def _echo_config(resolved: dict, out_dir: Path | None) -> None:
 
 
 class _DirLock:
-    """One process owns one checkpoint directory; stale locks are reclaimed."""
+    """One process owns one checkpoint directory: an exclusive ``flock`` on
+    ``<dir>/.lock``, which the kernel drops when the owner exits.
+
+    The file is never unlinked; it holds the owner's pid for the error message.
+    """
 
     def __init__(self, directory: Path):
         self.path = directory / ".lock"
-        self.acquired = False
+        self.fd: int | None = None
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
             try:
-                owner = int(self.path.read_text().strip())
-                os.kill(owner, 0)
-                alive = True
-            except (ValueError, ProcessLookupError, PermissionError):
-                alive = False
-            if alive:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                owner = os.read(fd, 32).decode("ascii", "replace").strip()
+                by = f" by pid {owner}" if owner.isdigit() else ""
                 raise ValidationError(
-                    f"checkpoint directory {self.path.parent} is locked by pid {owner}"
-                )
-            self.path.unlink()
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        self.acquired = True
+                    f"checkpoint directory {self.path.parent} is locked{by}"
+                ) from None
+            os.ftruncate(fd, 0)
+            os.write(fd, str(os.getpid()).encode())
+        except BaseException:
+            os.close(fd)
+            raise
+        self.fd = fd
         return self
 
     def __exit__(self, *exc):
-        if self.acquired:
-            try:
-                self.path.unlink()
-            except FileNotFoundError:
-                pass
+        os.close(self.fd)  # closing the last descriptor releases the lock
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +191,7 @@ _TRAIN_FLAG_MAP = {
 def _infer_feature_widths(manifest: data.DatasetManifest) -> tuple[int | None, int | None]:
     audio_widths, visual_widths = set(), set()
     for rec in manifest.records:
-        audio_path = manifest.resolve(rec.audio)
-        if audio_path.suffix.lower() == ".wav":
-            audio_widths.add(256)
-        else:
-            audio_widths.add(data.feature_file_shape(audio_path)[1])
+        audio_widths.add(data.audio_input_width(manifest.resolve(rec.audio)))
         if rec.visual_features is not None:
             visual_widths.add(data.feature_file_shape(manifest.resolve(rec.visual_features))[1])
     if len(audio_widths) > 1:
@@ -230,7 +225,7 @@ def build_run(resolved: dict):
     fusion_mode = model_kw.get("fusion_mode", "adaava_audio")
     audio_w, visual_w = _infer_feature_widths(manifest)
     if model.mode_uses_audio(fusion_mode) and "audio_in_dim" not in model_kw:
-        model_kw["audio_in_dim"] = audio_w or 256
+        model_kw["audio_in_dim"] = audio_w or data.WAV_PATCH_WIDTH
     if model.mode_uses_visual(fusion_mode):
         missing = [rec.id for rec in manifest.records if rec.visual_features is None]
         if missing:
@@ -285,10 +280,9 @@ def cmd_train(args) -> int:
         "model": config.to_json(),
         "train": tcfg.to_json(),
     }
-    _echo_config(echo, out_dir)
-
-    params = model.init_params(config, seed=tcfg.seed)
     with _DirLock(out_dir):
+        _echo_config(echo, out_dir)
+        params = model.init_params(config, seed=tcfg.seed)
         state, history = training.fit(
             params, config, vocab, train_examples, val_examples, tcfg,
             out_dir=out_dir, log_path=out_dir / "metrics.jsonl",
@@ -363,12 +357,7 @@ def cmd_infer(args) -> int:
     config = ck.config
     audio = None
     if model.mode_uses_audio(config.fusion_mode):
-        path = Path(args.audio)
-        if path.suffix.lower() == ".wav":
-            wav = frontend.read_wav(path, expected_rate=frontend.MelConfig().sample_rate)
-            audio = frontend.patchify(frontend.log_mel(wav))
-        else:
-            audio = data.read_feature_file(path).astype(np.float64)
+        audio, _ = data.load_audio_input(args.audio)
     visual = None
     if model.mode_uses_visual(config.fusion_mode):
         if not args.visual:
@@ -436,7 +425,7 @@ def cmd_gradcheck(args) -> int:
         return numerics.sum_(numerics.mul(out, mixer))
 
     def masks_now() -> np.ndarray:
-        _, tr = model.decoder_block(x0, enc, blk, config, collect_trace=True)
+        _, tr = model.decoder_block(x0, enc, blk, config)
         return np.stack([tr.m_a.data, tr.m_v.data])
 
     groups = [slot for slot in model.parameter_slots(params)

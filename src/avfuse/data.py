@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import frontend
 from .errors import ConfigError, DataFormatError, DomainError, ValidationError
 
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -132,29 +133,28 @@ def write_feature_file(path, matrix) -> None:
         fh.write(arr.tobytes())
 
 
+def _read_header(fh, path) -> tuple[int, int, int]:
+    """(T, d, dtype code) from the AVF1 header at the start of ``fh``."""
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise DataFormatError(f"{path}: truncated header ({len(header)} bytes)")
+    magic, t, d, code = _HEADER.unpack(header)
+    if magic != FEATURE_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC.decode()!r}")
+    return t, d, code
+
+
 def feature_file_shape(path) -> tuple[int, int]:
     """Read only the AVF1 header and return (T, d)."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-    if len(header) < _HEADER.size:
-        raise DataFormatError(f"{path}: truncated header ({len(header)} bytes)")
-    magic, t, d, _ = _HEADER.unpack(header)
-    if magic != FEATURE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC.decode()!r}")
+        t, d, _ = _read_header(fh, path)
     return t, d
 
 
 def read_feature_file(path) -> np.ndarray:
     """Read an AVF1 file back into a (T, d) float32 array, bit-exactly."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise DataFormatError(f"{path}: truncated header ({len(header)} bytes)")
-        magic, t, d, code = _HEADER.unpack(header)
-        if magic != FEATURE_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC.decode()!r}"
-            )
+        t, d, code = _read_header(fh, path)
         if code != _DTYPE_F32:
             raise DataFormatError(f"{path}: unsupported dtype code {code}")
         expected = 4 * t * d
@@ -165,6 +165,32 @@ def read_feature_file(path) -> np.ndarray:
                 f"{path}: {kind} payload, expected {expected} bytes for {t}x{d}"
             )
     return np.frombuffer(payload, dtype="<f4").reshape(t, d)
+
+
+# Width of the encoder input rows of a WAV file: one row per patch of mel frames.
+WAV_PATCH_WIDTH = frontend.FRAMES_PER_PATCH * frontend.MelConfig().n_mels
+
+
+def _is_wav(path) -> bool:
+    return Path(path).suffix.lower() == ".wav"
+
+
+def audio_input_width(path) -> int:
+    """Width of the rows that :func:`load_audio_input` gives for ``path``."""
+    return WAV_PATCH_WIDTH if _is_wav(path) else feature_file_shape(path)[1]
+
+
+def load_audio_input(path) -> tuple[np.ndarray, frontend.MelSpec | None]:
+    """Encoder input rows for one audio file, and its log-mel spectrogram.
+
+    A ``.wav`` file is read at the frontend's sample rate, turned into log-mel
+    frames and patchified; any other file is read as AVF1 features, as
+    float64 rows without a spectrogram.
+    """
+    if not _is_wav(path):
+        return read_feature_file(path).astype(np.float64), None
+    mel = frontend.log_mel(frontend.read_wav(path, frontend.MelConfig().sample_rate))
+    return frontend.patchify(mel), mel
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +227,9 @@ class DatasetManifest:
         return p if p.is_absolute() else self.root / p
 
 
-def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
-    """Load a JSON-lines manifest; every validation error names its line number."""
-    path = Path(path)
-    root = path.parent
-    records: list[ManifestRecord] = []
-    first_line: dict[str, int] = {}
+def read_json_lines(path):
+    """Yield (line number, record) for each non-blank line of a JSON-lines
+    file; a line that is not a JSON object is a ValidationError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -215,41 +238,55 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: line {lineno}: invalid record: {exc}") from exc
-            for key in ("id", "audio", "captions"):
-                if key not in obj:
-                    raise ValidationError(f"{path}: line {lineno}: missing field {key!r}")
-            captions = obj["captions"]
-            if not isinstance(captions, list) or not captions:
-                raise ValidationError(f"{path}: line {lineno}: captions must be a non-empty list")
-            if len(captions) > MAX_CAPTIONS:
+            if not isinstance(obj, dict):
                 raise ValidationError(
-                    f"{path}: line {lineno}: {len(captions)} captions exceeds the maximum of {MAX_CAPTIONS}"
+                    f"{path}: line {lineno}: record must be a JSON object, "
+                    f"got {type(obj).__name__}"
                 )
-            rec_id = str(obj["id"])
-            if rec_id in first_line:
-                raise ValidationError(
-                    f"{path}: line {lineno}: duplicate id {rec_id!r} "
-                    f"(first on line {first_line[rec_id]})"
-                )
-            first_line[rec_id] = lineno
-            rec = ManifestRecord(
-                id=rec_id,
-                audio=str(obj["audio"]),
-                captions=[str(c) for c in captions],
-                visual_features=(
-                    str(obj["visual_features"]) if obj.get("visual_features") is not None else None
-                ),
+            yield lineno, obj
+
+
+def load_manifest(path) -> DatasetManifest:
+    """Load a JSON-lines manifest; every validation error names its line number."""
+    path = Path(path)
+    root = path.parent
+    records: list[ManifestRecord] = []
+    first_line: dict[str, int] = {}
+    for lineno, obj in read_json_lines(path):
+        for key in ("id", "audio", "captions"):
+            if key not in obj:
+                raise ValidationError(f"{path}: line {lineno}: missing field {key!r}")
+        captions = obj["captions"]
+        if not isinstance(captions, list) or not captions:
+            raise ValidationError(f"{path}: line {lineno}: captions must be a non-empty list")
+        if len(captions) > MAX_CAPTIONS:
+            raise ValidationError(
+                f"{path}: line {lineno}: {len(captions)} captions exceeds the maximum of {MAX_CAPTIONS}"
             )
-            if check_paths:
-                for label, rel in (("audio", rec.audio), ("visual_features", rec.visual_features)):
-                    if rel is None:
-                        continue
-                    target = rel if Path(rel).is_absolute() else root / rel
-                    if not Path(target).exists():
-                        raise ValidationError(
-                            f"{path}: line {lineno}: {label} path does not exist: {target}"
-                        )
-            records.append(rec)
+        rec_id = str(obj["id"])
+        if rec_id in first_line:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate id {rec_id!r} "
+                f"(first on line {first_line[rec_id]})"
+            )
+        first_line[rec_id] = lineno
+        rec = ManifestRecord(
+            id=rec_id,
+            audio=str(obj["audio"]),
+            captions=[str(c) for c in captions],
+            visual_features=(
+                str(obj["visual_features"]) if obj.get("visual_features") is not None else None
+            ),
+        )
+        for label, rel in (("audio", rec.audio), ("visual_features", rec.visual_features)):
+            if rel is None:
+                continue
+            target = rel if Path(rel).is_absolute() else root / rel
+            if not Path(target).exists():
+                raise ValidationError(
+                    f"{path}: line {lineno}: {label} path does not exist: {target}"
+                )
+        records.append(rec)
     return DatasetManifest(records=records, root=root)
 
 
@@ -422,29 +459,15 @@ class PreparedExample:
     token_ids: np.ndarray
     token_len: int
     captions: list[str]
-    mel: object | None = None  # frontend.MelSpec when the source was a waveform
+    mel: frontend.MelSpec | None = None  # set when the source was a waveform
 
 
-def load_examples(
-    manifest: DatasetManifest,
-    vocab: Vocabulary,
-    max_caption_len: int,
-    mel_config=None,
-) -> list[PreparedExample]:
+def load_examples(manifest: DatasetManifest, vocab: Vocabulary,
+                  max_caption_len: int) -> list[PreparedExample]:
     """Materialize manifest records: feature files and/or waveforms plus token ids."""
-    from . import frontend  # local import: keeps data importable without scipy frontends
-
     examples = []
     for rec in manifest.records:
-        audio_path = manifest.resolve(rec.audio)
-        mel = None
-        if audio_path.suffix.lower() == ".wav":
-            cfg = mel_config or frontend.MelConfig()
-            waveform = frontend.read_wav(audio_path, cfg.sample_rate)
-            mel = frontend.log_mel(waveform, cfg)
-            patches = frontend.patchify(mel)
-        else:
-            patches = read_feature_file(audio_path).astype(np.float64)
+        patches, mel = load_audio_input(manifest.resolve(rec.audio))
         visual = None
         if rec.visual_features is not None:
             visual = read_feature_file(manifest.resolve(rec.visual_features)).astype(np.float64)

@@ -47,14 +47,6 @@ class MelSpec:
     hop: int
     win: int
 
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_mels(self) -> int:
-        return self.frames.shape[1]
-
 
 def hz_to_mel(f):
     """HTK mel scale."""
@@ -114,20 +106,20 @@ def log_mel(waveform: np.ndarray, cfg: MelConfig | None = None) -> MelSpec:
 FRAMES_PER_PATCH = 4
 
 
-def patchify(spec: MelSpec | np.ndarray, frames_per_patch: int = FRAMES_PER_PATCH) -> np.ndarray:
+def patchify(spec: MelSpec | np.ndarray) -> np.ndarray:
     """Group consecutive frames into flattened non-overlapping patches.
 
-    A (T, n_mels) spectrogram becomes (T // frames_per_patch,
-    frames_per_patch * n_mels); trailing frames that do not fill a patch are
+    A (T, n_mels) spectrogram becomes (T // FRAMES_PER_PATCH,
+    FRAMES_PER_PATCH * n_mels); trailing frames that do not fill a patch are
     dropped.
     """
     frames = spec.frames if isinstance(spec, MelSpec) else np.asarray(spec)
     t, n_mels = frames.shape
-    if t < frames_per_patch:
-        raise DomainError(f"{t} frames cannot form a {frames_per_patch}-frame patch")
-    n_patches = t // frames_per_patch
-    trimmed = frames[: n_patches * frames_per_patch]
-    return trimmed.reshape(n_patches, frames_per_patch * n_mels)
+    if t < FRAMES_PER_PATCH:
+        raise DomainError(f"{t} frames cannot form a {FRAMES_PER_PATCH}-frame patch")
+    n_patches = t // FRAMES_PER_PATCH
+    trimmed = frames[: n_patches * FRAMES_PER_PATCH]
+    return trimmed.reshape(n_patches, FRAMES_PER_PATCH * n_mels)
 
 
 @dataclass
@@ -138,14 +130,6 @@ class SpecAugmentPolicy:
     max_time_width: int = 64
     n_freq_masks: int = 2
     max_freq_width: int = 8
-
-    def to_json(self) -> dict:
-        return {
-            "n_time_masks": self.n_time_masks,
-            "max_time_width": self.max_time_width,
-            "n_freq_masks": self.n_freq_masks,
-            "max_freq_width": self.max_freq_width,
-        }
 
     @classmethod
     def from_json(cls, payload: dict) -> "SpecAugmentPolicy":

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import model
+from . import model, numerics as N
 from .data import EOS_ID, SOS_ID
 from .errors import ConfigError, DomainError
 
@@ -36,28 +36,26 @@ class Hypothesis:
     logprob: float
     finished: bool
 
-    def score(self, length_norm: bool) -> float:
-        return self.logprob / max(1, len(self.tokens) - 1) if length_norm else self.logprob
+    def score(self) -> float:
+        """Log-probability per emitted token (the length-normalized score)."""
+        return self.logprob / max(1, len(self.tokens) - 1)
 
 
-def greedy_decode(step_fn: StepFn, max_len: int, sos_id: int = SOS_ID,
-                  eos_id: int = EOS_ID) -> list[int]:
+def greedy_decode(step_fn: StepFn, max_len: int) -> list[int]:
     """Append the argmax token (ties -> lowest id) until eos or the length cap."""
     if max_len < 2:
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
-    tokens = [sos_id]
+    tokens = [SOS_ID]
     while len(tokens) < max_len:
         logprobs = np.asarray(step_fn(tokens))
         tok = int(np.argmax(logprobs))
         tokens.append(tok)
-        if tok == eos_id:
+        if tok == EOS_ID:
             break
     return tokens
 
 
-def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int,
-                        length_norm: bool = True, sos_id: int = SOS_ID,
-                        eos_id: int = EOS_ID) -> list[Hypothesis]:
+def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int) -> list[Hypothesis]:
     """Standard beam search returning up to ``beam`` ranked hypotheses.
 
     Each step makes one ``step_many`` call over the live hypotheses, and each
@@ -72,9 +70,9 @@ def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int,
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
 
     def rank_key(h: Hypothesis):
-        return (-h.score(length_norm), h.tokens)
+        return (-h.score(), h.tokens)
 
-    live = [Hypothesis([sos_id], 0.0, False)]
+    live = [Hypothesis([SOS_ID], 0.0, False)]
     pool: list[Hypothesis] = []
     for _ in range(max_len - 1):
         if not live:
@@ -87,7 +85,7 @@ def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int,
                 candidates.append(Hypothesis(
                     tokens=hyp.tokens + [tok],
                     logprob=hyp.logprob + float(logprobs[tok]),
-                    finished=tok == eos_id,
+                    finished=tok == EOS_ID,
                 ))
         candidates.sort(key=rank_key)
         live = []
@@ -99,11 +97,9 @@ def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int,
     return sorted(pool + live, key=rank_key)[:beam]
 
 
-def beam_search(step_fn: StepFn, beam: int, max_len: int, length_norm: bool = True,
-                sos_id: int = SOS_ID, eos_id: int = EOS_ID) -> list[Hypothesis]:
+def beam_search(step_fn: StepFn, beam: int, max_len: int) -> list[Hypothesis]:
     """:func:`beam_search_batched` over a per-prefix step function."""
-    return beam_search_batched(lambda prefixes: [step_fn(p) for p in prefixes], beam,
-                               max_len, length_norm=length_norm, sos_id=sos_id, eos_id=eos_id)
+    return beam_search_batched(lambda prefixes: [step_fn(p) for p in prefixes], beam, max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +134,7 @@ def make_batch_step_fn(params: model.ModelParams, config: model.ModelConfig,
         logits, held = model.decode_logits(params, config, enc, np.asarray(ids, dtype=np.int64),
                                            state=state)
         held_rows = {k: i for i, k in enumerate(keys)}
-        last = logits.data[:, -1]
-        shifted = last - last.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return N.log_softmax_lastdim(logits.data[:, -1]).data
 
     return step_many
 

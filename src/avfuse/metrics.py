@@ -14,14 +14,13 @@ Conventions (the standard captioning-evaluation ones):
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetManifest, normalize_caption
+from .data import DatasetManifest, normalize_caption, read_json_lines
 from .errors import DomainError, ValidationError
 
 CIDER_N = 4
@@ -114,7 +113,7 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(corpus: list[EvalItem], beta: float = ROUGE_BETA) -> float:
+def rouge_l(corpus: list[EvalItem]) -> float:
     """Mean over items of the best LCS F-measure against any reference."""
     _check_corpus(corpus)
     total = 0.0
@@ -126,14 +125,14 @@ def rouge_l(corpus: list[EvalItem], beta: float = ROUGE_BETA) -> float:
                 continue
             p = lcs / len(item.candidate)
             r = lcs / len(ref)
-            score = (1 + beta**2) * p * r / (r + beta**2 * p)
+            score = (1 + ROUGE_BETA**2) * p * r / (r + ROUGE_BETA**2 * p)
             if score > best:
                 best = score
         total += best
     return total / len(corpus)
 
 
-def cider(corpus: list[EvalItem], n_max: int = CIDER_N, sigma: float = CIDER_SIGMA) -> float:
+def cider(corpus: list[EvalItem]) -> float:
     """CIDEr-D over the corpus; idf comes from the corpus's own reference sets."""
     _check_corpus(corpus)
     if len(corpus) < 2:
@@ -145,7 +144,7 @@ def cider(corpus: list[EvalItem], n_max: int = CIDER_N, sigma: float = CIDER_SIG
     for item in corpus:
         seen = set()
         for ref in item.references:
-            for n in range(1, n_max + 1):
+            for n in range(1, CIDER_N + 1):
                 seen.update(_ngrams(ref, n).keys())
         for gram in seen:
             doc_freq[gram] += 1
@@ -153,7 +152,7 @@ def cider(corpus: list[EvalItem], n_max: int = CIDER_N, sigma: float = CIDER_SIG
 
     def tfidf(tokens: list[str]):
         vecs, norms = [], []
-        for n in range(1, n_max + 1):
+        for n in range(1, CIDER_N + 1):
             vec = {
                 gram: cnt * (log_docs - math.log(max(1.0, doc_freq[gram])))
                 for gram, cnt in _ngrams(tokens, n).items()
@@ -165,12 +164,12 @@ def cider(corpus: list[EvalItem], n_max: int = CIDER_N, sigma: float = CIDER_SIG
     total = 0.0
     for item in corpus:
         c_vecs, c_norms = tfidf(item.candidate)
-        acc = np.zeros(n_max)
+        acc = np.zeros(CIDER_N)
         for ref in item.references:
             r_vecs, r_norms = tfidf(ref)
             delta = len(item.candidate) - len(ref)
-            penalty = math.exp(-(delta**2) / (2.0 * sigma**2))
-            for n in range(n_max):
+            penalty = math.exp(-(delta**2) / (2.0 * CIDER_SIGMA**2))
+            for n in range(CIDER_N):
                 dot = sum(
                     min(cnt, r_vecs[n].get(gram, 0.0)) * r_vecs[n].get(gram, 0.0)
                     for gram, cnt in c_vecs[n].items()
@@ -206,20 +205,13 @@ def score_corpus(corpus: list[EvalItem]) -> MetricReport:
 def load_candidates(path) -> dict[str, str]:
     """Read a JSON-lines candidates file of {id, caption} records."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: invalid record: {exc}") from exc
-            if "id" not in obj or "caption" not in obj:
-                raise ValidationError(f"{path}: line {lineno}: needs 'id' and 'caption'")
-            cid = str(obj["id"])
-            if cid in out:
-                raise ValidationError(f"{path}: line {lineno}: duplicate id {cid!r}")
-            out[cid] = str(obj["caption"])
+    for lineno, obj in read_json_lines(path):
+        if "id" not in obj or "caption" not in obj:
+            raise ValidationError(f"{path}: line {lineno}: needs 'id' and 'caption'")
+        cid = str(obj["id"])
+        if cid in out:
+            raise ValidationError(f"{path}: line {lineno}: duplicate id {cid!r}")
+        out[cid] = str(obj["caption"])
     if not out:
         raise ValidationError(f"{path}: no candidate records found")
     return out

@@ -20,6 +20,7 @@ confidence score only through the multiplicative gating terms.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -279,7 +280,6 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 class AdaAVATrace:
     """Intermediate tensors of one fusion pass, kept for tests and --trace."""
 
-    h_hidden: Tensor
     a_cross: Tensor
     v_cross: Tensor
     a_conf: Tensor
@@ -324,8 +324,7 @@ def confidence(primary_cross: Tensor, h_hidden: Tensor, fc: LinearParams) -> Ten
     return N.sigmoid(N.linear(stacked, fc.weight, fc.bias))
 
 
-def adaava_fuse(a_cross: Tensor, v_cross: Tensor, a_conf: Tensor, beta: float,
-                h_hidden: Tensor | None = None) -> AdaAVATrace:
+def adaava_fuse(a_cross: Tensor, v_cross: Tensor, a_conf: Tensor, beta: float) -> AdaAVATrace:
     """Gated fusion: conf * A_cross * M_a + (1 - conf) * V_cross * M_v.
 
     Masks come from strict thresholding of the confidence (audio side) and its
@@ -343,11 +342,8 @@ def adaava_fuse(a_cross: Tensor, v_cross: Tensor, a_conf: Tensor, beta: float,
         N.mul(N.mul(a_conf, a_cross), m_a),
         N.mul(N.mul(inv_conf, v_cross), m_v),
     )
-    return AdaAVATrace(
-        h_hidden=h_hidden if h_hidden is not None else a_cross,
-        a_cross=a_cross, v_cross=v_cross, a_conf=a_conf,
-        m_a=m_a, m_v=m_v, av_out=av_out,
-    )
+    return AdaAVATrace(a_cross=a_cross, v_cross=v_cross, a_conf=a_conf,
+                       m_a=m_a, m_v=m_v, av_out=av_out)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +549,7 @@ def gather_state(state: DecoderState, rows) -> DecoderState:
 
 
 def decoder_block(x: Tensor, enc: EncodedModalities, blk: DecoderBlockParams,
-                  config: ModelConfig, rng=None, collect_trace: bool = False,
-                  cache: BlockCache | None = None):
+                  config: ModelConfig, rng=None, cache: BlockCache | None = None):
     """One decoder block: self-attention, fusion sublayer, MLP.
 
     Returns (output, trace); the trace is None outside the adaava modes.
@@ -578,7 +573,7 @@ def decoder_block(x: Tensor, enc: EncodedModalities, blk: DecoderBlockParams,
                                kv_mask=video_kv[1], rng=rng)
         primary = a_cross if mode == "adaava_audio" else v_cross
         a_conf = confidence(primary, hn, blk.conf_fc)
-        trace = adaava_fuse(a_cross, v_cross, a_conf, config.beta, h_hidden=hn)
+        trace = adaava_fuse(a_cross, v_cross, a_conf, config.beta)
         fused = trace.av_out  # no residual into the fusion output
     elif mode == "video_only":
         fused = N.add(h, cross_attend(hn, video_kv[0], blk.cross_video, config,
@@ -589,7 +584,6 @@ def decoder_block(x: Tensor, enc: EncodedModalities, blk: DecoderBlockParams,
 
     mlp_in = N.layer_norm(fused, blk.norm_mlp.gain, blk.norm_mlp.bias, config.ln_eps)
     out = N.add(fused, _mlp_forward(mlp_in, blk.mlp, config.dropout if rng is not None else 0.0, rng))
-    trace = trace if collect_trace else None
     if cache is None:
         return out, trace
     return out, trace, BlockCache(self_kv, cache.cross)
@@ -624,7 +618,6 @@ def decode_logits(params: ModelParams, config: ModelConfig, enc: EncodedModaliti
     traces, caches = [], []
     for i, blk in enumerate(params.decoder):
         x, trace, *cache = decoder_block(x, enc, blk, config, rng=rng,
-                                         collect_trace=collect_traces,
                                          cache=None if state is None else state.blocks[i])
         traces.append(trace)
         caches += cache
@@ -687,35 +680,28 @@ class Checkpoint:
 def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocabulary,
                     state: dict | None = None,
                     state_tensors: dict[str, np.ndarray] | None = None) -> None:
-    """Write a versioned container: JSON header + contiguous float64 payload."""
-    named = named_parameters(params)
-    entries = []
+    """Write a versioned container: JSON header + contiguous float64 payload.
+
+    The payload holds the parameters in ``parameter_slots`` order, then the
+    state tensors by name; each has a header entry with its shape and extent.
+    """
+    state_tensors = state_tensors or {}
+    tables = {
+        "tensors": [(name, t.data) for name, t in named_parameters(params)],
+        "state_tensors": [(name, state_tensors[name]) for name in sorted(state_tensors)],
+    }
+    header = {"version": CHECKPOINT_VERSION, "config": config.to_json(),
+              "vocab": vocab.to_json(), "state": state}
     blobs = []
     offset = 0
-    for name, tensor in named:
-        blob = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-        entries.append({
-            "name": name, "shape": list(tensor.shape), "offset": offset, "nbytes": len(blob),
-        })
-        blobs.append(blob)
-        offset += len(blob)
-    extra_entries = []
-    for name in sorted(state_tensors or {}):
-        blob = np.ascontiguousarray(state_tensors[name], dtype="<f8").tobytes()
-        extra_entries.append({
-            "name": name, "shape": list(np.asarray(state_tensors[name]).shape),
-            "offset": offset, "nbytes": len(blob),
-        })
-        blobs.append(blob)
-        offset += len(blob)
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "config": config.to_json(),
-        "vocab": vocab.to_json(),
-        "tensors": entries,
-        "state_tensors": extra_entries,
-        "state": state,
-    }
+    for key, arrays in tables.items():
+        header[key] = []
+        for name, arr in arrays:
+            blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+            header[key].append({"name": name, "shape": list(np.shape(arr)),
+                                "offset": offset, "nbytes": len(blob)})
+            blobs.append(blob)
+            offset += len(blob)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header_bytes)))
@@ -735,16 +721,32 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataFormatError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        if hlen > os.fstat(fh.fileno()).st_size - _CKPT_HEAD.size:
+            raise DataFormatError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFormatError(f"{path}: undecodable checkpoint header: {exc}") from exc
         payload = fh.read()
+    required = ("config", "vocab", "tensors")
+    missing = [k for k in required if k not in header] if isinstance(header, dict) else required
+    if missing:
+        raise DataFormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
 
-    config = ModelConfig.from_json(header["config"])
+    try:
+        config = ModelConfig.from_json(header["config"])
+        vocab = Vocabulary.from_json(header["vocab"])
+    except (TypeError, KeyError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint config or vocab: {exc!r}") from exc
     config.validate()
-    vocab = Vocabulary.from_json(header["vocab"])
     stored = {e["name"]: e for e in header["tensors"]}
 
     def pull(entry) -> np.ndarray:
         start, nbytes = entry["offset"], entry["nbytes"]
+        if nbytes != 8 * int(np.prod(entry["shape"])):
+            raise DataFormatError(
+                f"{path}: tensor {entry['name']!r} has {nbytes} bytes for shape {entry['shape']}"
+            )
         if start + nbytes > len(payload):
             raise DataFormatError(f"{path}: payload truncated at tensor {entry['name']!r}")
         arr = np.frombuffer(payload[start:start + nbytes], dtype="<f8")

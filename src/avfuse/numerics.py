@@ -72,29 +72,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; the free functions do the actual work
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class GradTape:
     """Ordered record of operations sufficient to compute VJPs.
@@ -207,21 +184,6 @@ def neg(a) -> Tensor:
     return _result(-a.data, (a,), lambda g: (-g,), "neg")
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):  # overflow becomes a DomainError in _result
-        out = np.exp(a.data)
-    return _result(out, (a,), lambda g: (g * out,), "exp")
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0):
-        raise DomainError("log of non-positive value")
-    out = np.log(a.data)
-    return _result(out, (a,), lambda g: (g / a.data,), "log")
-
-
 def sigmoid(a) -> Tensor:
     """Elementwise logistic function, clamped into the open interval (0, 1)."""
     a = _as_tensor(a)
@@ -255,13 +217,13 @@ def gelu(a) -> Tensor:
     return _result(out, (a,), vjp, "gelu")
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def vjp(g):
         gg = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             gg = np.expand_dims(gg, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +60,7 @@ class TrainConfig:
             raise ConfigError("; ".join(problems))
 
     def to_json(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if k != "augment"}
-        out["augment"] = self.augment.to_json() if self.augment else None
-        return out
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "TrainConfig":
@@ -74,8 +72,7 @@ class TrainConfig:
         return cfg
 
 
-def label_smoothing_ce(logits: Tensor, targets: np.ndarray, eps: float,
-                       pad_id: int = PAD_ID) -> Tensor:
+def label_smoothing_ce(logits: Tensor, targets: np.ndarray, eps: float) -> Tensor:
     """Label-smoothed cross entropy, averaged over non-pad target positions.
 
     The smoothed target distribution puts 1 - eps on the gold token and
@@ -89,7 +86,7 @@ def label_smoothing_ce(logits: Tensor, targets: np.ndarray, eps: float,
             f"target shape {targets.shape} does not match logits {logits.shape[:-1]}"
         )
     vocab = logits.shape[-1]
-    nonpad = (targets != pad_id)
+    nonpad = (targets != PAD_ID)
     count = int(nonpad.sum())
     if count == 0:
         raise DomainError("every target position is padding")
@@ -398,9 +395,6 @@ def load_train_state(ck: model.Checkpoint) -> tuple[TrainState, TrainConfig]:
     """Rebuild the training state stored inside a checkpoint."""
     if not ck.state or "train" not in ck.state:
         raise DomainError("checkpoint carries no training state")
-    moments = {}
-    for key, arr in ck.state_tensors.items():
-        moments[key] = arr
-    state = TrainState.from_json(ck.state["train"], moments)
+    state = TrainState.from_json(ck.state["train"], ck.state_tensors)
     cfg = TrainConfig.from_json(ck.state["train_config"])
     return state, cfg

@@ -1,14 +1,36 @@
+import fcntl
 import json
+import os
 
 import numpy as np
 import pytest
 
-from avfuse import data
-from avfuse.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from avfuse import data, frontend, model
+from avfuse.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _DirLock, main
+from avfuse.errors import ValidationError
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def untrained_checkpoint(path, manifest_path) -> model.ModelConfig:
+    """An initialized audio_only model for the captions of ``manifest_path``."""
+    vocab = data.build_vocabulary_from_manifest(data.load_manifest(manifest_path))
+    config = model.ModelConfig(vocab_size=len(vocab), d=16, heads=2, encoder_blocks=1,
+                               decoder_blocks=1, fusion_mode="audio_only", max_caption_len=6)
+    model.save_checkpoint(path, model.init_params(config), config, vocab)
+    return config
+
+
+def tone_manifest(directory):
+    """A one-record manifest over a 0.25 s WAV tone, ``tone.wav`` in ``directory``."""
+    t = np.arange(8000) / 32000.0
+    wav = (0.3 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32)
+    frontend.write_wav(directory / "tone.wav", wav, 32000)
+    path = directory / "m.jsonl"
+    path.write_text(json.dumps({"id": "w", "audio": "tone.wav", "captions": ["a tone"]}) + "\n")
+    return path
 
 
 def synth_args(out, classes=2, pairs=1, per_class=4, seed=0):
@@ -139,19 +161,34 @@ class TestTrain:
         resolved = json.loads((tmp_path / "rc" / "resolved_config.json").read_text())
         assert resolved["model"]["beta"] == 0.13  # flag wins over file
 
-    def test_lockfile_blocks_second_owner(self, dataset, tmp_path):
-        import os
-
+    def test_lockfile_blocks_second_owner(self, dataset, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))  # a live process owns it
-        assert run(train_args(dataset, out)) == EXIT_VALIDATION
+        with open(out / ".lock", "w") as fh:  # a second open file, like another process's
+            fh.write(str(os.getpid()))
+            fh.flush()
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run(train_args(dataset, out)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(out) in err and f"pid {os.getpid()}" in err
 
     def test_stale_lock_reclaimed(self, dataset, tmp_path):
         out = tmp_path / "stale"
         out.mkdir()
         (out / ".lock").write_text("999999999")
         assert run(train_args(dataset, out, **{"--epochs": 1})) == EXIT_OK
+
+
+def test_dir_lock_is_released_on_exit_and_its_file_kept(tmp_path):
+    run_dir = tmp_path / "run"
+    with _DirLock(run_dir):
+        assert (run_dir / ".lock").read_text() == str(os.getpid())
+        with pytest.raises(ValidationError):
+            with _DirLock(run_dir):
+                pass
+    assert (run_dir / ".lock").exists()
+    with _DirLock(run_dir):
+        pass
 
 
 class TestEvalInfer:
@@ -214,9 +251,25 @@ class TestEvalInfer:
         assert rc == EXIT_VALIDATION
         assert "adaava_audio" in capsys.readouterr().err
 
-    def test_silence_wav_through_audio_only_model(self, tmp_path, capsys):
-        from avfuse import frontend
+    def test_infer_wav_patches_equal_load_examples(self, tmp_path, monkeypatch):
+        manifest_path = tone_manifest(tmp_path)
+        config = untrained_checkpoint(tmp_path / "ck.avck", manifest_path)
+        seen, encode = [], model.encode_modalities
 
+        def spy(params, config, audio=None, **kw):
+            seen.append(audio)
+            return encode(params, config, audio=audio, **kw)
+
+        monkeypatch.setattr(model, "encode_modalities", spy)
+        assert run(["infer", "--checkpoint", tmp_path / "ck.avck",
+                    "--audio", tmp_path / "tone.wav", "--beam", 1]) == EXIT_OK
+        manifest = data.load_manifest(manifest_path)
+        vocab = data.build_vocabulary_from_manifest(manifest)
+        [example] = data.load_examples(manifest, vocab, config.max_caption_len)
+        assert seen[0].shape == (6, data.WAV_PATCH_WIDTH)
+        assert np.array_equal(seen[0], example.audio_patches)
+
+    def test_silence_wav_through_audio_only_model(self, tmp_path, capsys):
         t = np.arange(32000) / 32000.0
         for i, freq in enumerate((440.0, 880.0)):
             wav = (0.3 * np.sin(2 * np.pi * freq * t)).astype(np.float32)
@@ -280,6 +333,25 @@ class TestExitCodes:
                   "--manifest", tmp_path / "none.jsonl", *flags])
         assert rc == EXIT_VALIDATION
         assert "--beam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keep", [40, 200])
+    def test_truncated_checkpoint_is_runtime(self, tmp_path, capsys, keep):
+        manifest_path = tone_manifest(tmp_path)
+        ck = tmp_path / "ck.avck"
+        untrained_checkpoint(ck, manifest_path)
+        ck.write_bytes(ck.read_bytes()[:keep])
+        rc = run(["eval", "--checkpoint", ck, "--manifest", manifest_path, "--greedy"])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_object_manifest_line_is_validation(self, tmp_path, capsys):
+        manifest_path = tone_manifest(tmp_path)
+        untrained_checkpoint(tmp_path / "ck.avck", manifest_path)
+        with open(manifest_path, "a") as fh:
+            fh.write("5\n")
+        rc = run(["eval", "--checkpoint", tmp_path / "ck.avck", "--manifest", manifest_path])
+        assert rc == EXIT_VALIDATION
+        assert "line 2" in capsys.readouterr().err
 
     def test_infer_beam_below_one_is_validation(self, tmp_path, capsys):
         rc = run(["infer", "--checkpoint", tmp_path / "none.avck",

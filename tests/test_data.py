@@ -195,6 +195,15 @@ class TestManifest:
             D.load_manifest(p)
         assert "line 3" in str(exc.value) and "'x'" in str(exc.value)
 
+    @pytest.mark.parametrize("bad", ["5", '"x"', "[1]", "null"])
+    def test_non_object_line_names_line(self, tmp_path, bad):
+        feat = self._feature(tmp_path)
+        good = json.dumps({"id": "x", "audio": feat, "captions": ["a dog"]})
+        p = self._write(tmp_path, [good, bad])
+        with pytest.raises(ValidationError) as exc:
+            D.load_manifest(p)
+        assert "line 2" in str(exc.value) and "JSON object" in str(exc.value)
+
     def test_too_many_captions(self, tmp_path):
         feat = self._feature(tmp_path)
         p = self._write(

@@ -37,9 +37,9 @@ def toy_model(seed: int, position_only: bool = False) -> I.StepFn:
     return step
 
 
-def score_of(step, tokens, length_norm=True):
+def score_of(step, tokens):
     lp = sum(float(step(tokens[:i])[tokens[i]]) for i in range(1, len(tokens)))
-    return lp / max(1, len(tokens) - 1) if length_norm else lp
+    return lp / max(1, len(tokens) - 1)
 
 
 class TestGreedy:
@@ -77,12 +77,11 @@ class TestBeam:
             step = toy_model(seed)
             assert I.beam_search(step, 1, 6)[0].tokens == I.greedy_decode(step, 6)
 
-    @pytest.mark.parametrize("length_norm", [True, False])
-    def test_beam3_matches_exhaustive_position_family(self, length_norm):
+    def test_beam3_matches_exhaustive_position_family(self):
         for seed in range(100):
             step = toy_model(seed, position_only=True)
-            top = I.beam_search(step, 3, 5, length_norm=length_norm)[0]
-            best = exhaustive_best(step, TOY_TOKENS, 5, length_norm=length_norm)
+            top = I.beam_search(step, 3, 5)[0]
+            best = exhaustive_best(step, TOY_TOKENS, 5)
             assert top.tokens == best.tokens, f"seed {seed}"
             assert top.logprob == pytest.approx(best.logprob, abs=1e-12)
 
@@ -91,12 +90,12 @@ class TestBeam:
             step = toy_model(seed)
             greedy = I.greedy_decode(step, 6)
             top = I.beam_search(step, 3, 6)[0]
-            assert top.score(True) >= score_of(step, greedy, True) - 1e-12
+            assert top.score() >= score_of(step, greedy) - 1e-12
 
     def test_returns_at_most_beam_sorted(self):
         hyps = I.beam_search(toy_model(3), 3, 6)
         assert 1 <= len(hyps) <= 3
-        scores = [h.score(True) for h in hyps]
+        scores = [h.score() for h in hyps]
         assert scores == sorted(scores, reverse=True)
 
     def test_no_tokens_after_eos(self):

@@ -317,6 +317,13 @@ class TestEvaluate:
             MX.load_candidates(path)
         assert "line 2" in str(exc.value)
 
+    def test_non_object_candidate_line_names_line(self, tmp_path):
+        path = tmp_path / "cand.jsonl"
+        path.write_text('{"id": "a", "caption": "dog barks"}\n5\n')
+        with pytest.raises(ValidationError) as exc:
+            MX.load_candidates(path)
+        assert "line 2" in str(exc.value)
+
     def test_candidates_round_trip(self, tmp_path):
         path = tmp_path / "cand.jsonl"
         path.write_text('{"id": "a", "caption": "dog barks"}\n')

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ class TestDecoderBlock:
             visual=N.Tensor(np.zeros((3, cfg.d))),
         )
         x = N.Tensor(rng.normal(size=(4, cfg.d)))
-        _, trace = M.decoder_block(x, enc, blk, cfg, collect_trace=True)
+        _, trace = M.decoder_block(x, enc, blk, cfg)
         np.testing.assert_allclose(trace.av_out.data, trace.a_cross.data, atol=1e-8)
 
     def test_concat_with_empty_visual_bit_equals_audio_only(self, rng):
@@ -415,7 +416,7 @@ class TestBlockGradients:
             return N.sum_(N.mul(out, mixer))
 
         # confirm the probe sits away from both mask thresholds
-        _, trace = M.decoder_block(N.Tensor(x0), enc, blk, cfg, collect_trace=True)
+        _, trace = M.decoder_block(N.Tensor(x0), enc, blk, cfg)
         conf = trace.a_conf.data
         assert np.all(np.abs(conf - cfg.beta) > 1e-3)
         assert np.all(np.abs((1 - conf) - cfg.beta) > 1e-3)
@@ -430,6 +431,15 @@ class TestCheckpoint:
         params = M.init_params(cfg, seed=seed)
         vocab = Vocabulary(["dog", "barks", "a", "motor", "runs", "cat", "rain", "falls"])
         return cfg, params, vocab
+
+    def _rewrite_header(self, path, change) -> None:
+        """Replace the JSON header of the checkpoint at ``path`` by ``change(header)``."""
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header = change(json.loads(raw[16 : 16 + hlen]))
+        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(raw[:8] + len(new_header).to_bytes(8, "little")
+                         + new_header + raw[16 + hlen:])
 
     def test_round_trip_bit_exact(self, tmp_path):
         cfg, params, vocab = self._setup(seed=5)
@@ -451,14 +461,12 @@ class TestCheckpoint:
         cfg, params, vocab = self._setup()
         path = tmp_path / "ck.avck"
         M.save_checkpoint(path, params, cfg, vocab)
-        import json as _json
 
-        raw = path.read_bytes()
-        hlen = int.from_bytes(raw[8:16], "little")
-        header = _json.loads(raw[16 : 16 + hlen])
-        header["config"]["d"] = 32  # every d-sized tensor now disagrees
-        new_header = _json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(raw[:8] + len(new_header).to_bytes(8, "little") + new_header + raw[16 + hlen:])
+        def widen(header):
+            header["config"]["d"] = 32  # every d-sized tensor now disagrees
+            return header
+
+        self._rewrite_header(path, widen)
         with pytest.raises(DataFormatError) as exc:
             M.load_checkpoint(path)
         assert "word_embedding" in str(exc.value)
@@ -474,21 +482,80 @@ class TestCheckpoint:
             M.load_checkpoint(path)
 
     def test_missing_parameter_is_named(self, tmp_path):
-        import json as _json
-
         cfg, params, vocab = self._setup()
         path = tmp_path / "ck.avck"
         M.save_checkpoint(path, params, cfg, vocab)
-        raw = path.read_bytes()
-        hlen = int.from_bytes(raw[8:16], "little")
-        header = _json.loads(raw[16 : 16 + hlen])
-        header["tensors"] = [e for e in header["tensors"] if e["name"] != "visual_proj.weight"]
-        new_header = _json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(raw[:8] + len(new_header).to_bytes(8, "little")
-                         + new_header + raw[16 + hlen:])
+
+        def drop(header):
+            header["tensors"] = [e for e in header["tensors"] if e["name"] != "visual_proj.weight"]
+            return header
+
+        self._rewrite_header(path, drop)
         with pytest.raises(DataFormatError) as exc:
             M.load_checkpoint(path)
         assert "visual_proj.weight" in str(exc.value)
+
+    @pytest.mark.parametrize("keep", [10, 16, 40, 200])
+    def test_truncated_file_is_a_format_error(self, tmp_path, keep):
+        cfg, params, vocab = self._setup()
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params, cfg, vocab)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataFormatError, match="truncated"):
+            M.load_checkpoint(path)
+
+    def test_undecodable_header_is_a_format_error(self, tmp_path):
+        cfg, params, vocab = self._setup()
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params, cfg, vocab)
+        raw = bytearray(path.read_bytes())
+        raw[16] = 0xFF  # the header's opening brace, now invalid UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="undecodable"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["config", "vocab", "tensors"])
+    def test_missing_header_key_is_named(self, tmp_path, key):
+        cfg, params, vocab = self._setup()
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params, cfg, vocab)
+        self._rewrite_header(path, lambda h: {k: v for k, v in h.items() if k != key})
+        with pytest.raises(DataFormatError, match=key):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("section, change", [
+        ("config", lambda section: {**section, "colour": 1}),
+        ("config", lambda section: {k: v for k, v in section.items() if k != "vocab_size"}),
+        ("vocab", lambda section: {}),
+    ])
+    def test_malformed_config_or_vocab_is_a_format_error(self, tmp_path, section, change):
+        cfg, params, vocab = self._setup()
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params, cfg, vocab)
+        self._rewrite_header(path, lambda h: {**h, section: change(h[section])})
+        with pytest.raises(DataFormatError, match="malformed"):
+            M.load_checkpoint(path)
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        cfg, params, vocab = self._setup()
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params, cfg, vocab)
+        self._rewrite_header(path, lambda h: [h])
+        with pytest.raises(DataFormatError):
+            M.load_checkpoint(path)
+
+    def test_nbytes_disagreeing_with_shape_is_named(self, tmp_path):
+        cfg, params, vocab = self._setup()
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params, cfg, vocab)
+
+        def shrink(header):
+            header["tensors"][0]["nbytes"] -= 8
+            return header
+
+        self._rewrite_header(path, shrink)
+        with pytest.raises(DataFormatError, match="word_embedding"):
+            M.load_checkpoint(path)
 
     def test_save_is_deterministic(self, tmp_path):
         cfg, params, vocab = self._setup(seed=9)

@@ -426,7 +426,7 @@ class TestGradcheck:
 class TestFiniteGuard:
     def test_overflow_is_an_error(self):
         with pytest.raises(DomainError):
-            N.exp(N.Tensor([1000.0]))
+            N.matmul(N.Tensor([[1e200]]), N.Tensor([[1e200]]))
 
     def test_nan_input_rejected_at_construction(self):
         with pytest.raises(DomainError):
