@@ -61,14 +61,15 @@ def load_run_config(path: str | None) -> dict:
     return cfg
 
 
-def _apply_overrides(cfg: dict, args, mapping: dict[str, tuple[str, str]]) -> dict:
-    """Merge CLI flags over the file config. mapping: flag attr -> (section, key)."""
+def _apply_overrides(cfg: dict, args) -> dict:
+    """Merge the ``avfuse train`` flags of :data:`_TRAIN_FLAGS` that were given
+    over the file config."""
     out = {"model": dict(cfg.get("model", {})), "train": dict(cfg.get("train", {}))}
     for key in cfg:
         if key not in ("model", "train"):
             out[key] = cfg[key]
-    for attr, (section, key) in mapping.items():
-        value = getattr(args, attr, None)
+    for flag, section, key, _ in _TRAIN_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
             continue
         if section is None:
@@ -126,33 +127,26 @@ class _DirLock:
 # ---------------------------------------------------------------------------
 
 
+# ``avfuse synth`` flag dest -> SyntheticTaskSpec field; the flags default to the spec's.
+_SYNTH_FIELDS = {
+    "classes": "n_classes", "ambiguous_pairs": "n_ambiguous_pairs",
+    "feature_dim": "feature_dim", "noise_std": "noise_std",
+    "examples_per_class": "examples_per_class",
+    "eval_examples_per_class": "eval_examples_per_class",
+    "t_audio": "t_audio", "t_visual": "t_visual", "seed": "seed",
+}
+
+
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise ValidationError(
             f"output directory {out_dir} is not empty; pass --force to overwrite"
         )
-    spec = data.SyntheticTaskSpec(
-        n_classes=args.classes,
-        n_ambiguous_pairs=args.ambiguous_pairs,
-        feature_dim=args.feature_dim,
-        noise_std=args.noise_std,
-        examples_per_class=args.examples_per_class,
-        eval_examples_per_class=args.eval_examples_per_class,
-        t_audio=args.t_audio,
-        t_visual=args.t_visual,
-        seed=args.seed,
-    )
+    spec = data.SyntheticTaskSpec(**{f: getattr(args, dest) for dest, f in _SYNTH_FIELDS.items()})
     spec.validate()
     task = data.generate_synthetic_task(spec, out_dir)
-    echo = {
-        "command": "synth",
-        "classes": spec.n_classes, "ambiguous_pairs": spec.n_ambiguous_pairs,
-        "feature_dim": spec.feature_dim, "noise_std": spec.noise_std,
-        "examples_per_class": spec.examples_per_class,
-        "eval_examples_per_class": spec.eval_examples_per_class,
-        "t_audio": spec.t_audio, "t_visual": spec.t_visual, "seed": spec.seed,
-    }
+    echo = {"command": "synth", **{dest: getattr(spec, f) for dest, f in _SYNTH_FIELDS.items()}}
     _echo_config(echo, out_dir)
     train_n = spec.n_classes * spec.examples_per_class
     eval_n = spec.n_classes * spec.eval_examples_per_class
@@ -166,26 +160,28 @@ def cmd_synth(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-_TRAIN_FLAG_MAP = {
-    "train_manifest": (None, "train_manifest"),
-    "val_manifest": (None, "val_manifest"),
-    "out": (None, "out_dir"),
-    "seed": (None, "seed"),
-    "fusion_mode": ("model", "fusion_mode"),
-    "beta": ("model", "beta"),
-    "d": ("model", "d"),
-    "heads": ("model", "heads"),
-    "encoder_blocks": ("model", "encoder_blocks"),
-    "decoder_blocks": ("model", "decoder_blocks"),
-    "dropout": ("model", "dropout"),
-    "max_caption_len": ("model", "max_caption_len"),
-    "epochs": ("train", "epochs"),
-    "warmup_epochs": ("train", "warmup_epochs"),
-    "lr": ("train", "lr_peak"),
-    "batch_size": ("train", "batch_size"),
-    "label_smoothing": ("train", "label_smoothing"),
-    "checkpoint_interval": ("train", "checkpoint_interval"),
-}
+# The ``avfuse train`` flags that override one run-config key: (flag, section,
+# key, argparse kwargs).  Section ``None`` is the top level of the run config.
+_TRAIN_FLAGS = (
+    ("--train-manifest", None, "train_manifest", {}),
+    ("--val-manifest", None, "val_manifest", {}),
+    ("--out", None, "out_dir", {}),
+    ("--seed", None, "seed", {"type": int}),
+    ("--fusion-mode", "model", "fusion_mode", {"choices": model.FUSION_MODES}),
+    ("--beta", "model", "beta", {"type": float}),
+    ("--d", "model", "d", {"type": int}),
+    ("--heads", "model", "heads", {"type": int}),
+    ("--encoder-blocks", "model", "encoder_blocks", {"type": int}),
+    ("--decoder-blocks", "model", "decoder_blocks", {"type": int}),
+    ("--dropout", "model", "dropout", {"type": float}),
+    ("--max-caption-len", "model", "max_caption_len", {"type": int}),
+    ("--epochs", "train", "epochs", {"type": int}),
+    ("--warmup-epochs", "train", "warmup_epochs", {"type": int}),
+    ("--lr", "train", "lr_peak", {"type": float}),
+    ("--batch-size", "train", "batch_size", {"type": int}),
+    ("--label-smoothing", "train", "label_smoothing", {"type": float}),
+    ("--checkpoint-interval", "train", "checkpoint_interval", {"type": int}),
+)
 
 
 def _infer_feature_widths(manifest: data.DatasetManifest) -> tuple[int | None, int | None]:
@@ -262,7 +258,7 @@ def build_run(resolved: dict):
 
 
 def cmd_train(args) -> int:
-    resolved = _apply_overrides(load_run_config(args.config), args, _TRAIN_FLAG_MAP)
+    resolved = _apply_overrides(load_run_config(args.config), args)
     if args.augment:
         resolved["train"]["augment"] = True
     if args.no_clip:
@@ -420,12 +416,17 @@ def _gradcheck_probe(seed: int, near_threshold: bool):
 def cmd_gradcheck(args) -> int:
     config, params, blk, enc, x0, mixer = _gradcheck_probe(args.seed, args.near_threshold)
 
+    def block_pass():
+        # the cache is built here, so probes of cross_*.wk/wv reach the projection
+        cache = model.init_decoder_state(params, config, enc).blocks[0]
+        return model.decoder_block(x0, blk, config, cache)
+
     def block_loss() -> numerics.Tensor:
-        out, _ = model.decoder_block(x0, enc, blk, config)
+        out, _, _ = block_pass()
         return numerics.sum_(numerics.mul(out, mixer))
 
     def masks_now() -> np.ndarray:
-        _, tr = model.decoder_block(x0, enc, blk, config)
+        _, tr, _ = block_pass()
         return np.stack([tr.m_a.data, tr.m_v.data])
 
     groups = [slot for slot in model.parameter_slots(params)
@@ -493,38 +494,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate the synthetic ambiguous-sound dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--ambiguous-pairs", type=int, default=4)
-    p.add_argument("--feature-dim", type=int, default=64)
-    p.add_argument("--noise-std", type=float, default=0.1)
-    p.add_argument("--examples-per-class", type=int, default=24)
-    p.add_argument("--eval-examples-per-class", type=int, default=4)
-    p.add_argument("--t-audio", type=int, default=12)
-    p.add_argument("--t-visual", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    spec = data.SyntheticTaskSpec()
+    for dest, f in _SYNTH_FIELDS.items():
+        default = getattr(spec, f)
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a captioner")
     p.add_argument("--config", help="JSON run config; flags override file values")
-    p.add_argument("--train-manifest")
-    p.add_argument("--val-manifest")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fusion-mode", choices=model.FUSION_MODES)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--encoder-blocks", type=int)
-    p.add_argument("--decoder-blocks", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--max-caption-len", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup-epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--label-smoothing", type=float)
-    p.add_argument("--checkpoint-interval", type=int)
+    for flag, _, _, kwargs in _TRAIN_FLAGS:
+        p.add_argument(flag, **kwargs)
     p.add_argument("--augment", action="store_true")
     p.add_argument("--no-clip", action="store_true")
     p.set_defaults(func=cmd_train)

@@ -416,24 +416,21 @@ def encode_modalities(params, config, audio=None, visual=None,
 
 
 def decoder_self_attend(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
-                        rng=None, past_kv=None):
+                        past_kv: tuple[Tensor, Tensor], rng=None):
     """Causal self-attention with residual over the token stream.
 
-    With ``past_kv``, the cached self-attention (k, v) of the positions
-    before ``x``, returns ``(output, (k, v))`` with the keys and values
-    extended by ``x``'s rows.
+    ``past_kv`` is the cached self-attention (k, v) of the positions before
+    ``x``, empty when ``x`` starts the prefix.  Returns ``(output, (k, v))``
+    with the keys and values extended by ``x``'s rows.
     """
     if x.shape[-2] < 1:
         raise DomainError("decoder prefix is empty")
     attn_in = N.layer_norm(x, blk.norm_self.gain, blk.norm_self.bias, config.ln_eps)
-    out = N.multi_head_attention(
+    out, kv = N.multi_head_attention(
         attn_in, attn_in, blk.self_attn, config.heads, causal=True,
         attn_dropout=config.dropout if rng is not None else 0.0, dropout_rng=rng,
         past_kv=past_kv,
     )
-    if past_kv is None:
-        return N.add(x, out)
-    out, kv = out
     return N.add(x, out), kv
 
 
@@ -450,52 +447,30 @@ def cross_attend(h_hidden: Tensor, features, attn: AttentionParams,
     )
 
 
-def _concat_time(a: Tensor | None, b: Tensor | None) -> Tensor:
-    if a is None:
-        return b
-    if b is None or b.shape[-2] == 0:
-        return a
-    if a.shape[-2] == 0:
-        return b
-    return N.concat([a, b], axis=-2)
-
-
-def _concat_masks(a_mask, a_len, v_mask, v_len, batchish):
-    if a_mask is None and v_mask is None:
-        return None
-    def full(mask, length):
-        if mask is not None:
-            return np.asarray(mask, dtype=bool)
-        shape = batchish + (length,)
-        return np.ones(shape, dtype=bool)
-    return np.concatenate([full(a_mask, a_len), full(v_mask, v_len)], axis=-1)
-
-
 def _fusion_inputs(enc: EncodedModalities, mode: str):
     """(features, padding mask) read by the cross_audio and the cross_video
     attention of ``mode``, each ``None`` where the mode has no such attention.
 
-    ``concatenate`` reads the time-concatenated features through cross_audio.
+    ``concatenate`` reads the time-concatenated features through cross_audio;
+    a side without a mask counts as all valid when the other side has one.
     """
     if mode == "audio_only":
         return (enc.audio, enc.audio_mask), None
     if mode == "video_only":
         return None, (enc.visual, enc.visual_mask)
     if mode == "concatenate":
-        kv = _concat_time(enc.audio, enc.visual)
-        t_v = enc.visual.shape[-2] if enc.visual is not None else 0
-        if t_v == 0:
-            kv_mask = enc.audio_mask
-        else:
-            kv_mask = _concat_masks(enc.audio_mask, enc.audio.shape[-2],
-                                    enc.visual_mask, t_v, kv.shape[:-2])
-        return (kv, kv_mask), None
+        mask = None
+        if enc.audio_mask is not None or enc.visual_mask is not None:
+            sides = ((enc.audio, enc.audio_mask), (enc.visual, enc.visual_mask))
+            mask = np.concatenate([np.ones(f.shape[:-1], dtype=bool) if m is None
+                                   else np.asarray(m, dtype=bool) for f, m in sides], axis=-1)
+        return (N.concat([enc.audio, enc.visual], axis=-2), mask), None
     return (enc.audio, enc.audio_mask), (enc.visual, enc.visual_mask)
 
 
 @dataclass(frozen=True)
 class BlockCache:
-    """One decoder block's keys and values for incremental decoding.
+    """One decoder block's keys and values.
 
     ``self_kv`` is the self-attention (k, v) of every position decoded so
     far.  ``cross`` is what :func:`_fusion_inputs` gives for the block's
@@ -509,9 +484,9 @@ class BlockCache:
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Where incremental decoding of one clip stands: ``length`` positions
-    decoded for each hypothesis, with one :class:`BlockCache` per decoder
-    block whose self-attention (k, v) lead with the hypothesis axis."""
+    """Where decoding of one clip stands: ``length`` positions decoded for
+    each hypothesis, with one :class:`BlockCache` per decoder block whose
+    self-attention (k, v) lead with the hypothesis axis."""
 
     length: int
     blocks: tuple[BlockCache, ...]
@@ -519,9 +494,13 @@ class DecoderState:
 
 def init_decoder_state(params: ModelParams, config: ModelConfig,
                        enc: EncodedModalities) -> DecoderState:
-    """The state of one empty hypothesis: empty self-attention caches, and
-    every block's cross-attention keys and values projected from ``enc``."""
-    audio, video = _fusion_inputs(enc, config.fusion_mode)
+    """The state before the first position, which every decode starts from.
+
+    The self-attention caches hold one empty hypothesis, which extends to
+    any number of rows.  Each block's cross-attention keys and values are
+    projected from ``enc`` here, the one place the decoder reads ``enc``;
+    the fusion inputs are resolved per block, in block order.
+    """
     empty = Tensor(np.zeros((1, config.heads, 0, config.d // config.heads)))
 
     def projected(side, attn):
@@ -529,11 +508,12 @@ def init_decoder_state(params: ModelParams, config: ModelConfig,
             return None
         return N.project_kv(side[0], attn, config.heads), side[1]
 
-    return DecoderState(length=0, blocks=tuple(
-        BlockCache(self_kv=(empty, empty),
-                   cross=(projected(audio, blk.cross_audio), projected(video, blk.cross_video)))
-        for blk in params.decoder
-    ))
+    blocks = []
+    for blk in params.decoder:
+        audio, video = _fusion_inputs(enc, config.fusion_mode)
+        blocks.append(BlockCache(self_kv=(empty, empty), cross=(
+            projected(audio, blk.cross_audio), projected(video, blk.cross_video))))
+    return DecoderState(length=0, blocks=tuple(blocks))
 
 
 def gather_state(state: DecoderState, rows) -> DecoderState:
@@ -548,22 +528,19 @@ def gather_state(state: DecoderState, rows) -> DecoderState:
     ))
 
 
-def decoder_block(x: Tensor, enc: EncodedModalities, blk: DecoderBlockParams,
-                  config: ModelConfig, rng=None, cache: BlockCache | None = None):
+def decoder_block(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
+                  cache: BlockCache, rng=None):
     """One decoder block: self-attention, fusion sublayer, MLP.
 
-    Returns (output, trace); the trace is None outside the adaava modes.
-    With ``cache``, ``x`` holds the positions after the cached ones, the
-    cross attentions read the cached keys and values instead of ``enc``, and
-    the result is (output, trace, cache extended by ``x``'s positions).
+    ``x`` holds the positions after the ``cache``'s self-attention keys and
+    values, and the cross attentions read the cache's projected features.
+    Returns (output, trace, cache extended by ``x``'s positions); the trace
+    is None outside the adaava modes.
     """
     mode = config.fusion_mode
-    h = decoder_self_attend(x, blk, config, rng=rng,
-                            past_kv=None if cache is None else cache.self_kv)
-    if cache is not None:
-        h, self_kv = h
+    h, self_kv = decoder_self_attend(x, blk, config, cache.self_kv, rng=rng)
     hn = N.layer_norm(h, blk.norm_fuse.gain, blk.norm_fuse.bias, config.ln_eps)
-    audio_kv, video_kv = _fusion_inputs(enc, mode) if cache is None else cache.cross
+    audio_kv, video_kv = cache.cross
     trace = None
 
     if mode.startswith("adaava"):
@@ -584,8 +561,6 @@ def decoder_block(x: Tensor, enc: EncodedModalities, blk: DecoderBlockParams,
 
     mlp_in = N.layer_norm(fused, blk.norm_mlp.gain, blk.norm_mlp.bias, config.ln_eps)
     out = N.add(fused, _mlp_forward(mlp_in, blk.mlp, config.dropout if rng is not None else 0.0, rng))
-    if cache is None:
-        return out, trace
     return out, trace, BlockCache(self_kv, cache.cross)
 
 
@@ -594,40 +569,36 @@ def decode_logits(params: ModelParams, config: ModelConfig, enc: EncodedModaliti
                   state: DecoderState | None = None):
     """Logits over the vocabulary for every position of ``tokens``.
 
-    ``tokens`` is (L,) for a single prefix or (B, L) for a batch; the result
-    has one trailing vocab axis.  With ``collect_traces`` the result is
-    (logits, traces) with one trace per decoder block.
-
-    Without ``state``, ``tokens`` is the whole prefix and every position is
-    computed from ``enc``: the teacher-forced path.  With a
-    :class:`DecoderState` of n hypotheses, ``tokens`` are (n, L): row i holds
-    hypothesis i's positions after ``state.length``.  They take the
-    positional rows from there on and attend to the cached keys and values,
-    the logits cover only them, and the extended state is appended to the
-    result, as in (logits, state).
+    Every call runs the decoder blocks over a :class:`DecoderState`.  Without
+    ``state`` it starts from :func:`init_decoder_state`: ``tokens`` is the
+    whole prefix, (L,) for one prefix or (B, L) for a batch, and the result
+    is the logits (teacher forcing).  With a state of n hypotheses,
+    ``tokens`` are (n, L): row i holds hypothesis i's positions after
+    ``state.length``, and the extended state is appended to the result, as
+    in (logits, state).  With ``collect_traces`` the traces, one per decoder
+    block, follow the logits, as in (logits, traces).
     """
     ids = np.asarray(tokens, dtype=np.int64)
     L = ids.shape[-1]
     if L < 1:
         raise DomainError("empty token prefix")
-    start = 0 if state is None else state.length
+    start = init_decoder_state(params, config, enc) if state is None else state
     x = N.add(
         N.embedding(params.word_embedding, ids),
-        _pos_slice(params.decoder_pos, L, "caption prefix", start=start),
+        _pos_slice(params.decoder_pos, L, "caption prefix", start=start.length),
     )
     traces, caches = [], []
-    for i, blk in enumerate(params.decoder):
-        x, trace, *cache = decoder_block(x, enc, blk, config, rng=rng,
-                                         cache=None if state is None else state.blocks[i])
+    for blk, cache in zip(params.decoder, start.blocks):
+        x, trace, cache = decoder_block(x, blk, config, cache, rng=rng)
         traces.append(trace)
-        caches += cache
+        caches.append(cache)
     x = N.layer_norm(x, params.final_norm.gain, params.final_norm.bias, config.ln_eps)
     logits = N.linear(x, params.out_proj.weight, params.out_proj.bias)
     result = (logits,)
     if collect_traces:
         result += (traces,)
     if state is not None:
-        result += (DecoderState(start + L, tuple(caches)),)
+        result += (DecoderState(start.length + L, tuple(caches)),)
     return result if len(result) > 1 else logits
 
 
@@ -710,6 +681,22 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocab
             fh.write(blob)
 
 
+def _check_entries(path, key: str, entries) -> None:
+    """Each tensor entry is an object with a str name, a list-of-int shape,
+    and int offset and nbytes, all non-negative."""
+    if not isinstance(entries, list):
+        raise DataFormatError(f"{path}: checkpoint {key} is not a list")
+
+    def count(value) -> bool:
+        return type(value) is int and value >= 0
+
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list) and all(map(count, entry["shape"]))
+                and count(entry.get("offset")) and count(entry.get("nbytes"))):
+            raise DataFormatError(f"{path}: malformed {key} entry {i}: {json.dumps(entry)}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, validating every tensor name and shape against its config."""
     with open(path, "rb") as fh:
@@ -739,6 +726,8 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, KeyError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint config or vocab: {exc!r}") from exc
     config.validate()
+    for key in ("tensors", "state_tensors"):
+        _check_entries(path, key, header.get(key, []))
     stored = {e["name"]: e for e in header["tensors"]}
 
     def pull(entry) -> np.ndarray:

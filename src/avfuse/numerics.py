@@ -493,7 +493,8 @@ def multi_head_attention(
     ``past_kv`` is a (k, v) pair of cached keys and values that goes before
     those of ``kv_in``; with it the call returns ``(output, (k, v))``, where
     (k, v) covers the cached rows and the new ones, ready to be passed as the
-    next call's ``past_kv``.
+    next call's ``past_kv``.  A ``past_kv`` of zero positions adds nothing
+    and fits any leading shape: (k, v) are then ``kv_in``'s own.
 
     ``kv_padding_mask`` marks *valid* kv positions (True = attend) with shape
     (L_kv,) or (batch, L_kv), counting every key.  Causal attention requires
@@ -513,8 +514,8 @@ def multi_head_attention(
         kv_width, L_kv = kv_in.shape[-1], kv_in.shape[-2]
     if kv_width != d:
         raise DimensionError(f"query width {d} != key/value width {kv_width}")
-    if past_kv is not None:
-        L_kv += past_kv[0].shape[-2]
+    past = 0 if past_kv is None else past_kv[0].shape[-2]
+    L_kv += past
     L_q = q_in.shape[-2]
     if causal and L_q > L_kv:
         raise DimensionError(f"causal attention needs L_q <= L_kv, got {L_q} vs {L_kv}")
@@ -523,7 +524,7 @@ def multi_head_attention(
 
     q = _split_heads(linear(q_in, params.wq, params.bq), heads)
     k, v = kv_in if isinstance(kv_in, tuple) else project_kv(kv_in, params, heads)
-    if past_kv is not None:
+    if past:
         k = concat([past_kv[0], k], axis=-2)
         v = concat([past_kv[1], v], axis=-2)
 

@@ -310,7 +310,6 @@ def fit(
         raise DomainError("training set is empty")
 
     named = model.named_parameters(params)
-    name_of = {id(t): name for name, t in named}
 
     streams = {name: _stream(cfg.seed, key) for name, key in _STREAM_KEYS.items()}
     if state is None:
@@ -363,8 +362,9 @@ def fit(
                     raise TrainingError(f"aborted at step {state.step}: {exc}") from exc
                 if not math.isfinite(loss_val):
                     raise TrainingError(f"aborted at step {state.step}: loss is not finite")
-                grads_by_id = N.backward(loss, tape)
-                grads = {name_of[id(t)]: g for t, g in grads_by_id.items() if id(t) in name_of}
+                by_leaf = N.backward(loss, tape)
+                # parameter order, so the clip norm's sum does not follow the tape
+                grads = {name: by_leaf[t] for name, t in named if t in by_leaf}
                 if cfg.clip_norm is not None:
                     clip_gradients(grads, cfg.clip_norm)
                 adam_step(named, grads, state.adam, lr, cfg)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from avfuse import data, frontend, model
+from avfuse import cli, data, frontend, model
 from avfuse.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _DirLock, main
 from avfuse.errors import ValidationError
 
@@ -117,6 +117,46 @@ class TestTrain:
         assert '"beta": 0.13' in stdout
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["model"]["beta"] == 0.13
+
+    # flag -> (value, where resolved_config.json holds it); the path values
+    # are relative to the test's tmp_path
+    FLAG_CASES = {
+        "--train-manifest": ("data/eval.jsonl", ("train_manifest",)),
+        "--val-manifest": ("data/train.jsonl", ("val_manifest",)),
+        "--out": ("elsewhere", ("out_dir",)),
+        "--seed": (5, ("train", "seed")),
+        "--fusion-mode": ("concatenate", ("model", "fusion_mode")),
+        "--beta": (0.25, ("model", "beta")),
+        "--d": (8, ("model", "d")),
+        "--heads": (4, ("model", "heads")),
+        "--encoder-blocks": (2, ("model", "encoder_blocks")),
+        "--decoder-blocks": (2, ("model", "decoder_blocks")),
+        "--dropout": (0.2, ("model", "dropout")),
+        "--max-caption-len": (12, ("model", "max_caption_len")),
+        "--epochs": (2, ("train", "epochs")),
+        "--warmup-epochs": (1, ("train", "warmup_epochs")),
+        "--lr": (0.004, ("train", "lr_peak")),
+        "--batch-size": (3, ("train", "batch_size")),
+        "--label-smoothing": (0.2, ("train", "label_smoothing")),
+        "--checkpoint-interval": (2, ("train", "checkpoint_interval")),
+    }
+
+    def test_flag_cases_cover_every_train_flag(self):
+        assert sorted(self.FLAG_CASES) == sorted(row[0] for row in cli._TRAIN_FLAGS)
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_CASES))
+    def test_train_flag_lands_on_its_resolved_key(self, dataset, tmp_path, flag):
+        value, where = self.FLAG_CASES[flag]
+        if flag in ("--train-manifest", "--val-manifest", "--out"):
+            value = str(tmp_path / value)
+        out = tmp_path / ("elsewhere" if flag == "--out" else "out")
+        argv = train_args(dataset, tmp_path / "out",
+                          **{"--epochs": 1, "--warmup-epochs": 0, flag: value})
+        assert run(argv) == EXIT_OK
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        for key in where:
+            resolved = resolved[key]
+        assert resolved == value
 
     def test_video_only_without_visual_features_is_config_error(self, tmp_path):
         feat = tmp_path / "a.avf"
@@ -343,6 +383,21 @@ class TestExitCodes:
         rc = run(["eval", "--checkpoint", ck, "--manifest", manifest_path, "--greedy"])
         assert rc == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_tensor_entry_without_offset_is_runtime(self, tmp_path, capsys):
+        manifest_path = tone_manifest(tmp_path)
+        ck = tmp_path / "ck.avck"
+        untrained_checkpoint(ck, manifest_path)
+        raw = ck.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + hlen])
+        del header["tensors"][0]["offset"]
+        new = json.dumps(header).encode()
+        ck.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + hlen:])
+        rc = run(["eval", "--checkpoint", ck, "--manifest", manifest_path, "--greedy"])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tensors entry 0" in err
 
     def test_non_object_manifest_line_is_validation(self, tmp_path, capsys):
         manifest_path = tone_manifest(tmp_path)

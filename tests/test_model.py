@@ -28,6 +28,12 @@ def tiny_inputs(rng, config, batch=None, t_a=5, t_v=3, L=4):
     return audio, visual, tokens.astype(np.int64)
 
 
+def no_past(cfg):
+    """The empty self-attention (k, v) that a prefix starts from."""
+    empty = N.Tensor(np.zeros((1, cfg.heads, 0, cfg.d // cfg.heads)))
+    return empty, empty
+
+
 class TestAudioEncode:
     def test_output_shape(self, rng):
         cfg = tiny_config("audio_only", encoder_blocks=2)
@@ -96,24 +102,25 @@ class TestDecoderSelfAttend:
         cfg = tiny_config()
         params = M.init_params(cfg, seed=0)
         x = N.Tensor(rng.normal(size=(1, cfg.d)))
-        out = M.decoder_self_attend(x, params.decoder[0], cfg)
+        out, _ = M.decoder_self_attend(x, params.decoder[0], cfg, no_past(cfg))
         assert out.shape == (1, cfg.d)
 
     def test_causality_rows_before_k_unchanged(self, rng):
         cfg = tiny_config()
         params = M.init_params(cfg, seed=0)
         x = rng.normal(size=(5, cfg.d))
-        base = M.decoder_self_attend(N.Tensor(x), params.decoder[0], cfg).data
+        base = M.decoder_self_attend(N.Tensor(x), params.decoder[0], cfg, no_past(cfg))[0].data
         x2 = x.copy()
         x2[3:] += 1.0
-        bumped = M.decoder_self_attend(N.Tensor(x2), params.decoder[0], cfg).data
+        bumped = M.decoder_self_attend(N.Tensor(x2), params.decoder[0], cfg, no_past(cfg))[0].data
         assert np.array_equal(base[:3], bumped[:3])
 
     def test_empty_prefix_rejected(self, rng):
         cfg = tiny_config()
         params = M.init_params(cfg, seed=0)
         with pytest.raises(DomainError):
-            M.decoder_self_attend(N.Tensor(np.zeros((0, cfg.d))), params.decoder[0], cfg)
+            M.decoder_self_attend(N.Tensor(np.zeros((0, cfg.d))), params.decoder[0], cfg,
+                                  no_past(cfg))
 
 
 class TestCrossAttend:
@@ -283,7 +290,8 @@ class TestDecoderBlock:
             visual=N.Tensor(np.zeros((3, cfg.d))),
         )
         x = N.Tensor(rng.normal(size=(4, cfg.d)))
-        _, trace = M.decoder_block(x, enc, blk, cfg)
+        cache = M.init_decoder_state(params, cfg, enc).blocks[0]
+        _, trace, _ = M.decoder_block(x, blk, cfg, cache)
         np.testing.assert_allclose(trace.av_out.data, trace.a_cross.data, atol=1e-8)
 
     def test_concat_with_empty_visual_bit_equals_audio_only(self, rng):
@@ -352,19 +360,40 @@ class TestForward:
         out = M.forward(params, cfg, M.Batch(tokens_in=tokens, audio=audio, visual=visual))
         assert out.shape == (3, 5, cfg.vocab_size)
 
-    def test_modality_padding_mask_matches_truncation(self, rng):
-        cfg = tiny_config("audio_only")
+    @pytest.mark.parametrize("mode", ["audio_only", "concatenate"])
+    def test_modality_padding_mask_matches_truncation(self, rng, mode):
+        cfg = tiny_config(mode)
         params = M.init_params(cfg, seed=29)
         audio = rng.normal(size=(7, cfg.audio_in_dim))
+        visual = rng.normal(size=(3, cfg.visual_in_dim)) if mode == "concatenate" else None
         tokens = np.array([1, 4, 5], dtype=np.int64)
-        full = M.forward(params, cfg, M.Batch(tokens_in=tokens, audio=audio)).data
+        full = M.forward(params, cfg, M.Batch(tokens_in=tokens, audio=audio, visual=visual)).data
         # encoder sees padded rows, decoder masks them out of cross-attention
-        enc_trunc = M.encode_modalities(params, cfg, audio=audio)
+        enc_trunc = M.encode_modalities(params, cfg, audio=audio, visual=visual)
         enc_masked = M.EncodedModalities(
-            audio=enc_trunc.audio, audio_mask=np.ones(7, dtype=bool)
+            audio=enc_trunc.audio, visual=enc_trunc.visual, audio_mask=np.ones(7, dtype=bool)
         )
         masked = M.decode_logits(params, cfg, enc_masked, tokens).data
         np.testing.assert_allclose(masked, full, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[3], [3, 2]], ids=["single", "batched"])
+    def test_concatenate_masked_visual_padding_matches_truncation(self, rng, lengths):
+        # the visual side alone has a mask: the audio keys count as all valid
+        cfg = tiny_config("concatenate")
+        params = M.init_params(cfg, seed=47)
+        single = len(lengths) == 1
+        audio, visual, tokens = tiny_inputs(rng, cfg, batch=len(lengths), t_v=5)
+        mask = np.arange(5) < np.array(lengths)[:, None]
+        visual = np.where(mask[..., None], visual, 0.0)  # zero-padded rows
+        pick = (lambda a: a[0]) if single else (lambda a: a)
+        masked = M.forward(params, cfg, M.Batch(
+            tokens_in=pick(tokens), audio=pick(audio), visual=pick(visual),
+            visual_mask=pick(mask))).data
+        for i, n in enumerate(lengths):
+            truncated = M.forward(params, cfg, M.Batch(
+                tokens_in=tokens[i], audio=audio[i], visual=visual[i, :n])).data
+            np.testing.assert_allclose(masked if single else masked[i], truncated,
+                                       rtol=0, atol=1e-12)
 
     def test_dropout_reproducible_and_off_at_inference(self, rng):
         cfg = tiny_config("adaava_audio", dropout=0.2)
@@ -410,13 +439,14 @@ class TestBlockGradients:
         )
         mixer = rng.normal(size=(3, cfg.d))
         x0 = rng.normal(size=(3, cfg.d))
+        cache = M.init_decoder_state(params, cfg, enc).blocks[0]
 
         def f(x):
-            out, _ = M.decoder_block(x, enc, blk, cfg)
+            out, _, _ = M.decoder_block(x, blk, cfg, cache)
             return N.sum_(N.mul(out, mixer))
 
         # confirm the probe sits away from both mask thresholds
-        _, trace = M.decoder_block(N.Tensor(x0), enc, blk, cfg)
+        _, trace, _ = M.decoder_block(N.Tensor(x0), blk, cfg, cache)
         conf = trace.a_conf.data
         assert np.all(np.abs(conf - cfg.beta) > 1e-3)
         assert np.all(np.abs((1 - conf) - cfg.beta) > 1e-3)
@@ -555,6 +585,27 @@ class TestCheckpoint:
 
         self._rewrite_header(path, shrink)
         with pytest.raises(DataFormatError, match="word_embedding"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, change, named", [
+        ("tensors", lambda es: [{k: v for k, v in es[0].items() if k != "offset"}] + es[1:],
+         "tensors entry 0"),
+        ("tensors", lambda es: {e["name"]: e for e in es}, "tensors is not a list"),
+        ("tensors", lambda es: es[:1] + ["decoder_pos"] + es[2:], "tensors entry 1"),
+        ("tensors", lambda es: es[:2] + [{**es[2], "shape": ["8", 16]}] + es[3:],
+         "tensors entry 2"),
+        ("tensors", lambda es: [{**es[0], "name": 3}] + es[1:], "tensors entry 0"),
+        ("tensors", lambda es: [{**es[0], "nbytes": -8}] + es[1:], "tensors entry 0"),
+        ("state_tensors", lambda es: [{**es[0], "offset": True}], "state_tensors entry 0"),
+        ("state_tensors", lambda es: 5, "state_tensors is not a list"),
+    ], ids=["no-offset", "tensors-not-a-list", "entry-not-an-object", "str-in-shape",
+            "int-name", "negative-nbytes", "bool-offset", "state-tensors-not-a-list"])
+    def test_malformed_tensor_entry_is_named(self, tmp_path, key, change, named):
+        cfg, params, vocab = self._setup()
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params, cfg, vocab, state_tensors={"m.x": np.arange(3.0)})
+        self._rewrite_header(path, lambda h: {**h, key: change(h[key])})
+        with pytest.raises(DataFormatError, match=named):
             M.load_checkpoint(path)
 
     def test_save_is_deterministic(self, tmp_path):

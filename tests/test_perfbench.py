@@ -1,0 +1,28 @@
+"""The benchmark's output checks, run on tiny sizes.
+
+Each workload's ``check`` compares the program's outputs with a reference
+(byte-identical fits, greedy tokens against the teacher-forced argmax, beam
+captions against a full-prefix beam search), so a decoder that drifts fails
+here and not only in a benchmark run.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("run")
+
+
+@pytest.mark.parametrize("name", ["desk-train", "desk-eval", "full-infer"])
+def test_tiny_workload_passes_its_checks(perfbench_run, tmp_path, name):
+    record = perfbench_run.run_workload(name, seed=0, seconds=0.01, trace=False, tiny=True,
+                                        results=tmp_path)
+    assert record["result"]["failed"] == 0
+    assert record["result"]["correct"]

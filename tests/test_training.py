@@ -257,6 +257,22 @@ class TestFit:
         tail_b = [h["train_loss"] for h in hist_b2 if h["train_loss"] is not None][-4:]
         assert tail_a == tail_b
 
+    def test_gradients_reach_clipping_in_parameter_order(self, tmp_path, monkeypatch):
+        # the clip norm sums the gradients in dict order, so that order is pinned
+        task = make_task(tmp_path)
+        cfg, vocab, train, val = load_task(task)
+        params = M.init_params(cfg, seed=0)
+        seen, clip = [], T.clip_gradients
+
+        def recording(grads, max_norm):
+            seen.append(list(grads))
+            return clip(grads, max_norm)
+
+        monkeypatch.setattr(T, "clip_gradients", recording)
+        T.fit(params, cfg, vocab, train, [], overfit_config(steps_as_epochs=2))
+        assert len(seen) == 2
+        assert all(order == [name for name, _ in M.named_parameters(params)] for order in seen)
+
     def test_metrics_log_lines(self, tmp_path):
         import json
 
