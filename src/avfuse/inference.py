@@ -63,6 +63,13 @@ def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int) -> list
     retire straight into a pool and never occupy a beam slot; the
     top-``beam`` unfinished candidates stay live.  The final ranking merges
     pool and live frontier.
+
+    The search stops early once the top ``beam`` is settled.  Log-probs are
+    <= 0, so no descendant of a live hypothesis ``h`` scores above
+    ``h.logprob / (max_len - 1)``; when the pool's ``beam``-th best score is
+    strictly above that bound for every live ``h``, no later step can change
+    the result.  A step row holding a value > 0 would void the bound and is
+    rejected.
     """
     if beam < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam}")
@@ -80,6 +87,8 @@ def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int) -> list
         candidates: list[Hypothesis] = []
         for hyp, logprobs in zip(live, step_many([hyp.tokens for hyp in live])):
             logprobs = np.asarray(logprobs)
+            if (logprobs > 0).any():
+                raise DomainError(f"step log-probs must be <= 0, got max {logprobs.max()}")
             top = np.argsort(-logprobs, kind="stable")[:beam]  # stable: ties -> lowest id
             for tok in top.tolist():
                 candidates.append(Hypothesis(
@@ -94,6 +103,10 @@ def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int) -> list
                 pool.append(cand)
             elif len(live) < beam:
                 live.append(cand)
+        if len(pool) >= beam:
+            pool.sort(key=rank_key)
+            if not live or pool[beam - 1].score() > max(h.logprob for h in live) / (max_len - 1):
+                return pool[:beam]
     return sorted(pool + live, key=rank_key)[:beam]
 
 

@@ -655,6 +655,9 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocab
 
     The payload holds the parameters in ``parameter_slots`` order, then the
     state tensors by name; each has a header entry with its shape and extent.
+    The bytes go to ``<path>.tmp`` in the same directory, which is fsynced
+    and then renamed over ``path``, so a failed save leaves the previous
+    file whole and no temp file behind.
     """
     state_tensors = state_tensors or {}
     tables = {
@@ -674,11 +677,20 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocab
             blobs.append(blob)
             offset += len(blob)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _check_entries(path, key: str, entries) -> None:

@@ -230,19 +230,6 @@ def sum_(a, axis=None) -> Tensor:
     return _result(np.asarray(out), (a,), vjp, "sum")
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    out = a.data.reshape(shape)
-    return _result(out, (a,), lambda g: (g.reshape(a.shape),), "reshape")
-
-
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = _as_tensor(a)
-    out = np.ascontiguousarray(np.swapaxes(a.data, ax1, ax2))
-    return _result(out, (a,), lambda g: (np.swapaxes(g, ax1, ax2),), "swapaxes")
-
-
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
@@ -293,21 +280,6 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     return _result(out, (table,), vjp, "embedding")
 
 
-def where_mask(mask: np.ndarray, a, fill: float) -> Tensor:
-    """Keep ``a`` where ``mask`` is True, replace by the constant ``fill`` elsewhere.
-
-    The mask is a constant: no gradient flows through the selection itself.
-    """
-    a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    out = np.where(mask, a.data, a.data.dtype.type(fill))
-
-    def vjp(g):
-        return (_unbroadcast(np.where(mask, g, 0.0), a.shape),)
-
-    return _result(out, (a,), vjp, "where_mask")
-
-
 def take_along_last(a, idx: np.ndarray) -> Tensor:
     """Pick one entry per last-dim row: out[...] = a[..., idx[...]]."""
     a = _as_tensor(a)
@@ -348,6 +320,12 @@ def matmul(a, b) -> Tensor:
 def linear(x, weight, bias) -> Tensor:
     """Affine map ``x @ weight + bias`` broadcast over leading dims."""
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    out, vjp = _affine(x, weight, bias)
+    return _result(out, (x, weight, bias), vjp, "linear")
+
+
+def _affine(x: Tensor, weight: Tensor, bias: Tensor):
+    """The forward array and the VJP of :func:`linear`, unrecorded."""
     if weight.ndim != 2:
         raise DimensionError(f"linear weight must be 2-d, got {weight.shape}")
     k, n = weight.shape
@@ -366,7 +344,7 @@ def linear(x, weight, bias) -> Tensor:
         gb = gr.sum(axis=0)
         return gx.reshape(x.shape), gw, gb
 
-    return _result(out, (x, weight, bias), vjp, "linear")
+    return out, vjp
 
 
 def softmax_lastdim(x) -> Tensor:
@@ -453,24 +431,77 @@ class AttentionParams:
     bo: Tensor
 
 
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    *lead, L, d = t.shape
-    h = reshape(t, (*lead, L, heads, d // heads))
-    return swapaxes(h, -3, -2)  # (..., heads, L, d/heads)
+def project_heads(x, weight, bias, heads: int) -> Tensor:
+    """``linear(x, weight, bias)`` split into heads: (..., L, d) -> (..., heads, L, d/heads)."""
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    flat, affine_vjp = _affine(x, weight, bias)
+    *lead, L, d = flat.shape
+    out = np.ascontiguousarray(np.swapaxes(flat.reshape(*lead, L, heads, d // heads), -3, -2))
+
+    def vjp(g):
+        return affine_vjp(np.swapaxes(g, -3, -2).reshape(flat.shape))
+
+    return _result(out, (x, weight, bias), vjp, "project_heads")
 
 
-def _merge_heads(t: Tensor) -> Tensor:
-    *lead, heads, L, e = t.shape
-    h = swapaxes(t, -3, -2)
-    return reshape(h, (*lead, L, heads * e))
+def attention(q, k, v, valid: np.ndarray | None, dropout: float,
+              rng: np.random.Generator | None) -> Tensor:
+    """Scaled dot-product attention over split heads, merged back to (..., L_q, d).
+
+    ``q`` is (..., heads, L_q, e) and ``k``, ``v`` are (..., heads, L_kv, e),
+    broadcasting over the leading axes.  ``valid`` (broadcastable to the
+    logits, True = attend) replaces the other logits by ``MASKED_LOGIT``;
+    None attends everywhere.  Probabilities are dropped with rate
+    ``dropout`` when ``rng`` is given.  The logits are checked for
+    finiteness before masking, and a query row left with no valid key is an
+    error.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    with np.errstate(over="ignore"):
+        logits = (q.data @ kt) * scale  # (..., heads, L_q, L_kv)
+    _check_finite(logits, "attention logits")
+    masked = logits
+    if valid is not None:
+        if not np.broadcast_to(valid, logits.shape).any(axis=-1).all():
+            raise DomainError("attention row with every key/value position masked")
+        masked = np.where(valid, logits, MASKED_LOGIT)
+    exp = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    dropped, keep = probs, None
+    if dropout > 0.0 and rng is not None:
+        keep = (rng.random(probs.shape) >= dropout).astype(probs.dtype) / (1.0 - dropout)
+        dropped = probs * keep
+    with np.errstate(over="ignore"):
+        ctx = np.ascontiguousarray(np.swapaxes(dropped @ v.data, -3, -2))
+    *lead, L_q, heads, width = ctx.shape
+    out = ctx.reshape(*lead, L_q, heads * width)
+
+    def vjp(g):
+        # The VJPs of the head merge, ·v, dropout, softmax, mask, ·scale and
+        # q kᵀ as separate ops would run them, on the same arrays, so that
+        # the gradient bits do not depend on the fusion.
+        g = np.swapaxes(g.reshape(ctx.shape), -3, -2)
+        gp = _unbroadcast(g @ np.swapaxes(v.data, -1, -2), dropped.shape)
+        gv = _unbroadcast(np.swapaxes(dropped, -1, -2) @ g, v.shape)
+        if keep is not None:
+            gp = _unbroadcast(gp * keep, probs.shape)
+        gl = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+        if valid is not None:
+            gl = _unbroadcast(np.where(valid, gl, 0.0), logits.shape)
+        gl = gl * scale
+        gq = _unbroadcast(gl @ np.swapaxes(kt, -1, -2), q.shape)
+        gk = np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ gl, kt.shape), -1, -2)
+        return gq, gk, gv
+
+    return _result(out, (q, k, v), vjp, "attention")
 
 
 def project_kv(kv_in, params: AttentionParams, heads: int) -> tuple[Tensor, Tensor]:
     """Keys and values of ``kv_in`` (..., L_kv, d), split to (..., heads, L_kv, d/heads)."""
-    kv_in = _as_tensor(kv_in)
-    k = _split_heads(linear(kv_in, params.wk, params.bk), heads)
-    v = _split_heads(linear(kv_in, params.wv, params.bv), heads)
-    return k, v
+    return (project_heads(kv_in, params.wk, params.bk, heads),
+            project_heads(kv_in, params.wv, params.bv, heads))
 
 
 def multi_head_attention(
@@ -501,6 +532,10 @@ def multi_head_attention(
     L_q <= L_kv: the queries are the last L_q positions of the sequence, so
     query i may attend keys 0 .. i + L_kv - L_q.  A query row whose kv
     positions are all masked is an error, not a NaN.
+
+    The tape records :func:`project_heads` for q, k and v (k and v only for
+    raw ``kv_in``), a :func:`concat` each for k and v after a non-empty
+    ``past_kv``, one :func:`attention` and the output :func:`linear`.
     """
     q_in = _as_tensor(q_in)
     d = q_in.shape[-1]
@@ -522,36 +557,24 @@ def multi_head_attention(
     if L_kv == 0:
         raise DomainError("attention with zero key/value positions")
 
-    q = _split_heads(linear(q_in, params.wq, params.bq), heads)
+    q = project_heads(q_in, params.wq, params.bq, heads)
     k, v = kv_in if isinstance(kv_in, tuple) else project_kv(kv_in, params, heads)
     if past:
         k = concat([past_kv[0], k], axis=-2)
         v = concat([past_kv[1], v], axis=-2)
 
-    scale = 1.0 / math.sqrt(d / heads)
-    logits = mul(matmul(q, swapaxes(k, -1, -2)), scale)  # (..., heads, L_q, L_kv)
-
-    valid = np.ones((L_q, L_kv), dtype=bool)
-    if causal:
-        valid = np.tril(valid, k=L_kv - L_q)
-    if kv_padding_mask is not None:
-        km = np.asarray(kv_padding_mask, dtype=bool)
-        if km.shape[-1] != L_kv:
-            raise DimensionError(f"kv_padding_mask length {km.shape[-1]} != L_kv {L_kv}")
-        km = km.reshape(km.shape[:-1] + (1, 1, L_kv))
-        valid = valid & km
-    if not np.broadcast_to(valid, logits.shape).any(axis=-1).all():
-        raise DomainError("attention row with every key/value position masked")
+    valid = None
     if causal or kv_padding_mask is not None:
-        logits = where_mask(valid, logits, MASKED_LOGIT)
+        valid = np.ones((L_q, L_kv), dtype=bool)
+        if causal:
+            valid = np.tril(valid, k=L_kv - L_q)
+        if kv_padding_mask is not None:
+            km = np.asarray(kv_padding_mask, dtype=bool)
+            if km.shape[-1] != L_kv:
+                raise DimensionError(f"kv_padding_mask length {km.shape[-1]} != L_kv {L_kv}")
+            valid = valid & km.reshape(km.shape[:-1] + (1, 1, L_kv))
 
-    probs = softmax_lastdim(logits)
-    if attn_dropout > 0.0 and dropout_rng is not None:
-        keep = (dropout_rng.random(probs.shape) >= attn_dropout).astype(probs.data.dtype)
-        probs = mul(probs, keep / (1.0 - attn_dropout))
-
-    ctx = _merge_heads(matmul(probs, v))
-    out = linear(ctx, params.wo, params.bo)
+    out = linear(attention(q, k, v, valid, attn_dropout, dropout_rng), params.wo, params.bo)
     return out if past_kv is None else (out, (k, v))
 
 

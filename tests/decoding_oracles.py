@@ -5,7 +5,8 @@ from typing import Sequence
 import numpy as np
 
 from avfuse.data import EOS_ID, SOS_ID
-from avfuse.inference import Hypothesis, StepFn
+from avfuse.errors import ConfigError
+from avfuse.inference import BatchStepFn, Hypothesis, StepFn
 
 
 def exhaustive_best(step_fn: StepFn, token_ids: Sequence[int], max_len: int) -> Hypothesis:
@@ -29,3 +30,39 @@ def exhaustive_best(step_fn: StepFn, token_ids: Sequence[int], max_len: int) -> 
 
     recurse([SOS_ID], 0.0)
     return min(finals, key=lambda h: (-h.score(), h.tokens))
+
+
+def beam_search_no_stop(step_many: BatchStepFn, beam: int, max_len: int) -> list[Hypothesis]:
+    """``inference.beam_search_batched`` without its early stop: the live
+    hypotheses are expanded until none is left or the length cap."""
+    if beam < 1:
+        raise ConfigError(f"beam width must be >= 1, got {beam}")
+    if max_len < 2:
+        raise ConfigError(f"max_len must be >= 2, got {max_len}")
+
+    def rank_key(h: Hypothesis):
+        return (-h.score(), h.tokens)
+
+    live = [Hypothesis([SOS_ID], 0.0, False)]
+    pool: list[Hypothesis] = []
+    for _ in range(max_len - 1):
+        if not live:
+            break
+        candidates: list[Hypothesis] = []
+        for hyp, logprobs in zip(live, step_many([hyp.tokens for hyp in live])):
+            logprobs = np.asarray(logprobs)
+            top = np.argsort(-logprobs, kind="stable")[:beam]  # stable: ties -> lowest id
+            for tok in top.tolist():
+                candidates.append(Hypothesis(
+                    tokens=hyp.tokens + [tok],
+                    logprob=hyp.logprob + float(logprobs[tok]),
+                    finished=tok == EOS_ID,
+                ))
+        candidates.sort(key=rank_key)
+        live = []
+        for cand in candidates:
+            if cand.finished:
+                pool.append(cand)
+            elif len(live) < beam:
+                live.append(cand)
+    return sorted(pool + live, key=rank_key)[:beam]

@@ -4,8 +4,11 @@ Toy models map a prefix to a seeded random log-distribution over a 3-token
 vocabulary (eos plus two words).  The exhaustive-oracle tests use the
 position-dependent family (logits keyed by prefix length), on which beam
 search provably recovers the global optimum; the fully prefix-dependent
-family still exercises greedy equivalence and score dominance.  The
-model-bound step function is checked against full-prefix ``decode_logits``.
+family still exercises greedy equivalence and score dominance.  Beam
+search's early stop is checked against the loop without it on both families
+and on a late-bloomer family, where extending a hypothesis raises its
+normalized score.  The model-bound step function is checked against
+full-prefix ``decode_logits``.
 """
 
 import gc
@@ -19,7 +22,7 @@ from avfuse import model as M
 from avfuse.data import EOS_ID, SOS_ID
 from avfuse.errors import ConfigError, DomainError
 
-from decoding_oracles import exhaustive_best
+from decoding_oracles import beam_search_no_stop, exhaustive_best
 
 TOY_TOKENS = [EOS_ID, 4, 5]
 TABLE = 6
@@ -35,6 +38,40 @@ def toy_model(seed: int, position_only: bool = False) -> I.StepFn:
         return logits - m - np.log(np.exp(logits - m).sum())
 
     return step
+
+
+def late_bloomer(seed: int) -> I.StepFn:
+    """Tokens cost about -5 for the first two steps and about 0 after, so
+    extending a hypothesis raises its length-normalized score."""
+    def step(prefix):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *prefix))))
+        out = np.full(TABLE, -1e9)
+        cost = 5.0 if len(prefix) <= 2 else 0.01
+        out[TOY_TOKENS] = -cost * (1.0 + gen.random(len(TOY_TOKENS)))
+        return out
+
+    return step
+
+
+TOY_FAMILIES = {
+    "prefix": toy_model,
+    "position": lambda seed: toy_model(seed, position_only=True),
+    "late_bloomer": late_bloomer,
+}
+
+
+def counted(step_many):
+    """``step_many`` with a count of its calls in ``.calls``."""
+    def wrapper(prefixes):
+        wrapper.calls += 1
+        return step_many(prefixes)
+
+    wrapper.calls = 0
+    return wrapper
+
+
+def batched(step: I.StepFn):
+    return lambda prefixes: [step(p) for p in prefixes]
 
 
 def score_of(step, tokens):
@@ -123,6 +160,44 @@ class TestBeam:
     def test_beam_width_validation(self):
         with pytest.raises(ConfigError):
             I.beam_search(toy_model(0), 0, 5)
+
+
+class TestBeamStop:
+    @pytest.mark.parametrize("family", sorted(TOY_FAMILIES))
+    def test_same_ranking_as_no_stop_in_fewer_calls(self, family):
+        saved = total = 0
+        for seed in range(200):
+            step = TOY_FAMILIES[family](seed)
+            for beam in (1, 2, 3):
+                for max_len in (3, 5, 8):
+                    got_fn, ref_fn = counted(batched(step)), counted(batched(step))
+                    got = I.beam_search_batched(got_fn, beam, max_len)
+                    ref = beam_search_no_stop(ref_fn, beam, max_len)
+                    case = f"seed {seed}, beam {beam}, max_len {max_len}"
+                    assert [h.tokens for h in got] == [h.tokens for h in ref], case
+                    assert [h.logprob for h in got] == [h.logprob for h in ref], case
+                    assert [h.finished for h in got] == [h.finished for h in ref], case
+                    assert got_fn.calls <= ref_fn.calls, case
+                    saved += ref_fn.calls - got_fn.calls
+                    total += ref_fn.calls
+        if family != "late_bloomer":
+            assert saved > 0, f"{family}: the stop never saved a call in {total}"
+
+    @pytest.mark.parametrize("mode", M.FUSION_MODES)
+    def test_caption_beam_equals_no_stop(self, mode):
+        cfg, params, enc = clip(mode, masked=True, seed=1)  # stops early in 3 of 5 modes
+        got = I.caption_beam(params, cfg, enc, beam=3)
+        ref = beam_search_no_stop(I.make_batch_step_fn(params, cfg, enc), 3, cfg.max_caption_len)
+        assert [(h.tokens, h.logprob) for h in got] == [(h.tokens, h.logprob) for h in ref]
+
+    def test_positive_step_value_rejected(self):
+        def step(prefix):
+            out = np.full(TABLE, -3.0)
+            out[4] = 0.5
+            return out
+
+        with pytest.raises(DomainError):
+            I.beam_search(step, 3, 5)
 
 
 class TestModelBound:

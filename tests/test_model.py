@@ -487,6 +487,27 @@ class TestCheckpoint:
             assert name_a == name_b
             assert np.array_equal(t_a.data, t_b.data), name_a
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg, params_a, vocab = self._setup(seed=5)
+        _, params_b, _ = self._setup(seed=6)
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params_a, cfg, vocab, state={"step": 1})
+        saved = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("injected fsync failure")
+
+        monkeypatch.setattr(M.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="injected"):
+            M.save_checkpoint(path, params_b, cfg, vocab, state={"step": 2})
+        assert path.read_bytes() == saved
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.avck"]
+        ck = M.load_checkpoint(path)
+        assert ck.state == {"step": 1}
+        for (name, t_a), (_, t) in zip(M.named_parameters(params_a),
+                                       M.named_parameters(ck.params)):
+            assert np.array_equal(t_a.data, t.data), name
+
     def test_shape_mismatch_names_first_bad_parameter(self, tmp_path):
         cfg, params, vocab = self._setup()
         path = tmp_path / "ck.avck"

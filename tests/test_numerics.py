@@ -7,6 +7,7 @@ per-head recomputation) and independent of the production code paths.
 import numpy as np
 import pytest
 
+import attention_oracle as oracle
 from avfuse import numerics as N
 from avfuse.errors import ConfigError, DimensionError, DomainError, UsageError
 
@@ -266,6 +267,101 @@ class TestMultiHeadAttention:
             assert np.array_equal(batched.data[i], single.data)
 
 
+def _taped(attend, arrays, param_arrays, mixer):
+    """Run ``attend(tensors, params)`` on fresh leaves under a tape; returns the
+    output bytes and the gradient bytes of every input and parameter."""
+    leaves = [N.Tensor(a, requires_grad=True) for a in arrays]
+    params = N.AttentionParams(*(N.Tensor(a, requires_grad=True) for a in param_arrays))
+    with N.GradTape() as tape:
+        out = attend(leaves, params)
+        extra = []
+        if isinstance(out, tuple):
+            out, extra = out[0], list(out[1])
+        loss = N.sum_(N.mul(out, mixer))
+        for t in extra:  # the returned (k, v) carry gradient too
+            loss = N.add(loss, N.sum_(N.mul(t, 0.5)))
+        # a later use of the first input, as the residual add makes: its
+        # gradient then sums four terms, so their order shows in the bits
+        loss = N.add(loss, N.sum_(N.mul(leaves[0], 0.3)))
+    grads = N.backward(loss, tape)
+    tensors = leaves + [getattr(params, f) for f in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+    return ([out.data.tobytes()] + [t.data.tobytes() for t in extra],
+            [grads[t].tobytes() for t in tensors])
+
+
+class TestFusedAttentionMatchesComposite:
+    """Output and every gradient of the two-op attention equal the per-op
+    composite in ``attention_oracle`` bit for bit."""
+
+    D, HEADS = 8, 2
+
+    def _compare(self, rng, attend, shapes, mixer_shape, **kwargs):
+        arrays = [rng.normal(size=s) for s in shapes]
+        param_arrays = [rng.normal(0, 0.5, size=s) for s in [(self.D, self.D), (self.D,)] * 4]
+        mixer = rng.normal(size=mixer_shape)
+        fused = _taped(lambda t, p: attend(N, t, p), arrays, param_arrays, mixer)
+        plain = _taped(lambda t, p: attend(oracle, t, p), arrays, param_arrays, mixer)
+        assert fused[0] == plain[0]
+        assert len(fused[1]) == len(plain[1]) == len(shapes) + 8
+        for i, (a, b) in enumerate(zip(fused[1], plain[1])):
+            assert a == b, f"gradient {i} differs"
+
+    def test_causal_self_attention(self, rng):
+        def attend(ops, t, p):
+            return ops.multi_head_attention(t[0], t[0], p, self.HEADS, causal=True)
+
+        self._compare(rng, attend, [(5, self.D)], (5, self.D))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_padding_mask(self, rng, batched):
+        lead = (3,) if batched else ()
+        mask = (np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], bool) if batched
+                else np.array([1, 1, 0, 1], bool))
+
+        def attend(ops, t, p):
+            return ops.multi_head_attention(t[0], t[1], p, self.HEADS, kv_padding_mask=mask)
+
+        self._compare(rng, attend, [lead + (2, self.D), lead + (4, self.D)], lead + (2, self.D))
+
+    def test_pre_projected_kv_broadcast_over_hypotheses(self, rng):
+        mask = np.array([1, 1, 1, 0, 0], bool)
+
+        def attend(ops, t, p):
+            kv = ops.project_kv(t[1], p, self.HEADS)  # (heads, T, e) for 4 hypotheses
+            return ops.multi_head_attention(t[0], kv, p, self.HEADS, kv_padding_mask=mask)
+
+        self._compare(rng, attend, [(4, 1, self.D), (5, self.D)], (4, 1, self.D))
+
+    @pytest.mark.parametrize("past", [1, 3])
+    def test_past_kv(self, rng, past):
+        def attend(ops, t, p):
+            cached = ops.project_kv(t[1], p, self.HEADS)  # past rows, on the tape
+            return ops.multi_head_attention(t[0], t[0], p, self.HEADS, causal=True,
+                                            past_kv=cached)
+
+        self._compare(rng, attend, [(2, self.D), (past, self.D)], (2, self.D))
+
+    def test_dropout(self, rng):
+        def attend(ops, t, p):
+            return ops.multi_head_attention(t[0], t[0], p, self.HEADS, causal=True,
+                                            attn_dropout=0.3,
+                                            dropout_rng=np.random.default_rng(11))
+
+        self._compare(rng, attend, [(6, self.D)], (6, self.D))
+
+    def test_tape_counts(self, rng):
+        params = make_attention_params(rng, self.D)
+        x = N.Tensor(rng.normal(size=(3, self.D)), requires_grad=True)
+        with N.GradTape() as tape:
+            N.multi_head_attention(x, x, params, self.HEADS, causal=True)
+        assert len(tape) == 5  # project q, k, v; attention; output linear
+        feats = N.Tensor(rng.normal(size=(4, self.D)), requires_grad=True)
+        kv = N.project_kv(feats, params, self.HEADS)
+        with N.GradTape() as tape:
+            N.multi_head_attention(x, kv, params, self.HEADS)
+        assert len(tape) == 3  # project q; attention; output linear
+
+
 class TestBackward:
     def test_identity_gradient(self):
         x = N.Tensor(np.array([3.0]), requires_grad=True)
@@ -335,6 +431,32 @@ class TestGradcheck:
 
         err = N.gradcheck(f, N.Tensor(rng.normal(size=(3, d))))
         assert err < 1e-6
+
+    def test_project_heads(self, rng):
+        w = rng.normal(0, 0.5, size=(6, 6))
+        b = N.Tensor(rng.normal(0, 0.5, size=6))
+        x = rng.normal(size=(2, 4, 6))
+        mixer = rng.normal(size=(2, 3, 4, 2))
+        f_x = lambda t: N.sum_(N.mul(N.project_heads(t, N.Tensor(w), b, 3), mixer))  # noqa: E731
+        f_w = lambda t: N.sum_(N.mul(N.project_heads(N.Tensor(x), t, b, 3), mixer))  # noqa: E731
+        assert N.gradcheck(f_x, N.Tensor(x)) < 1e-5
+        assert N.gradcheck(f_w, N.Tensor(w)) < 1e-5
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_attention(self, rng, which):
+        """Gradient of q, k or v through a causal mask, a padding mask and dropout."""
+        qkv = [rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 5, 4)),
+               rng.normal(size=(2, 5, 4))]
+        valid = np.tril(np.ones((3, 5), bool), k=2) & np.array([1, 1, 1, 1, 0], bool)
+        mixer = rng.normal(size=(2, 3, 8))
+
+        def f(t):
+            args = [N.Tensor(a) for a in qkv]
+            args[which] = t
+            out = N.attention(*args, valid, 0.25, np.random.default_rng(5))
+            return N.sum_(N.mul(out, mixer))
+
+        assert N.gradcheck(f, N.Tensor(qkv[which])) < 1e-5
 
     def test_composites_pass_below_1e5(self, rng):
         d = 6
