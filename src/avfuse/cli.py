@@ -13,6 +13,7 @@ import fcntl
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import fields as dataclass_fields
@@ -198,6 +199,20 @@ def _infer_feature_widths(manifest: data.DatasetManifest) -> tuple[int | None, i
             visual_widths.pop() if visual_widths else None)
 
 
+def _require_visual(manifest: data.DatasetManifest, fusion_mode: str) -> None:
+    """Reject the manifest if ``fusion_mode`` reads visual features and some
+    of its records have none, naming the first few of them."""
+    if not model.mode_uses_visual(fusion_mode):
+        return
+    missing = [rec.id for rec in manifest.records if rec.visual_features is None]
+    if missing:
+        raise ConfigError(
+            f"fusion mode {fusion_mode!r} requires visual features; "
+            f"records without them: {', '.join(missing[:5])}"
+            + ("..." if len(missing) > 5 else "")
+        )
+
+
 def _max_audio_rows(examples) -> int:
     rows = [ex.audio_patches.shape[0] for ex in examples if ex.audio_patches is not None]
     return max(rows, default=0)
@@ -222,16 +237,9 @@ def build_run(resolved: dict):
     audio_w, visual_w = _infer_feature_widths(manifest)
     if model.mode_uses_audio(fusion_mode) and "audio_in_dim" not in model_kw:
         model_kw["audio_in_dim"] = audio_w or data.WAV_PATCH_WIDTH
-    if model.mode_uses_visual(fusion_mode):
-        missing = [rec.id for rec in manifest.records if rec.visual_features is None]
-        if missing:
-            raise ConfigError(
-                f"fusion mode {fusion_mode!r} requires visual features; "
-                f"records without them: {', '.join(missing[:5])}"
-                + ("..." if len(missing) > 5 else "")
-            )
-        if "visual_in_dim" not in model_kw and visual_w is not None:
-            model_kw["visual_in_dim"] = visual_w
+    _require_visual(manifest, fusion_mode)
+    if visual_w is not None and model.mode_uses_visual(fusion_mode):
+        model_kw.setdefault("visual_in_dim", visual_w)
 
     train_kw = dict(resolved.get("train", {}))
     if "seed" in resolved and "seed" not in train_kw:
@@ -298,9 +306,20 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Beam search decodes this many clips of an eval manifest in lockstep.
+_EVAL_CHUNK = 32
+
+
 def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam: int,
                      greedy: bool) -> tuple[dict[str, str], list[float]]:
-    """Candidate captions by id, and the seconds each clip took to decode."""
+    """Candidate captions by id, and the seconds each clip took to decode.
+
+    Greedy decoding runs clip by clip.  Beam search runs chunks of
+    :data:`_EVAL_CHUNK` clips, each encoded alone and then searched in
+    lockstep; every clip of a chunk is booked the chunk's wall time over its
+    clip count.
+    """
+    _require_visual(manifest, ck.config.fusion_mode)
     examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)
     if _max_audio_rows(examples) > ck.config.max_audio_len:
         raise ConfigError(
@@ -308,21 +327,46 @@ def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam:
             f"({ck.config.max_audio_len})"
         )
 
+    mode = ck.config.fusion_mode
+    greedy = greedy or beam == 1
+    chunk_size = 1 if greedy else _EVAL_CHUNK
     candidates, clip_s = {}, []
-    for ex in examples:
+    for first in range(0, len(examples), chunk_size):
+        chunk = examples[first:first + chunk_size]
         start = time.perf_counter()
-        enc = model.encode_modalities(
+        encs = [model.encode_modalities(
             ck.params, ck.config,
-            audio=ex.audio_patches if model.mode_uses_audio(ck.config.fusion_mode) else None,
-            visual=ex.visual if model.mode_uses_visual(ck.config.fusion_mode) else None,
-        )
-        ids = inference.decode_example(ck.params, ck.config, enc, beam=1 if greedy else beam)
-        candidates[ex.id] = " ".join(data.decode_caption(ids, ck.vocab))
-        clip_s.append(time.perf_counter() - start)
+            audio=ex.audio_patches if model.mode_uses_audio(mode) else None,
+            visual=ex.visual if model.mode_uses_visual(mode) else None,
+        ) for ex in chunk]
+        if greedy:
+            decoded = [inference.caption_greedy(ck.params, ck.config, encs[0])]
+        else:
+            decoded = [hyps[0].tokens for hyps in
+                       inference.caption_beam_clips(ck.params, ck.config, encs, beam=beam)]
+        for ex, ids in zip(chunk, decoded):
+            candidates[ex.id] = " ".join(data.decode_caption(ids, ck.vocab))
+        clip_s += [(time.perf_counter() - start) / len(chunk)] * len(chunk)
     return candidates, clip_s
 
 
+def _environment() -> dict:
+    """Where the eval ran: interpreter, numpy, CPUs and BLAS thread settings."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
 def cmd_eval(args) -> int:
+    """Decode the manifest, score it, and print (and with ``--report`` write)
+    the report.
+
+    ``timing`` covers encoding and decoding.  Greedy clips are timed one by
+    one; a beam-search chunk is timed as a whole and each of its clips is
+    booked the chunk's time over its clip count, so ``ms_per_clip_p50`` is
+    the median of those per-clip times.  ``environment`` names the
+    interpreter, numpy, the CPU count and the BLAS thread settings.
+    """
     ck = model.load_checkpoint(args.checkpoint)
     manifest = data.load_manifest(args.manifest)
     candidates, clip_s = _decode_manifest(ck, manifest, beam=args.beam, greedy=args.greedy)
@@ -341,6 +385,7 @@ def cmd_eval(args) -> int:
     payload["timing"] = {"clips": len(clip_s), "decode_s": decode_s,
                          "clips_per_s": len(clip_s) / decode_s,
                          "ms_per_clip_p50": 1000.0 * float(np.median(clip_s))}
+    payload["environment"] = _environment()
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.report:

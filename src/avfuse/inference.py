@@ -1,16 +1,20 @@
 """Auto-regressive caption generation: greedy and beam search.
 
-Greedy decoding drives a per-prefix ``step_fn(prefix) -> log-probs`` and beam
-search a batched ``step_many(prefixes) -> (n, V) log-probs``, so the search
-logic is testable against toy models and exhaustive enumeration.  All
-tie-breaks are deterministic: lowest token id at expansion, lexicographic
-token sequence at ranking.
+Greedy decoding drives a per-prefix ``step_fn(prefix) -> log-probs``.  Beam
+search drives ``step_clips({clip: prefixes}) -> {clip: (n, V) log-probs}``,
+which steps the live hypotheses of several clips at once; its one-clip
+adapters take a batched ``step_many(prefixes) -> (n, V) log-probs`` or a
+per-prefix step function.  So the search logic is testable against toy
+models and exhaustive enumeration.  All tie-breaks are deterministic: lowest
+token id at expansion, lexicographic token sequence at ranking.
 
-:func:`make_batch_step_fn` binds the batched contract to the model: one
-single-position decoder pass steps every live hypothesis, the cross-attention
-keys and values are projected once per clip, and only the decoder state of
-the latest generation is held.  :func:`make_step_fn` and :func:`beam_search`
-are its per-prefix adapters.
+:func:`make_batch_step_fn` binds the batched contract to the model for one
+clip: one single-position decoder pass steps every live hypothesis, the
+cross-attention keys and values are projected once per clip, and only the
+decoder state of the latest generation is held.  :func:`make_step_fn` is its
+per-prefix adapter, which greedy decoding drives.  :func:`make_clips_step_fn`
+does the same for several clips in lockstep, over a (clip, slot) grid of
+hypotheses; beam search drives it, for one clip too.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import ConfigError, DomainError
 
 StepFn = Callable[[Sequence[int]], np.ndarray]
 BatchStepFn = Callable[[Sequence[Sequence[int]]], np.ndarray]
+ClipsStepFn = Callable[[dict[int, list[list[int]]]], dict[int, np.ndarray]]
 
 
 @dataclass
@@ -55,21 +60,24 @@ def greedy_decode(step_fn: StepFn, max_len: int) -> list[int]:
     return tokens
 
 
-def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int) -> list[Hypothesis]:
-    """Standard beam search returning up to ``beam`` ranked hypotheses.
+def beam_search_clips(step_clips: ClipsStepFn, clips: int, beam: int,
+                      max_len: int) -> list[list[Hypothesis]]:
+    """Standard beam search over ``clips`` clips in lockstep, returning up to
+    ``beam`` ranked hypotheses per clip.
 
-    Each step makes one ``step_many`` call over the live hypotheses, and each
-    expands by its top-``beam`` tokens.  Finished candidates (eos emitted)
-    retire straight into a pool and never occupy a beam slot; the
-    top-``beam`` unfinished candidates stay live.  The final ranking merges
-    pool and live frontier.
+    Each step makes one ``step_clips`` call over the live hypotheses of every
+    clip still searching, and each hypothesis expands by its top-``beam``
+    tokens.  Finished candidates (eos emitted) retire straight into the
+    clip's pool and never occupy a beam slot; the clip's top-``beam``
+    unfinished candidates stay live.  The final ranking merges pool and live
+    frontier.
 
-    The search stops early once the top ``beam`` is settled.  Log-probs are
-    <= 0, so no descendant of a live hypothesis ``h`` scores above
-    ``h.logprob / (max_len - 1)``; when the pool's ``beam``-th best score is
-    strictly above that bound for every live ``h``, no later step can change
-    the result.  A step row holding a value > 0 would void the bound and is
-    rejected.
+    A clip stops early once its top ``beam`` is settled, and its hypotheses
+    then leave the calls.  Log-probs are <= 0, so no descendant of a live
+    hypothesis ``h`` scores above ``h.logprob / (max_len - 1)``; when the
+    pool's ``beam``-th best score is strictly above that bound for every
+    live ``h``, no later step can change the result.  A step row holding a
+    value > 0 would void the bound and is rejected.
     """
     if beam < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam}")
@@ -79,35 +87,44 @@ def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int) -> list
     def rank_key(h: Hypothesis):
         return (-h.score(), h.tokens)
 
-    live = [Hypothesis([SOS_ID], 0.0, False)]
-    pool: list[Hypothesis] = []
+    live = {c: [Hypothesis([SOS_ID], 0.0, False)] for c in range(clips)}
+    pools: list[list[Hypothesis]] = [[] for _ in range(clips)]
     for _ in range(max_len - 1):
         if not live:
             break
-        candidates: list[Hypothesis] = []
-        for hyp, logprobs in zip(live, step_many([hyp.tokens for hyp in live])):
-            logprobs = np.asarray(logprobs)
-            if (logprobs > 0).any():
-                raise DomainError(f"step log-probs must be <= 0, got max {logprobs.max()}")
-            top = np.argsort(-logprobs, kind="stable")[:beam]  # stable: ties -> lowest id
-            for tok in top.tolist():
-                candidates.append(Hypothesis(
-                    tokens=hyp.tokens + [tok],
-                    logprob=hyp.logprob + float(logprobs[tok]),
-                    finished=tok == EOS_ID,
-                ))
-        candidates.sort(key=rank_key)
-        live = []
-        for cand in candidates:
-            if cand.finished:
-                pool.append(cand)
-            elif len(live) < beam:
-                live.append(cand)
-        if len(pool) >= beam:
+        rows = step_clips({c: [hyp.tokens for hyp in hyps] for c, hyps in live.items()})
+        for c, hyps in list(live.items()):
+            candidates: list[Hypothesis] = []
+            for hyp, logprobs in zip(hyps, rows[c]):
+                logprobs = np.asarray(logprobs)
+                if (logprobs > 0).any():
+                    raise DomainError(f"step log-probs must be <= 0, got max {logprobs.max()}")
+                top = np.argsort(-logprobs, kind="stable")[:beam]  # stable: ties -> lowest id
+                for tok in top.tolist():
+                    candidates.append(Hypothesis(
+                        tokens=hyp.tokens + [tok],
+                        logprob=hyp.logprob + float(logprobs[tok]),
+                        finished=tok == EOS_ID,
+                    ))
+            candidates.sort(key=rank_key)
+            pool, kept = pools[c], []
+            for cand in candidates:
+                if cand.finished:
+                    pool.append(cand)
+                elif len(kept) < beam:
+                    kept.append(cand)
             pool.sort(key=rank_key)
-            if not live or pool[beam - 1].score() > max(h.logprob for h in live) / (max_len - 1):
-                return pool[:beam]
-    return sorted(pool + live, key=rank_key)[:beam]
+            if not kept or (len(pool) >= beam and pool[beam - 1].score()
+                            > max(h.logprob for h in kept) / (max_len - 1)):
+                del live[c]
+            else:
+                live[c] = kept
+    return [sorted(pool + live.get(c, []), key=rank_key)[:beam] for c, pool in enumerate(pools)]
+
+
+def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int) -> list[Hypothesis]:
+    """:func:`beam_search_clips` for one clip, over a batched step function."""
+    return beam_search_clips(lambda live: {0: step_many(live[0])}, 1, beam, max_len)[0]
 
 
 def beam_search(step_fn: StepFn, beam: int, max_len: int) -> list[Hypothesis]:
@@ -159,13 +176,65 @@ def make_step_fn(params: model.ModelParams, config: model.ModelConfig,
     return lambda prefix: step_many([prefix])[0]
 
 
+def make_clips_step_fn(params: model.ModelParams, config: model.ModelConfig,
+                       encs: Sequence[model.EncodedModalities]) -> ClipsStepFn:
+    """Incremental step function for several clips in lockstep:
+    ``step_clips({clip: prefixes})`` gives each listed clip's (n, V)
+    next-token log-probs after its n prefixes, all of one length.
+
+    The clips' features are stacked by :func:`model.stack_clips`, so the
+    cross-attention keys and values are projected once per clip, and one
+    decoder pass over a (clips, slots, L) grid steps every listed clip.  A
+    clip with fewer prefixes than the widest fills its spare slots with its
+    first row, whose outputs are dropped.  Only the previous call's
+    :class:`model.DecoderState` and the slot of each of its prefixes are
+    held.  When every prefix extends one of them, a call gathers the
+    parents' slots of the listed clips and decodes the last tokens (L = 1);
+    else it decodes every position from the empty state.
+    """
+    chunk = model.stack_clips(list(encs))
+    empty = model.init_decoder_state(params, config, chunk)
+    held, held_clips, held_rows = empty, [], {}
+
+    def step_clips(live: dict[int, list[list[int]]]) -> dict[int, np.ndarray]:
+        nonlocal held, held_clips, held_rows
+        keys = {c: [tuple(int(t) for t in p) for p in prefixes] for c, prefixes in live.items()}
+        lengths = [len(k) for ks in keys.values() for k in ks]
+        if not all(keys.values()) or len(set(lengths)) != 1:
+            raise DomainError(f"prefixes must share one length, got {lengths}")
+        parents = [[held_rows.get((c, k[:-1])) for k in ks] for c, ks in keys.items()]
+        if any(None in p for p in parents):
+            state, clips, ids = empty, list(keys), list(keys.values())
+            parents = [[0] * len(p) for p in parents]
+        else:
+            state, clips = held, [held_clips.index(c) for c in keys]
+            ids = [[k[-1:] for k in ks] for ks in keys.values()]
+        width = max(map(len, parents))
+        pad = lambda row: row + row[:1] * (width - len(row))  # noqa: E731
+        state = model.gather_state(state, [pad(p) for p in parents], clips=clips)
+        logits, held = model.decode_logits(params, config, chunk,
+                                           np.asarray([pad(i) for i in ids], dtype=np.int64),
+                                           state=state)
+        held_clips = list(keys)
+        held_rows = {(c, k): i for c, ks in keys.items() for i, k in enumerate(ks)}
+        logprobs = N.log_softmax_lastdim(logits.data[:, :, -1]).data
+        return {c: logprobs[j, :len(ks)] for j, (c, ks) in enumerate(keys.items())}
+
+    return step_clips
+
+
 def caption_greedy(params, config, enc) -> list[int]:
     return greedy_decode(make_step_fn(params, config, enc), config.max_caption_len)
 
 
+def caption_beam_clips(params, config, encs, beam: int = 3) -> list[list[Hypothesis]]:
+    """Beam search over the encoded clips ``encs`` in lockstep."""
+    return beam_search_clips(make_clips_step_fn(params, config, encs), len(encs), beam,
+                             config.max_caption_len)
+
+
 def caption_beam(params, config, enc, beam: int = 3) -> list[Hypothesis]:
-    return beam_search_batched(make_batch_step_fn(params, config, enc), beam,
-                               config.max_caption_len)
+    return caption_beam_clips(params, config, [enc], beam=beam)[0]
 
 
 def decode_example(params, config, enc, beam: int = 3) -> list[int]:
@@ -173,4 +242,3 @@ def decode_example(params, config, enc, beam: int = 3) -> list[int]:
     if beam == 1:
         return caption_greedy(params, config, enc)
     return caption_beam(params, config, enc, beam=beam)[0].tokens
-

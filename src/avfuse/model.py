@@ -415,6 +415,50 @@ def encode_modalities(params, config, audio=None, visual=None,
     return enc
 
 
+def pad_stack(mats: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stack (T_i, width) rows into (n, T_max, width), zero-padded at the end,
+    with the (n, T_max) mask of valid rows, or None when nothing is padded."""
+    lengths = [m.shape[0] for m in mats]
+    t_max = max(lengths)
+    out = np.zeros((len(mats), t_max, width))
+    for i, m in enumerate(mats):
+        if m.shape[1] != width:
+            raise ConfigError(f"feature width {m.shape[1]} != configured {width}")
+        out[i, : m.shape[0]] = m
+    if all(l == t_max for l in lengths):
+        return out, None
+    mask = np.zeros((len(mats), t_max), dtype=bool)
+    for i, l in enumerate(lengths):
+        mask[i, :l] = True
+    return out, mask
+
+
+def stack_clips(encs: list[EncodedModalities]) -> EncodedModalities:
+    """The encoded features of several clips as one :class:`EncodedModalities`.
+
+    Each side is padded by :func:`pad_stack` to (clips, 1, T_max, d), and
+    its mask, (clips, 1, T_max), also keeps out the rows a clip's own mask
+    excludes.  The axis of one broadcasts over a clip's hypotheses, so the
+    decoder state built from the result holds each clip's cross-attention
+    keys and values once (see :class:`DecoderState`).
+    """
+    chunk = EncodedModalities()
+    for side in ("audio", "visual"):
+        feats = [getattr(enc, side) for enc in encs]
+        if feats[0] is None:
+            continue
+        rows, mask = pad_stack([f.data for f in feats], feats[0].shape[-1])
+        own = [getattr(enc, side + "_mask") for enc in encs]
+        if any(m is not None for m in own):
+            mask = np.ones(rows.shape[:2], dtype=bool) if mask is None else mask
+            for i, m in enumerate(own):
+                if m is not None:
+                    mask[i, :len(m)] &= np.asarray(m, dtype=bool)
+        setattr(chunk, side, Tensor(rows[:, None]))
+        setattr(chunk, side + "_mask", None if mask is None else mask[:, None])
+    return chunk
+
+
 def decoder_self_attend(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
                         past_kv: tuple[Tensor, Tensor], rng=None):
     """Causal self-attention with residual over the token stream.
@@ -484,9 +528,15 @@ class BlockCache:
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Where decoding of one clip stands: ``length`` positions decoded for
-    each hypothesis, with one :class:`BlockCache` per decoder block whose
-    self-attention (k, v) lead with the hypothesis axis."""
+    """Where decoding stands: ``length`` positions decoded for each
+    hypothesis, with one :class:`BlockCache` per decoder block.
+
+    For one clip, the self-attention (k, v) lead with the hypothesis axis.
+    For the features of several clips (:func:`stack_clips`), hypotheses sit
+    in a (clip, slot) grid: the self-attention (k, v) lead with both axes,
+    and the cross-attention (k, v) and masks, held once per clip, lead with
+    the clip axis and a slot axis of one that broadcasts over the slots.
+    """
 
     length: int
     blocks: tuple[BlockCache, ...]
@@ -516,14 +566,39 @@ def init_decoder_state(params: ModelParams, config: ModelConfig,
     return DecoderState(length=0, blocks=tuple(blocks))
 
 
-def gather_state(state: DecoderState, rows) -> DecoderState:
-    """``state`` with hypothesis i continuing its hypothesis ``rows[i]``: the
-    self-attention keys and values are copied unless ``rows`` is the identity,
-    and the cross-attention caches are shared."""
-    if list(rows) == list(range(len(state.blocks[0].self_kv[0].data))):
+def gather_state(state: DecoderState, rows, clips=None) -> DecoderState:
+    """``state`` with hypothesis i continuing its hypothesis ``rows[i]``.
+
+    For a state of several clips, ``clips`` lists the clips that stay, in
+    order, and ``rows[j]`` the parent slots of clip ``clips[j]``, one list
+    length for every clip; the cross-attention caches are gathered along
+    their clip axis, once per clip.  Self-attention keys and values are
+    copied unless the gather is the identity or they hold no position yet,
+    and the cross-attention caches are shared unless a clip leaves.
+    """
+    self_kv = state.blocks[0].self_kv[0].data
+    if clips is None:
+        index, keep_cross = list(rows), True
+        keep_self = index == list(range(len(self_kv)))
+    else:
+        index = (np.asarray(clips)[:, None], np.asarray(rows))
+        held = next(side for side in state.blocks[0].cross if side)[0][0].shape[0]
+        keep_cross = list(clips) == list(range(held))
+        keep_self = keep_cross and all(list(r) == list(range(self_kv.shape[1])) for r in rows)
+    keep_self = keep_self or state.length == 0
+    if keep_self and keep_cross:
         return state
+
+    def side_of(side):
+        if side is None:
+            return None
+        (k, v), mask = side
+        return (Tensor(k.data[clips]), Tensor(v.data[clips])), None if mask is None else mask[clips]
+
     return DecoderState(state.length, tuple(
-        BlockCache(tuple(Tensor(t.data[rows]) for t in blk.self_kv), blk.cross)
+        BlockCache(
+            blk.self_kv if keep_self else tuple(Tensor(t.data[index]) for t in blk.self_kv),
+            blk.cross if keep_cross else tuple(side_of(side) for side in blk.cross))
         for blk in state.blocks
     ))
 
@@ -573,10 +648,11 @@ def decode_logits(params: ModelParams, config: ModelConfig, enc: EncodedModaliti
     ``state`` it starts from :func:`init_decoder_state`: ``tokens`` is the
     whole prefix, (L,) for one prefix or (B, L) for a batch, and the result
     is the logits (teacher forcing).  With a state of n hypotheses,
-    ``tokens`` are (n, L): row i holds hypothesis i's positions after
-    ``state.length``, and the extended state is appended to the result, as
-    in (logits, state).  With ``collect_traces`` the traces, one per decoder
-    block, follow the logits, as in (logits, traces).
+    ``tokens`` are (n, L), or (clips, slots, L) for a state of several clips:
+    row i holds hypothesis i's positions after ``state.length``, and the
+    extended state is appended to the result, as in (logits, state).  With
+    ``collect_traces`` the traces, one per decoder block, follow the logits,
+    as in (logits, traces).
     """
     ids = np.asarray(tokens, dtype=np.int64)
     L = ids.shape[-1]

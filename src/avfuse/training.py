@@ -183,7 +183,7 @@ def collate(examples: list[PreparedExample], config: model.ModelConfig,
                 if ex.audio_patches is None:
                     raise ConfigError(f"example {ex.id!r} has no audio input")
                 mats.append(ex.audio_patches)
-        batch.audio, batch.audio_mask = _pad_stack(mats, config.audio_in_dim)
+        batch.audio, batch.audio_mask = model.pad_stack(mats, config.audio_in_dim)
     if uses_visual:
         for ex in examples:
             if ex.visual is None:
@@ -191,26 +191,10 @@ def collate(examples: list[PreparedExample], config: model.ModelConfig,
                     f"fusion mode {config.fusion_mode!r} needs visual features, "
                     f"but example {ex.id!r} has none"
                 )
-        batch.visual, batch.visual_mask = _pad_stack(
+        batch.visual, batch.visual_mask = model.pad_stack(
             [ex.visual for ex in examples], config.visual_in_dim
         )
     return batch, targets
-
-
-def _pad_stack(mats: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray | None]:
-    lengths = [m.shape[0] for m in mats]
-    t_max = max(lengths)
-    out = np.zeros((len(mats), t_max, width))
-    for i, m in enumerate(mats):
-        if m.shape[1] != width:
-            raise ConfigError(f"feature width {m.shape[1]} != configured {width}")
-        out[i, : m.shape[0]] = m
-    if all(l == t_max for l in lengths):
-        return out, None
-    mask = np.zeros((len(mats), t_max), dtype=bool)
-    for i, l in enumerate(lengths):
-        mask[i, :l] = True
-    return out, mask
 
 
 # ---------------------------------------------------------------------------

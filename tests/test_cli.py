@@ -1,11 +1,12 @@
 import fcntl
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
 
-from avfuse import cli, data, frontend, model
+from avfuse import cli, data, frontend, inference, model
 from avfuse.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _DirLock, main
 from avfuse.errors import ValidationError
 
@@ -31,6 +32,37 @@ def tone_manifest(directory):
     path = directory / "m.jsonl"
     path.write_text(json.dumps({"id": "w", "audio": "tone.wav", "captions": ["a tone"]}) + "\n")
     return path
+
+
+def ragged_manifest(directory, clips=8, visual=True):
+    """``clips`` records with unequal audio and visual lengths and three captions."""
+    rng = np.random.default_rng(5)
+    words = ("a dog barks", "a car passes", "rain falls")
+    lines = []
+    for i in range(clips):
+        rec = {"id": f"c{i}", "audio": f"a{i}.avf", "captions": [words[i % 3]]}
+        data.write_feature_file(directory / rec["audio"],
+                                rng.normal(size=(3 + i % 4, 8)).astype(np.float32))
+        if visual:
+            rec["visual_features"] = f"v{i}.avf"
+            data.write_feature_file(directory / rec["visual_features"],
+                                    rng.normal(size=(1 + i % 3, 8)).astype(np.float32))
+        lines.append(json.dumps(rec))
+    path = directory / "ragged.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def peaked_checkpoint(path, manifest_path, mode="concatenate"):
+    """A desk model whose weights are 7x the init scale, so captions vary by clip."""
+    vocab = data.build_vocabulary_from_manifest(data.load_manifest(manifest_path))
+    config = model.ModelConfig(vocab_size=len(vocab), d=16, heads=2, encoder_blocks=1,
+                               decoder_blocks=2, fusion_mode=mode, max_caption_len=8,
+                               audio_in_dim=8, visual_in_dim=8, max_audio_len=8, dropout=0.0)
+    params = model.init_params(config, seed=3)
+    for _, tensor in model.named_parameters(params):
+        tensor.data = tensor.data * 7.0
+    model.save_checkpoint(path, params, config, vocab)
 
 
 def synth_args(out, classes=2, pairs=1, per_class=4, seed=0):
@@ -251,12 +283,59 @@ class TestEvalInfer:
 
     def test_report_times_the_decode_loop(self, trained, dataset, tmp_path):
         report_path = tmp_path / "rep.json"
-        assert run(["eval", "--checkpoint", trained, "--manifest", dataset / "eval.jsonl",
-                    "--greedy", "--report", report_path]) == EXIT_OK
-        timing = json.loads(report_path.read_text())["timing"]
-        assert set(timing) == {"clips", "decode_s", "clips_per_s", "ms_per_clip_p50"}
-        assert timing["clips"] == len(data.load_manifest(dataset / "eval.jsonl").records)
-        assert all(value > 0 for value in timing.values())
+        for flags in (["--greedy"], ["--beam", 3]):
+            assert run(["eval", "--checkpoint", trained, "--manifest", dataset / "eval.jsonl",
+                        "--report", report_path] + flags) == EXIT_OK
+            timing = json.loads(report_path.read_text())["timing"]
+            assert set(timing) == {"clips", "decode_s", "clips_per_s", "ms_per_clip_p50"}
+            assert timing["clips"] == len(data.load_manifest(dataset / "eval.jsonl").records)
+            assert all(value > 0 for value in timing.values())
+
+    def test_report_names_its_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)
+        report_path = tmp_path / "rep.json"
+        assert run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                    "--report", report_path]) == EXIT_OK
+        env = json.loads(report_path.read_text())["environment"]
+        assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                       "cpu_count": os.cpu_count(), "OPENBLAS_NUM_THREADS": None,
+                       "OMP_NUM_THREADS": "1"}
+
+    @pytest.mark.parametrize("mode", ["concatenate", "adaava_video"])
+    def test_chunked_beam_candidates_equal_per_clip_decoding(self, tmp_path, monkeypatch, mode):
+        """3-clip chunks over 8 ragged clips: a chunk boundary and a short last chunk."""
+        manifest_path = ragged_manifest(tmp_path)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path, mode)
+        monkeypatch.setattr(cli, "_EVAL_CHUNK", 3)
+        out = tmp_path / "cands.jsonl"
+        assert run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                    "--beam", 3, "--candidates-out", out]) == EXIT_OK
+        ck = model.load_checkpoint(tmp_path / "m.avck")
+        manifest = data.load_manifest(manifest_path)
+        lines, captions = [], set()
+        for ex in data.load_examples(manifest, ck.vocab, ck.config.max_caption_len):
+            enc = model.encode_modalities(ck.params, ck.config, audio=ex.audio_patches,
+                                          visual=ex.visual)
+            ids = inference.decode_example(ck.params, ck.config, enc, beam=3)
+            caption = " ".join(data.decode_caption(ids, ck.vocab))
+            captions.add(caption)
+            lines.append(json.dumps({"id": ex.id, "caption": caption}, sort_keys=True) + "\n")
+        assert len(captions) > 1
+        assert out.read_bytes() == "".join(lines).encode("utf-8")
+
+    def test_eval_rejects_records_without_visual_features_first(self, tmp_path, capsys):
+        manifest_path = ragged_manifest(tmp_path, visual=False)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)  # reads visual features
+        out = tmp_path / "cands.jsonl"
+        rc = run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                  "--candidates-out", out])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "concatenate" in err and "c0" in err
+        assert not out.exists()
 
     def test_report_contains_all_six_metrics(self, trained, dataset, tmp_path, capsys):
         report_path = tmp_path / "rep.json"

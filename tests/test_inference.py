@@ -380,3 +380,181 @@ def test_dropped_step_fn_frees_its_cache(monkeypatch):
         assert cached[-1]() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# lockstep beam search over several clips
+# ---------------------------------------------------------------------------
+
+# (audio rows, visual rows) per clip: unequal on both sides, so the chunk's
+# padding masks are real
+CHUNK_LENGTHS = [(6, 3), (4, 2), (9, 5), (2, 1), (5, 4), (3, 2)]
+
+
+def chunk(mode, lengths=CHUNK_LENGTHS, seed=1):
+    """``clip``'s model with one encoded clip per (audio, visual) length pair.
+
+    With seed 1, clips of one chunk stop at different steps in 4 of the 5
+    fusion modes."""
+    cfg, params, _ = clip(mode, masked=False, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    encs = [M.encode_modalities(params, cfg, audio=rng.normal(size=(t_a, cfg.audio_in_dim)),
+                                visual=rng.normal(size=(t_v, cfg.visual_in_dim)))
+            for t_a, t_v in lengths]
+    return cfg, params, encs
+
+
+def counted_decode_logits(monkeypatch):
+    """Count ``model.decode_logits`` calls in the returned list's length and
+    record each call's decoder state."""
+    calls = []
+    decode_logits = M.decode_logits
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("state"))
+        return decode_logits(*args, **kwargs)
+
+    monkeypatch.setattr(M, "decode_logits", recording)
+    return calls
+
+
+def assert_same_search(got, ref, case):
+    assert [h.tokens for h in got] == [h.tokens for h in ref], case
+    assert [h.finished for h in got] == [h.finished for h in ref], case
+    np.testing.assert_allclose([h.logprob for h in got], [h.logprob for h in ref],
+                               rtol=0, atol=1e-12, err_msg=case)
+
+
+class TestClipsSearch:
+    def test_toy_clips_equal_their_own_searches(self):
+        """Clips searched in lockstep rank as they do alone, and each step
+        lists exactly the clips whose own search has not stopped yet."""
+        for family in sorted(TOY_FAMILIES):
+            steps = [TOY_FAMILIES[family](seed) for seed in range(12)]
+            for beam in (1, 2, 3):
+                listed = []
+
+                def step_clips(live):
+                    listed.append(sorted(live))
+                    return {c: [steps[c](p) for p in prefixes] for c, prefixes in live.items()}
+
+                got = I.beam_search_clips(step_clips, len(steps), beam, 8)
+                own_calls = []
+                for c, step in enumerate(steps):
+                    own = counted(batched(step))
+                    assert_same_search(got[c], beam_search_no_stop(batched(step), beam, 8),
+                                       f"{family}, clip {c}, beam {beam}")
+                    assert_same_search(got[c], I.beam_search_batched(own, beam, 8), family)
+                    own_calls.append(own.calls)
+                assert len(listed) == max(own_calls)
+                for t, clips in enumerate(listed):
+                    assert clips == [c for c, n in enumerate(own_calls) if n > t]
+
+    @pytest.mark.parametrize("mode", M.FUSION_MODES)
+    def test_model_chunk_equals_per_clip_decoding(self, mode):
+        cfg, params, encs = chunk(mode)
+        got = I.caption_beam_clips(params, cfg, encs, beam=3)
+        assert len(got) == len(encs)
+        for c, enc in enumerate(encs):
+            alone = I.caption_beam(params, cfg, enc, beam=3)
+            # the plain decoder: full-prefix decode of one clip, no early stop
+            no_stop = beam_search_no_stop(batched(full_prefix_step_fn(params, cfg, enc)), 3,
+                                          cfg.max_caption_len)
+            assert_same_search(got[c], alone, f"{mode}, clip {c}")
+            assert_same_search(got[c], no_stop, f"{mode}, clip {c}")
+
+    def test_clips_stop_at_different_steps(self, monkeypatch):
+        """The chunk makes as many decoder calls as its slowest clip alone,
+        while its other clips stop earlier."""
+        cfg, params, encs = chunk("adaava_video")
+        calls = counted_decode_logits(monkeypatch)
+        own = []
+        for enc in encs:
+            calls.clear()
+            I.caption_beam(params, cfg, enc, beam=3)
+            own.append(len(calls))
+        assert len(set(own)) > 1, own
+        calls.clear()
+        I.caption_beam_clips(params, cfg, encs, beam=3)
+        assert len(calls) == max(own)
+        # a clip leaves the decoder state once its search has stopped
+        live = [state.blocks[0].self_kv[0].shape[0] for state in calls[1:]]
+        assert live == [sum(n > t for n in own) for t in range(1, max(own))]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_single_clip_chunk(self, masked):
+        cfg, params, enc = clip("concatenate", masked=masked, seed=1)
+        (got,) = I.caption_beam_clips(params, cfg, [enc], beam=3)
+        ref = beam_search_no_stop(batched(full_prefix_step_fn(params, cfg, enc)), 3,
+                                  cfg.max_caption_len)
+        assert_same_search(got, ref, f"masked={masked}")
+
+    def test_cross_kv_held_once_per_clip(self, monkeypatch):
+        cfg, params, encs = chunk("adaava_video")
+        calls = counted_decode_logits(monkeypatch)
+        I.caption_beam_clips(params, cfg, encs, beam=3)
+        heads, width = cfg.heads, cfg.d // cfg.heads
+        for state in calls:
+            clips = state.blocks[0].self_kv[0].shape[0] if state.length else len(encs)
+            for blk in state.blocks:
+                (audio_k, audio_v), audio_mask = blk.cross[0]
+                (video_k, video_v), video_mask = blk.cross[1]
+                assert audio_k.shape == audio_v.shape == (clips, 1, heads, 9, width)
+                assert video_k.shape == video_v.shape == (clips, 1, heads, 5, width)
+                assert audio_mask.shape == (clips, 1, 9) and video_mask.shape == (clips, 1, 5)
+
+    def test_stack_clips_pads_and_keeps_own_masks(self):
+        cfg, params, encs = chunk("concatenate", lengths=[(3, 2), (5, 1)])
+        encs[1].audio_mask = np.array([1, 0, 1, 1, 1], bool)
+        stacked = M.stack_clips(encs)
+        assert stacked.audio.shape == (2, 1, 5, cfg.d)
+        np.testing.assert_array_equal(stacked.audio.data[0, 0, :3], encs[0].audio.data)
+        np.testing.assert_array_equal(stacked.audio.data[0, 0, 3:], 0.0)
+        np.testing.assert_array_equal(stacked.audio_mask[:, 0],
+                                      [[1, 1, 1, 0, 0], [1, 0, 1, 1, 1]])
+        np.testing.assert_array_equal(stacked.visual_mask[:, 0], [[1, 1], [1, 0]])
+
+    def test_step_rows_match_full_prefix_decode(self):
+        """Rows of held and of unheld prefixes, over ragged slot counts and
+        a clip that left the state and comes back, equal full-prefix decode."""
+        cfg, params, encs = chunk("concatenate", lengths=[(3, 1), (6, 2), (4, 3)])
+        step_clips = I.make_clips_step_fn(params, cfg, encs)
+        for live in ({0: [[SOS_ID]], 1: [[SOS_ID]], 2: [[SOS_ID]]},
+                     {0: [[SOS_ID, 3], [SOS_ID, 4]], 2: [[SOS_ID, 5]]},
+                     {0: [[SOS_ID, 4, 6]], 2: [[SOS_ID, 5, 1], [SOS_ID, 5, 2], [SOS_ID, 5, 3]]},
+                     {1: [[SOS_ID, 7, 2, 3]], 2: [[SOS_ID, 5, 2, 8]]},
+                     {0: [[SOS_ID, 3, 3, 3, 3]], 2: [[SOS_ID, 5, 2, 8, 9]]}):
+            rows = step_clips(live)
+            assert sorted(rows) == sorted(live)
+            for c, prefixes in live.items():
+                assert rows[c].shape == (len(prefixes), cfg.vocab_size)
+                for prefix, row in zip(prefixes, rows[c]):
+                    ref = full_prefix_log_probs(params, cfg, encs[c], prefix)[-1]
+                    np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+        with pytest.raises(DomainError):
+            step_clips({0: [[SOS_ID, 3]], 1: [[SOS_ID, 3, 4]]})
+        with pytest.raises(DomainError):
+            step_clips({0: [[SOS_ID, 3], [SOS_ID, 4, 5]]})
+        with pytest.raises(DomainError):
+            step_clips({0: []})
+
+
+def test_gather_state_drops_clips_along_the_clip_axis():
+    cfg, params, encs = chunk("adaava_audio", lengths=[(3, 2), (5, 1), (4, 2)])
+    state = M.init_decoder_state(params, cfg, M.stack_clips(encs))
+    _, state = M.decode_logits(params, cfg, None, np.array([[[SOS_ID]]] * 3), state=state)
+    _, state = M.decode_logits(params, cfg, None, np.array([[[3], [4]]] * 3),
+                               state=M.gather_state(state, [[0, 0]] * 3, clips=[0, 1, 2]))
+    assert M.gather_state(state, [[0, 1]] * 3, clips=[0, 1, 2]) is state
+    moved = M.gather_state(state, [[1, 1, 0], [0, 0, 0]], clips=[2, 0])
+    for old, new in zip(state.blocks, moved.blocks):
+        for old_t, new_t in zip(old.self_kv, new.self_kv):
+            np.testing.assert_array_equal(new_t.data,
+                                          old_t.data[[[2], [0]], [[1, 1, 0], [0, 0, 0]]])
+        for old_side, new_side in zip(old.cross, new.cross):
+            for old_t, new_t in zip(old_side[0], new_side[0]):
+                np.testing.assert_array_equal(new_t.data, old_t.data[[2, 0]])
+            np.testing.assert_array_equal(new_side[1], old_side[1][[2, 0]])
+    # no clip leaves: the cross caches are shared
+    kept = M.gather_state(state, [[1, 0]] * 3, clips=[0, 1, 2])
+    assert all(new.cross is old.cross for old, new in zip(state.blocks, kept.blocks))
