@@ -310,6 +310,13 @@ def cmd_train(args) -> int:
 _EVAL_CHUNK = 32
 
 
+def _check_audio_rows(rows: int, config: model.ModelConfig) -> None:
+    """Reject audio of more patch rows than the checkpoint's positional table."""
+    if rows > config.max_audio_len:
+        raise ConfigError(f"audio of {rows} patches exceeds the checkpoint's positional table "
+                          f"({config.max_audio_len})")
+
+
 def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam: int,
                      greedy: bool) -> tuple[dict[str, str], list[float]]:
     """Candidate captions by id, and the seconds each clip took to decode.
@@ -321,11 +328,7 @@ def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam:
     """
     _require_visual(manifest, ck.config.fusion_mode)
     examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)
-    if _max_audio_rows(examples) > ck.config.max_audio_len:
-        raise ConfigError(
-            f"audio sequences exceed the checkpoint's positional table "
-            f"({ck.config.max_audio_len})"
-        )
+    _check_audio_rows(_max_audio_rows(examples), ck.config)
 
     mode = ck.config.fusion_mode
     greedy = greedy or beam == 1
@@ -363,8 +366,9 @@ def cmd_eval(args) -> int:
 
     ``timing`` covers encoding and decoding.  Greedy clips are timed one by
     one; a beam-search chunk is timed as a whole and each of its clips is
-    booked the chunk's time over its clip count, so ``ms_per_clip_p50`` is
-    the median of those per-clip times.  ``environment`` names the
+    booked the chunk's time over its clip count, so ``ms_per_clip_p50`` and
+    ``ms_per_clip_p95`` are the median and the 95th percentile of those
+    per-clip times.  ``environment`` names the
     interpreter, numpy, the CPU count and the BLAS thread settings.
     """
     ck = model.load_checkpoint(args.checkpoint)
@@ -384,7 +388,8 @@ def cmd_eval(args) -> int:
     decode_s = sum(clip_s)  # evaluate() has rejected an empty manifest
     payload["timing"] = {"clips": len(clip_s), "decode_s": decode_s,
                          "clips_per_s": len(clip_s) / decode_s,
-                         "ms_per_clip_p50": 1000.0 * float(np.median(clip_s))}
+                         "ms_per_clip_p50": 1000.0 * float(np.median(clip_s)),
+                         "ms_per_clip_p95": 1000.0 * float(np.percentile(clip_s, 95))}
     payload["environment"] = _environment()
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -399,6 +404,7 @@ def cmd_infer(args) -> int:
     audio = None
     if model.mode_uses_audio(config.fusion_mode):
         audio, _ = data.load_audio_input(args.audio)
+        _check_audio_rows(audio.shape[0], config)
     visual = None
     if model.mode_uses_visual(config.fusion_mode):
         if not args.visual:

@@ -3,18 +3,18 @@
 Greedy decoding drives a per-prefix ``step_fn(prefix) -> log-probs``.  Beam
 search drives ``step_clips({clip: prefixes}) -> {clip: (n, V) log-probs}``,
 which steps the live hypotheses of several clips at once; its one-clip
-adapters take a batched ``step_many(prefixes) -> (n, V) log-probs`` or a
-per-prefix step function.  So the search logic is testable against toy
-models and exhaustive enumeration.  All tie-breaks are deterministic: lowest
-token id at expansion, lexicographic token sequence at ranking.
+adapter takes a per-prefix step function.  So the search logic is testable
+against toy models and exhaustive enumeration.  All tie-breaks are
+deterministic: lowest token id at expansion, lexicographic token sequence at
+ranking.
 
-:func:`make_batch_step_fn` binds the batched contract to the model for one
-clip: one single-position decoder pass steps every live hypothesis, the
-cross-attention keys and values are projected once per clip, and only the
-decoder state of the latest generation is held.  :func:`make_step_fn` is its
-per-prefix adapter, which greedy decoding drives.  :func:`make_clips_step_fn`
-does the same for several clips in lockstep, over a (clip, slot) grid of
-hypotheses; beam search drives it, for one clip too.
+:func:`make_clips_step_fn` binds the ``step_clips`` contract to the model:
+one single-position decoder pass over a (clip, slot) grid steps every live
+hypothesis of every listed clip, the cross-attention keys and values are
+projected once per clip, and only the decoder state of the latest
+generation is held.  Beam search drives it for one clip or several;
+:func:`make_step_fn` is its adapter for one clip and one prefix at a time,
+which greedy decoding drives.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .data import EOS_ID, SOS_ID
 from .errors import ConfigError, DomainError
 
 StepFn = Callable[[Sequence[int]], np.ndarray]
-BatchStepFn = Callable[[Sequence[Sequence[int]]], np.ndarray]
 ClipsStepFn = Callable[[dict[int, list[list[int]]]], dict[int, np.ndarray]]
 
 
@@ -122,58 +121,15 @@ def beam_search_clips(step_clips: ClipsStepFn, clips: int, beam: int,
     return [sorted(pool + live.get(c, []), key=rank_key)[:beam] for c, pool in enumerate(pools)]
 
 
-def beam_search_batched(step_many: BatchStepFn, beam: int, max_len: int) -> list[Hypothesis]:
-    """:func:`beam_search_clips` for one clip, over a batched step function."""
-    return beam_search_clips(lambda live: {0: step_many(live[0])}, 1, beam, max_len)[0]
-
-
 def beam_search(step_fn: StepFn, beam: int, max_len: int) -> list[Hypothesis]:
-    """:func:`beam_search_batched` over a per-prefix step function."""
-    return beam_search_batched(lambda prefixes: [step_fn(p) for p in prefixes], beam, max_len)
+    """:func:`beam_search_clips` for one clip, over a per-prefix step function."""
+    return beam_search_clips(lambda live: {0: [step_fn(p) for p in live[0]]}, 1, beam,
+                             max_len)[0]
 
 
 # ---------------------------------------------------------------------------
 # model-bound decoding
 # ---------------------------------------------------------------------------
-
-
-def make_batch_step_fn(params: model.ModelParams, config: model.ModelConfig,
-                       enc: model.EncodedModalities) -> BatchStepFn:
-    """Batched incremental step function for one clip: ``step_many(prefixes)``
-    gives the (n, V) next-token log-probs after n prefixes of one length.
-
-    Holds the previous call's :class:`model.DecoderState` and the row of each
-    of its prefixes.  When every prefix extends one of them, a call gathers
-    the parents' rows and decodes the last tokens in one (n, 1) pass; else it
-    decodes every position from the empty state in one (n, L) pass.
-    """
-    empty = model.init_decoder_state(params, config, enc)
-    held, held_rows = empty, {}
-
-    def step_many(prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        nonlocal held, held_rows
-        keys = [tuple(int(t) for t in p) for p in prefixes]
-        if not keys or any(len(k) != len(keys[0]) for k in keys):
-            raise DomainError(f"prefixes must share one length, got {[len(k) for k in keys]}")
-        parents = [held_rows.get(k[:-1]) for k in keys]
-        if None in parents:
-            state, parents, ids = empty, [0] * len(keys), keys
-        else:
-            state, ids = held, [k[-1:] for k in keys]
-        state = model.gather_state(state, parents)
-        logits, held = model.decode_logits(params, config, enc, np.asarray(ids, dtype=np.int64),
-                                           state=state)
-        held_rows = {k: i for i, k in enumerate(keys)}
-        return N.log_softmax_lastdim(logits.data[:, -1]).data
-
-    return step_many
-
-
-def make_step_fn(params: model.ModelParams, config: model.ModelConfig,
-                 enc: model.EncodedModalities) -> StepFn:
-    """:func:`make_batch_step_fn` for one prefix at a time."""
-    step_many = make_batch_step_fn(params, config, enc)
-    return lambda prefix: step_many([prefix])[0]
 
 
 def make_clips_step_fn(params: model.ModelParams, config: model.ModelConfig,
@@ -198,18 +154,18 @@ def make_clips_step_fn(params: model.ModelParams, config: model.ModelConfig,
 
     def step_clips(live: dict[int, list[list[int]]]) -> dict[int, np.ndarray]:
         nonlocal held, held_clips, held_rows
-        keys = {c: [tuple(int(t) for t in p) for p in prefixes] for c, prefixes in live.items()}
-        lengths = [len(k) for ks in keys.values() for k in ks]
-        if not all(keys.values()) or len(set(lengths)) != 1:
-            raise DomainError(f"prefixes must share one length, got {lengths}")
-        parents = [[held_rows.get((c, k[:-1])) for k in ks] for c, ks in keys.items()]
-        if any(None in p for p in parents):
-            state, clips, ids = empty, list(keys), list(keys.values())
-            parents = [[0] * len(p) for p in parents]
-        else:
+        keys = {c: [tuple(map(int, p)) for p in prefixes] for c, prefixes in live.items()}
+        if not all(keys.values()) or len({len(k) for ks in keys.values() for k in ks}) != 1:
+            raise DomainError("prefixes must share one length, got "
+                              f"{[len(k) for ks in keys.values() for k in ks]}")
+        try:
+            parents = [[held_rows[c, k[:-1]] for k in ks] for c, ks in keys.items()]
             state, clips = held, [held_clips.index(c) for c in keys]
             ids = [[k[-1:] for k in ks] for ks in keys.values()]
-        width = max(map(len, parents))
+        except KeyError:  # a prefix extends no held one
+            state, clips, ids = empty, list(keys), list(keys.values())
+            parents = [[0] * len(ks) for ks in ids]
+        width = max(map(len, ids))
         pad = lambda row: row + row[:1] * (width - len(row))  # noqa: E731
         state = model.gather_state(state, [pad(p) for p in parents], clips=clips)
         logits, held = model.decode_logits(params, config, chunk,
@@ -217,10 +173,17 @@ def make_clips_step_fn(params: model.ModelParams, config: model.ModelConfig,
                                            state=state)
         held_clips = list(keys)
         held_rows = {(c, k): i for c, ks in keys.items() for i, k in enumerate(ks)}
-        logprobs = N.log_softmax_lastdim(logits.data[:, :, -1]).data
+        logprobs = N.log_softmax_lastdim(logits).data[:, :, -1]
         return {c: logprobs[j, :len(ks)] for j, (c, ks) in enumerate(keys.items())}
 
     return step_clips
+
+
+def make_step_fn(params: model.ModelParams, config: model.ModelConfig,
+                 enc: model.EncodedModalities) -> StepFn:
+    """:func:`make_clips_step_fn` for one clip and one prefix at a time."""
+    step_clips = make_clips_step_fn(params, config, [enc])
+    return lambda prefix: step_clips({0: [prefix]})[0][0]
 
 
 def caption_greedy(params, config, enc) -> list[int]:

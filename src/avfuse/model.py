@@ -531,11 +531,14 @@ class DecoderState:
     """Where decoding stands: ``length`` positions decoded for each
     hypothesis, with one :class:`BlockCache` per decoder block.
 
-    For one clip, the self-attention (k, v) lead with the hypothesis axis.
-    For the features of several clips (:func:`stack_clips`), hypotheses sit
-    in a (clip, slot) grid: the self-attention (k, v) lead with both axes,
-    and the cross-attention (k, v) and masks, held once per clip, lead with
-    the clip axis and a slot axis of one that broadcasts over the slots.
+    Hypotheses sit in a (clip, slot) grid over the features of the clips
+    stacked by :func:`stack_clips`: the self-attention (k, v) lead with both
+    axes, and the cross-attention (k, v) and masks, held once per clip, lead
+    with the clip axis and a slot axis of one that broadcasts over the
+    slots.  Before the first position the self-attention (k, v) hold one
+    empty row, which broadcasts over any grid.  A teacher-forced decode
+    starts from the state of one clip's unstacked features, which it never
+    gathers.
     """
 
     length: int
@@ -566,28 +569,25 @@ def init_decoder_state(params: ModelParams, config: ModelConfig,
     return DecoderState(length=0, blocks=tuple(blocks))
 
 
-def gather_state(state: DecoderState, rows, clips=None) -> DecoderState:
-    """``state`` with hypothesis i continuing its hypothesis ``rows[i]``.
+def gather_state(state: DecoderState, rows, clips) -> DecoderState:
+    """``state`` with a new (clip, slot) grid of hypotheses, each continuing
+    one of ``state``'s.
 
-    For a state of several clips, ``clips`` lists the clips that stay, in
-    order, and ``rows[j]`` the parent slots of clip ``clips[j]``, one list
-    length for every clip; the cross-attention caches are gathered along
-    their clip axis, once per clip.  Self-attention keys and values are
-    copied unless the gather is the identity or they hold no position yet,
-    and the cross-attention caches are shared unless a clip leaves.
+    ``clips`` lists the clips that stay, in order, and ``rows[j]`` the
+    parent slots of clip ``clips[j]``, one list length for every clip.  The
+    cross-attention caches are gathered along their clip axis, once per
+    clip, and shared unless a clip leaves.  Self-attention keys and values
+    are copied unless the gather is the identity or they hold no position
+    yet.
     """
-    self_kv = state.blocks[0].self_kv[0].data
-    if clips is None:
-        index, keep_cross = list(rows), True
-        keep_self = index == list(range(len(self_kv)))
-    else:
-        index = (np.asarray(clips)[:, None], np.asarray(rows))
-        held = next(side for side in state.blocks[0].cross if side)[0][0].shape[0]
-        keep_cross = list(clips) == list(range(held))
-        keep_self = keep_cross and all(list(r) == list(range(self_kv.shape[1])) for r in rows)
-    keep_self = keep_self or state.length == 0
+    audio, video = state.blocks[0].cross
+    held = len((audio or video)[0][0].data)  # clips of the cross-attention caches
+    keep_cross = list(clips) == list(range(held))
+    slots = list(range(state.blocks[0].self_kv[0].shape[1]))
+    keep_self = state.length == 0 or keep_cross and all(list(r) == slots for r in rows)
     if keep_self and keep_cross:
         return state
+    index = (np.asarray(clips)[:, None], np.asarray(rows))
 
     def side_of(side):
         if side is None:
@@ -647,12 +647,11 @@ def decode_logits(params: ModelParams, config: ModelConfig, enc: EncodedModaliti
     Every call runs the decoder blocks over a :class:`DecoderState`.  Without
     ``state`` it starts from :func:`init_decoder_state`: ``tokens`` is the
     whole prefix, (L,) for one prefix or (B, L) for a batch, and the result
-    is the logits (teacher forcing).  With a state of n hypotheses,
-    ``tokens`` are (n, L), or (clips, slots, L) for a state of several clips:
-    row i holds hypothesis i's positions after ``state.length``, and the
-    extended state is appended to the result, as in (logits, state).  With
-    ``collect_traces`` the traces, one per decoder block, follow the logits,
-    as in (logits, traces).
+    is the logits (teacher forcing).  With a state of a (clip, slot) grid of
+    hypotheses, ``tokens`` are (clips, slots, L): each hypothesis's positions
+    after ``state.length``, and the extended state is appended to the
+    result, as in (logits, state).  With ``collect_traces`` the traces, one
+    per decoder block, follow the logits, as in (logits, traces).
     """
     ids = np.asarray(tokens, dtype=np.int64)
     L = ids.shape[-1]

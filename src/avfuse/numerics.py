@@ -564,6 +564,7 @@ def multi_head_attention(
         v = concat([past_kv[1], v], axis=-2)
 
     valid = None
+    causal = causal and L_q > 1  # a single query, the last position, sees every key
     if causal or kv_padding_mask is not None:
         valid = np.ones((L_q, L_kv), dtype=bool)
         if causal:

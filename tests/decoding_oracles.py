@@ -1,12 +1,12 @@
 """Brute-force decoding oracles shared by the decoder and acceptance tests."""
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from avfuse.data import EOS_ID, SOS_ID
 from avfuse.errors import ConfigError
-from avfuse.inference import BatchStepFn, Hypothesis, StepFn
+from avfuse.inference import Hypothesis, StepFn
 
 
 def exhaustive_best(step_fn: StepFn, token_ids: Sequence[int], max_len: int) -> Hypothesis:
@@ -32,9 +32,12 @@ def exhaustive_best(step_fn: StepFn, token_ids: Sequence[int], max_len: int) -> 
     return min(finals, key=lambda h: (-h.score(), h.tokens))
 
 
-def beam_search_no_stop(step_many: BatchStepFn, beam: int, max_len: int) -> list[Hypothesis]:
-    """``inference.beam_search_batched`` without its early stop: the live
-    hypotheses are expanded until none is left or the length cap."""
+def beam_search_no_stop(step_many: Callable[[list[list[int]]], Sequence[np.ndarray]], beam: int,
+                        max_len: int) -> list[Hypothesis]:
+    """``inference.beam_search_clips`` for one clip without its early stop:
+    ``step_many(prefixes)`` gives the next-token log-probs after each prefix,
+    and the live hypotheses are expanded until none is left or the length
+    cap."""
     if beam < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam}")
     if max_len < 2:

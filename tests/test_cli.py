@@ -287,7 +287,9 @@ class TestEvalInfer:
             assert run(["eval", "--checkpoint", trained, "--manifest", dataset / "eval.jsonl",
                         "--report", report_path] + flags) == EXIT_OK
             timing = json.loads(report_path.read_text())["timing"]
-            assert set(timing) == {"clips", "decode_s", "clips_per_s", "ms_per_clip_p50"}
+            assert set(timing) == {"clips", "decode_s", "clips_per_s", "ms_per_clip_p50",
+                                   "ms_per_clip_p95"}
+            assert timing["ms_per_clip_p50"] <= timing["ms_per_clip_p95"]
             assert timing["clips"] == len(data.load_manifest(dataset / "eval.jsonl").records)
             assert all(value > 0 for value in timing.values())
 
@@ -362,6 +364,23 @@ class TestEvalInfer:
             for field in line.split()[2:]:
                 value = float(field.split("=")[1])
                 assert 0.0 <= value <= 1.0
+
+    def test_eval_rejects_audio_longer_than_positional_table(self, tmp_path, capsys):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)  # max_audio_len 8
+        data.write_feature_file(tmp_path / "a1.avf", np.zeros((12, 8), np.float32))
+        rc = run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path])
+        assert rc == EXIT_VALIDATION
+        assert "audio of 12 patches exceeds" in capsys.readouterr().err
+
+    def test_infer_rejects_audio_longer_than_positional_table(self, tmp_path, capsys):
+        manifest_path = ragged_manifest(tmp_path, clips=1)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)  # max_audio_len 8
+        data.write_feature_file(tmp_path / "long.avf", np.zeros((12, 8), np.float32))
+        rc = run(["infer", "--checkpoint", tmp_path / "m.avck", "--audio", tmp_path / "long.avf",
+                  "--visual", tmp_path / "v0.avf"])
+        assert rc == EXIT_VALIDATION
+        assert "audio of 12 patches exceeds" in capsys.readouterr().err
 
     def test_infer_missing_visual_names_mode(self, trained, dataset, capsys):
         manifest = data.load_manifest(dataset / "eval.jsonl")

@@ -74,6 +74,16 @@ def batched(step: I.StepFn):
     return lambda prefixes: [step(p) for p in prefixes]
 
 
+def one_clip(step_many) -> I.ClipsStepFn:
+    """A ``step_clips`` function over clip 0, from a batched ``step_many(prefixes)``."""
+    return lambda live: {0: step_many(live[0])}
+
+
+def clip_rows(step_clips: I.ClipsStepFn):
+    """``step_many(prefixes)``: the rows of clip 0 of ``step_clips``."""
+    return lambda prefixes: step_clips({0: prefixes})[0]
+
+
 def score_of(step, tokens):
     lp = sum(float(step(tokens[:i])[tokens[i]]) for i in range(1, len(tokens)))
     return lp / max(1, len(tokens) - 1)
@@ -171,7 +181,7 @@ class TestBeamStop:
             for beam in (1, 2, 3):
                 for max_len in (3, 5, 8):
                     got_fn, ref_fn = counted(batched(step)), counted(batched(step))
-                    got = I.beam_search_batched(got_fn, beam, max_len)
+                    got = I.beam_search_clips(one_clip(got_fn), 1, beam, max_len)[0]
                     ref = beam_search_no_stop(ref_fn, beam, max_len)
                     case = f"seed {seed}, beam {beam}, max_len {max_len}"
                     assert [h.tokens for h in got] == [h.tokens for h in ref], case
@@ -187,7 +197,8 @@ class TestBeamStop:
     def test_caption_beam_equals_no_stop(self, mode):
         cfg, params, enc = clip(mode, masked=True, seed=1)  # stops early in 3 of 5 modes
         got = I.caption_beam(params, cfg, enc, beam=3)
-        ref = beam_search_no_stop(I.make_batch_step_fn(params, cfg, enc), 3, cfg.max_caption_len)
+        ref = beam_search_no_stop(clip_rows(I.make_clips_step_fn(params, cfg, [enc])), 3,
+                                  cfg.max_caption_len)
         assert [(h.tokens, h.logprob) for h in got] == [(h.tokens, h.logprob) for h in ref]
 
     def test_positive_step_value_rejected(self):
@@ -291,7 +302,7 @@ class TestIncrementalStep:
     def test_batch_rows_match_full_prefix_decode(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
         rng = np.random.default_rng(2)
-        step_many = I.make_batch_step_fn(params, cfg, enc)
+        step_many = clip_rows(I.make_clips_step_fn(params, cfg, [enc]))
         prefixes = [[SOS_ID]]
         # each generation's parent rows in the previous one: two children of
         # one parent, a permutation, repeats with a drop, a shrink, a growth,
@@ -306,7 +317,7 @@ class TestIncrementalStep:
 
     def test_batch_with_unheld_parent_matches_full_prefix(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
-        step_many = I.make_batch_step_fn(params, cfg, enc)
+        step_many = clip_rows(I.make_clips_step_fn(params, cfg, [enc]))
         step_many([[SOS_ID, 3], [SOS_ID, 4]])
         # [sos, 3, 5] extends a held prefix, [sos, 6, 7] and [sos, 8, 1] do not
         for prefixes in ([[SOS_ID, 3, 5], [SOS_ID, 6, 7]], [[SOS_ID, 8, 1]],
@@ -318,38 +329,25 @@ class TestIncrementalStep:
     def test_batched_beam_matches_full_prefix(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
         ref = I.beam_search(full_prefix_step_fn(params, cfg, enc), 3, cfg.max_caption_len)
-        got = I.beam_search_batched(I.make_batch_step_fn(params, cfg, enc), 3,
-                                    cfg.max_caption_len)
+        got = I.caption_beam(params, cfg, enc, beam=3)
         assert [h.tokens for h in got] == [h.tokens for h in ref]
         np.testing.assert_allclose([h.logprob for h in got], [h.logprob for h in ref],
                                    rtol=0, atol=1e-12)
 
     def test_unequal_prefix_lengths_rejected(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
-        step_many = I.make_batch_step_fn(params, cfg, enc)
+        step_many = clip_rows(I.make_clips_step_fn(params, cfg, [enc]))
         with pytest.raises(DomainError):
             step_many([[SOS_ID], [SOS_ID, 3]])
         with pytest.raises(DomainError):
             step_many([])
 
 
-def test_gather_state_copies_only_moved_rows():
-    cfg, params, enc = clip("adaava_audio", masked=False)
-    two = M.gather_state(M.init_decoder_state(params, cfg, enc), [0, 0])
-    _, state = M.decode_logits(params, cfg, enc, np.array([[SOS_ID, 3], [SOS_ID, 4]]), state=two)
-    assert M.gather_state(state, [0, 1]) is state
-    moved = M.gather_state(state, [1, 1, 0])
-    assert moved.length == state.length == 2
-    for old, new in zip(state.blocks, moved.blocks):
-        for old_t, new_t in zip(old.self_kv, new.self_kv):
-            np.testing.assert_array_equal(new_t.data, old_t.data[[1, 1, 0]])
-        assert new.cross is old.cross
-
-
 def test_dropped_step_fn_frees_its_cache(monkeypatch):
     """A decode holds only the decoder state of its latest generation: every
     earlier state is freed as soon as it has been extended, without waiting
-    for the cycle collector, and the latest dies with the step function."""
+    for the cycle collector, and the latest dies with the step function.
+    Checked for greedy on one clip and for a beam search over several."""
     cfg, params, enc = clip("adaava_audio", masked=False)
     cached = []
     decode_logits = M.decode_logits
@@ -372,11 +370,12 @@ def test_dropped_step_fn_frees_its_cache(monkeypatch):
         assert cached[-1]() is None
 
         cached.clear()
-        step_many = I.make_batch_step_fn(params, cfg, enc)
-        I.beam_search_batched(step_many, 3, cfg.max_caption_len)
+        cfg, params, encs = chunk("adaava_audio")
+        step_clips = I.make_clips_step_fn(params, cfg, encs)
+        I.beam_search_clips(step_clips, len(encs), 3, cfg.max_caption_len)
         assert len(cached) >= 3 and cached[-1]() is not None
         assert all(ref() is None for ref in cached[:-1])
-        del step_many
+        del step_clips
         assert cached[-1]() is None
     finally:
         gc.enable()
@@ -444,7 +443,8 @@ class TestClipsSearch:
                     own = counted(batched(step))
                     assert_same_search(got[c], beam_search_no_stop(batched(step), beam, 8),
                                        f"{family}, clip {c}, beam {beam}")
-                    assert_same_search(got[c], I.beam_search_batched(own, beam, 8), family)
+                    assert_same_search(got[c], I.beam_search_clips(one_clip(own), 1, beam, 8)[0],
+                                       family)
                     own_calls.append(own.calls)
                 assert len(listed) == max(own_calls)
                 for t, clips in enumerate(listed):
@@ -540,12 +540,23 @@ class TestClipsSearch:
 
 
 def test_gather_state_drops_clips_along_the_clip_axis():
-    cfg, params, encs = chunk("adaava_audio", lengths=[(3, 2), (5, 1), (4, 2)])
-    state = M.init_decoder_state(params, cfg, M.stack_clips(encs))
-    _, state = M.decode_logits(params, cfg, None, np.array([[[SOS_ID]]] * 3), state=state)
-    _, state = M.decode_logits(params, cfg, None, np.array([[[3], [4]]] * 3),
-                               state=M.gather_state(state, [[0, 0]] * 3, clips=[0, 1, 2]))
-    assert M.gather_state(state, [[0, 1]] * 3, clips=[0, 1, 2]) is state
+    for lengths in ([(6, 3)], [(3, 2), (5, 1), (4, 2)]):
+        cfg, params, encs = chunk("adaava_audio", lengths=lengths)
+        n, every = len(encs), list(range(len(encs)))
+        state = M.init_decoder_state(params, cfg, M.stack_clips(encs))
+        _, state = M.decode_logits(params, cfg, None, np.array([[[SOS_ID]]] * n), state=state)
+        _, state = M.decode_logits(params, cfg, None, np.array([[[3], [4]]] * n),
+                                   state=M.gather_state(state, [[0, 0]] * n, clips=every))
+        assert M.gather_state(state, [[0, 1]] * n, clips=every) is state
+        # no clip leaves: only the self-attention rows are copied, and the
+        # cross caches are shared
+        kept = M.gather_state(state, [[1, 1, 0]] * n, clips=every)
+        assert kept.length == state.length == 2
+        for old, new in zip(state.blocks, kept.blocks):
+            for old_t, new_t in zip(old.self_kv, new.self_kv):
+                np.testing.assert_array_equal(new_t.data, old_t.data[:, [1, 1, 0]])
+            assert new.cross is old.cross
+    # clips 2 and 0 stay, in that order, and clip 1 leaves
     moved = M.gather_state(state, [[1, 1, 0], [0, 0, 0]], clips=[2, 0])
     for old, new in zip(state.blocks, moved.blocks):
         for old_t, new_t in zip(old.self_kv, new.self_kv):
@@ -555,6 +566,3 @@ def test_gather_state_drops_clips_along_the_clip_axis():
             for old_t, new_t in zip(old_side[0], new_side[0]):
                 np.testing.assert_array_equal(new_t.data, old_t.data[[2, 0]])
             np.testing.assert_array_equal(new_side[1], old_side[1][[2, 0]])
-    # no clip leaves: the cross caches are shared
-    kept = M.gather_state(state, [[1, 0]] * 3, clips=[0, 1, 2])
-    assert all(new.cross is old.cross for old, new in zip(state.blocks, kept.blocks))

@@ -339,7 +339,8 @@ class TestFusedAttentionMatchesComposite:
             return ops.multi_head_attention(t[0], t[0], p, self.HEADS, causal=True,
                                             past_kv=cached)
 
-        self._compare(rng, attend, [(2, self.D), (past, self.D)], (2, self.D))
+        for queries in (2, 1):  # one query, a decode step, attends without a causal mask
+            self._compare(rng, attend, [(queries, self.D), (past, self.D)], (queries, self.D))
 
     def test_dropout(self, rng):
         def attend(ops, t, p):

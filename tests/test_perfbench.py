@@ -3,7 +3,9 @@
 Each workload's ``check`` compares the program's outputs with a reference
 (byte-identical fits, greedy tokens against the teacher-forced argmax, beam
 captions against a full-prefix beam search), so a decoder that drifts fails
-here and not only in a benchmark run.
+here and not only in a benchmark run.  The traced runs also fail here when
+a name that the tracer wraps or that the greedy step recorder patches is
+renamed or deleted.
 """
 
 import importlib
@@ -26,3 +28,12 @@ def test_tiny_workload_passes_its_checks(perfbench_run, tmp_path, name):
                                         results=tmp_path)
     assert record["result"]["failed"] == 0
     assert record["result"]["correct"]
+
+
+@pytest.mark.parametrize("name", ["desk-train", "desk-eval", "full-infer"])
+def test_tiny_traced_workload_passes_its_checks(perfbench_run, tmp_path, name):
+    record = perfbench_run.run_workload(name, seed=0, seconds=0.01, trace=True, tiny=True,
+                                        results=tmp_path)
+    assert record["result"]["failed"] == 0
+    assert record["result"]["correct"]
+    assert record["spans"] is not None
