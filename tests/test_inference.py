@@ -539,14 +539,21 @@ class TestClipsSearch:
             step_clips({0: []})
 
 
-def test_gather_state_drops_clips_along_the_clip_axis():
+def two_step_state(lengths):
+    """The decoder state of ``chunk``'s clips after SOS, then tokens 3 and 4
+    in two slots per clip."""
+    cfg, params, encs = chunk("adaava_audio", lengths=lengths)
+    n, every = len(encs), list(range(len(encs)))
+    state = M.init_decoder_state(params, cfg, M.stack_clips(encs))
+    _, state = M.decode_logits(params, cfg, None, np.array([[[SOS_ID]]] * n), state=state)
+    _, state = M.decode_logits(params, cfg, None, np.array([[[3], [4]]] * n),
+                               state=M.gather_state(state, [[0, 0]] * n, clips=every))
+    return state, n, every
+
+
+def test_gather_state_copies_only_moved_rows():
     for lengths in ([(6, 3)], [(3, 2), (5, 1), (4, 2)]):
-        cfg, params, encs = chunk("adaava_audio", lengths=lengths)
-        n, every = len(encs), list(range(len(encs)))
-        state = M.init_decoder_state(params, cfg, M.stack_clips(encs))
-        _, state = M.decode_logits(params, cfg, None, np.array([[[SOS_ID]]] * n), state=state)
-        _, state = M.decode_logits(params, cfg, None, np.array([[[3], [4]]] * n),
-                                   state=M.gather_state(state, [[0, 0]] * n, clips=every))
+        state, n, every = two_step_state(lengths)
         assert M.gather_state(state, [[0, 1]] * n, clips=every) is state
         # no clip leaves: only the self-attention rows are copied, and the
         # cross caches are shared
@@ -556,6 +563,10 @@ def test_gather_state_drops_clips_along_the_clip_axis():
             for old_t, new_t in zip(old.self_kv, new.self_kv):
                 np.testing.assert_array_equal(new_t.data, old_t.data[:, [1, 1, 0]])
             assert new.cross is old.cross
+
+
+def test_gather_state_drops_clips_along_the_clip_axis():
+    state, _, _ = two_step_state([(3, 2), (5, 1), (4, 2)])
     # clips 2 and 0 stay, in that order, and clip 1 leaves
     moved = M.gather_state(state, [[1, 1, 0], [0, 0, 0]], clips=[2, 0])
     for old, new in zip(state.blocks, moved.blocks):
