@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, frontend, inference, metrics, model, numerics, training
+from . import data, inference, metrics, model, numerics, training
 from .errors import AvfuseError, ConfigError, ValidationError
 
 EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME = 0, 1, 2
@@ -244,14 +244,9 @@ def build_run(resolved: dict):
     train_kw = dict(resolved.get("train", {}))
     if "seed" in resolved and "seed" not in train_kw:
         train_kw["seed"] = resolved["seed"]
-    augment = train_kw.get("augment")
-    if isinstance(augment, dict):
-        train_kw["augment"] = frontend.SpecAugmentPolicy.from_json(augment)
-    elif augment is True:
-        train_kw["augment"] = frontend.SpecAugmentPolicy()
 
     config = model.ModelConfig(vocab_size=len(vocab), **model_kw)
-    tcfg = training.TrainConfig(**train_kw)
+    tcfg = training.TrainConfig.from_json(train_kw)
     config.validate()
     tcfg.validate()
 
@@ -317,11 +312,11 @@ def _check_audio_rows(rows: int, config: model.ModelConfig) -> None:
                           f"({config.max_audio_len})")
 
 
-def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam: int,
-                     greedy: bool) -> tuple[dict[str, str], list[float]]:
+def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest,
+                     beam: int) -> tuple[dict[str, str], list[float]]:
     """Candidate captions by id, and the seconds each clip took to decode.
 
-    Greedy decoding runs clip by clip.  Beam search runs chunks of
+    Greedy decoding (beam 1) runs clip by clip.  Beam search runs chunks of
     :data:`_EVAL_CHUNK` clips, each encoded alone and then searched in
     lockstep; every clip of a chunk is booked the chunk's wall time over its
     clip count.
@@ -330,23 +325,14 @@ def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest, beam:
     examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)
     _check_audio_rows(_max_audio_rows(examples), ck.config)
 
-    mode = ck.config.fusion_mode
-    greedy = greedy or beam == 1
-    chunk_size = 1 if greedy else _EVAL_CHUNK
+    chunk_size = 1 if beam == 1 else _EVAL_CHUNK
     candidates, clip_s = {}, []
     for first in range(0, len(examples), chunk_size):
         chunk = examples[first:first + chunk_size]
         start = time.perf_counter()
-        encs = [model.encode_modalities(
-            ck.params, ck.config,
-            audio=ex.audio_patches if model.mode_uses_audio(mode) else None,
-            visual=ex.visual if model.mode_uses_visual(mode) else None,
-        ) for ex in chunk]
-        if greedy:
-            decoded = [inference.caption_greedy(ck.params, ck.config, encs[0])]
-        else:
-            decoded = [hyps[0].tokens for hyps in
-                       inference.caption_beam_clips(ck.params, ck.config, encs, beam=beam)]
+        encs = [model.encode_modalities(ck.params, ck.config, audio=ex.audio_patches,
+                                        visual=ex.visual) for ex in chunk]
+        decoded = inference.caption_clips(ck.params, ck.config, encs, beam)
         for ex, ids in zip(chunk, decoded):
             candidates[ex.id] = " ".join(data.decode_caption(ids, ck.vocab))
         clip_s += [(time.perf_counter() - start) / len(chunk)] * len(chunk)
@@ -373,7 +359,7 @@ def cmd_eval(args) -> int:
     """
     ck = model.load_checkpoint(args.checkpoint)
     manifest = data.load_manifest(args.manifest)
-    candidates, clip_s = _decode_manifest(ck, manifest, beam=args.beam, greedy=args.greedy)
+    candidates, clip_s = _decode_manifest(ck, manifest, 1 if args.greedy else args.beam)
     if args.candidates_out:
         with open(args.candidates_out, "w", encoding="utf-8") as fh:
             for cid, caption in candidates.items():
@@ -414,7 +400,7 @@ def cmd_infer(args) -> int:
         visual = data.read_feature_file(args.visual).astype(np.float64)
 
     enc = model.encode_modalities(ck.params, config, audio=audio, visual=visual)
-    ids = inference.decode_example(ck.params, config, enc, beam=args.beam)
+    [ids] = inference.caption_clips(ck.params, config, [enc], args.beam)
     caption = " ".join(data.decode_caption(ids, ck.vocab))
     print(caption)
 

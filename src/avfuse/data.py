@@ -328,8 +328,6 @@ class SyntheticTaskSpec:
     t_audio: int = 12
     t_visual: int = 6
     seed: int = 0
-    object_words: tuple[str, ...] = OBJECT_WORDS
-    caption_template: str = CAPTION_TEMPLATE
 
     def validate(self) -> None:
         problems = []
@@ -347,17 +345,13 @@ class SyntheticTaskSpec:
             problems.append("feature_dim, t_audio and t_visual must be positive")
         if self.examples_per_class < 1 or self.eval_examples_per_class < 1:
             problems.append("examples per class must be positive")
-        if len(self.object_words) < self.n_classes:
-            problems.append(
-                f"need {self.n_classes} object words, have {len(self.object_words)}"
-            )
-        if "{object}" not in self.caption_template:
-            problems.append("caption_template must contain '{object}'")
+        if len(OBJECT_WORDS) < self.n_classes:
+            problems.append(f"need {self.n_classes} object words, have {len(OBJECT_WORDS)}")
         if problems:
             raise ConfigError("; ".join(problems))
 
     def class_caption(self, cls: int) -> str:
-        return self.caption_template.format(object=self.object_words[cls])
+        return CAPTION_TEMPLATE.format(object=OBJECT_WORDS[cls])
 
 
 @dataclass
@@ -457,7 +451,6 @@ class PreparedExample:
     audio_patches: np.ndarray | None
     visual: np.ndarray | None
     token_ids: np.ndarray
-    token_len: int
     captions: list[str]
     mel: frontend.MelSpec | None = None  # set when the source was a waveform
 
@@ -471,14 +464,13 @@ def load_examples(manifest: DatasetManifest, vocab: Vocabulary,
         visual = None
         if rec.visual_features is not None:
             visual = read_feature_file(manifest.resolve(rec.visual_features)).astype(np.float64)
-        ids, length = encode_caption(normalize_caption(rec.captions[0]), vocab, max_caption_len)
+        ids, _ = encode_caption(normalize_caption(rec.captions[0]), vocab, max_caption_len)
         examples.append(
             PreparedExample(
                 id=rec.id,
                 audio_patches=patches,
                 visual=visual,
                 token_ids=ids,
-                token_len=length,
                 captions=rec.captions,
                 mel=mel,
             )

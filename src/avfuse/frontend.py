@@ -40,12 +40,9 @@ class MelConfig:
 
 @dataclass
 class MelSpec:
-    """A (T_frames, n_mels) log-mel matrix with its framing parameters."""
+    """A (T_frames, n_mels) log-mel matrix."""
 
     frames: np.ndarray
-    sample_rate: int
-    hop: int
-    win: int
 
 
 def hz_to_mel(f):
@@ -100,7 +97,7 @@ def log_mel(waveform: np.ndarray, cfg: MelConfig | None = None) -> MelSpec:
     spectrum = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1))
     mel = spectrum @ mel_filterbank(cfg).T
     logmel = np.log(np.maximum(mel, cfg.log_floor))
-    return MelSpec(frames=logmel, sample_rate=cfg.sample_rate, hop=cfg.hop, win=cfg.win_length)
+    return MelSpec(frames=logmel)
 
 
 FRAMES_PER_PATCH = 4
@@ -131,10 +128,6 @@ class SpecAugmentPolicy:
     n_freq_masks: int = 2
     max_freq_width: int = 8
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "SpecAugmentPolicy":
-        return cls(**payload)
-
 
 def spec_augment(spec: MelSpec, policy: SpecAugmentPolicy, rng: np.random.Generator) -> MelSpec:
     """Mask random time and frequency bands, filling with the spectrogram mean.
@@ -159,7 +152,7 @@ def spec_augment(spec: MelSpec, policy: SpecAugmentPolicy, rng: np.random.Genera
         width = int(rng.integers(0, policy.max_freq_width + 1))
         start = int(rng.integers(0, f - width + 1))
         out[:, start : start + width] = fill
-    return MelSpec(frames=out, sample_rate=spec.sample_rate, hop=spec.hop, win=spec.win)
+    return MelSpec(frames=out)
 
 
 def read_wav(path, expected_rate: int | None = None) -> np.ndarray:

@@ -3,8 +3,8 @@
 Greedy decoding drives a per-prefix ``step_fn(prefix) -> log-probs``.  Beam
 search drives ``step_clips({clip: prefixes}) -> {clip: (n, V) log-probs}``,
 which steps the live hypotheses of several clips at once; its one-clip
-adapter takes a per-prefix step function.  So the search logic is testable
-against toy models and exhaustive enumeration.  All tie-breaks are
+adapter takes a stateless per-prefix step function.  So the search logic is
+testable against toy models and exhaustive enumeration.  All tie-breaks are
 deterministic: lowest token id at expansion, lexicographic token sequence at
 ranking.
 
@@ -12,9 +12,10 @@ ranking.
 one single-position decoder pass over a (clip, slot) grid steps every live
 hypothesis of every listed clip, the cross-attention keys and values are
 projected once per clip, and only the decoder state of the latest
-generation is held.  Beam search drives it for one clip or several;
-:func:`make_step_fn` is its adapter for one clip and one prefix at a time,
-which greedy decoding drives.
+generation is held, so every prefix must extend one of that generation's.
+:func:`make_step_fn` is its adapter for one clip whose prefixes each extend
+the previous one, which greedy decoding drives.  :func:`caption_clips` is
+the one caption entry of ``avfuse eval`` and ``avfuse infer``.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def beam_search_clips(step_clips: ClipsStepFn, clips: int, beam: int,
 
 
 def beam_search(step_fn: StepFn, beam: int, max_len: int) -> list[Hypothesis]:
-    """:func:`beam_search_clips` for one clip, over a per-prefix step function."""
+    """:func:`beam_search_clips` for one clip, over a stateless per-prefix step
+    function (a step's hypotheses do not extend each other)."""
     return beam_search_clips(lambda live: {0: [step_fn(p) for p in live[0]]}, 1, beam,
                              max_len)[0]
 
@@ -136,38 +138,37 @@ def make_clips_step_fn(params: model.ModelParams, config: model.ModelConfig,
                        encs: Sequence[model.EncodedModalities]) -> ClipsStepFn:
     """Incremental step function for several clips in lockstep:
     ``step_clips({clip: prefixes})`` gives each listed clip's (n, V)
-    next-token log-probs after its n prefixes, all of one length.
+    next-token log-probs after its n prefixes.
 
     The clips' features are stacked by :func:`model.stack_clips`, so the
     cross-attention keys and values are projected once per clip, and one
-    decoder pass over a (clips, slots, L) grid steps every listed clip.  A
+    decoder pass over a (clips, slots, 1) grid steps every listed clip.  A
     clip with fewer prefixes than the widest fills its spare slots with its
     first row, whose outputs are dropped.  Only the previous call's
     :class:`model.DecoderState` and the slot of each of its prefixes are
-    held.  When every prefix extends one of them, a call gathers the
-    parents' slots of the listed clips and decodes the last tokens (L = 1);
-    else it decodes every position from the empty state.
+    held, starting from every clip's empty prefix in the empty state.  A
+    call gathers the parents' slots of the listed clips and decodes the last
+    tokens; a prefix that extends no held prefix raises :class:`DomainError`.
     """
     chunk = model.stack_clips(list(encs))
-    empty = model.init_decoder_state(params, config, chunk)
-    held, held_clips, held_rows = empty, [], {}
+    held = model.init_decoder_state(params, config, chunk)
+    held_clips = list(range(len(encs)))
+    held_rows = {(c, ()): 0 for c in held_clips}
 
     def step_clips(live: dict[int, list[list[int]]]) -> dict[int, np.ndarray]:
         nonlocal held, held_clips, held_rows
         keys = {c: [tuple(map(int, p)) for p in prefixes] for c, prefixes in live.items()}
-        if not all(keys.values()) or len({len(k) for ks in keys.values() for k in ks}) != 1:
-            raise DomainError("prefixes must share one length, got "
-                              f"{[len(k) for ks in keys.values() for k in ks]}")
+        if not keys or not all(keys.values()):
+            raise DomainError(f"a step lists clips with one or more prefixes each, got {live}")
         try:
             parents = [[held_rows[c, k[:-1]] for k in ks] for c, ks in keys.items()]
-            state, clips = held, [held_clips.index(c) for c in keys]
-            ids = [[k[-1:] for k in ks] for ks in keys.values()]
-        except KeyError:  # a prefix extends no held one
-            state, clips, ids = empty, list(keys), list(keys.values())
-            parents = [[0] * len(ks) for ks in ids]
+        except KeyError as exc:
+            raise DomainError(f"no held prefix to extend: (clip, parent) {exc.args[0]}") from None
+        clips = [held_clips.index(c) for c in keys]
+        ids = [[k[-1:] for k in ks] for ks in keys.values()]
         width = max(map(len, ids))
         pad = lambda row: row + row[:1] * (width - len(row))  # noqa: E731
-        state = model.gather_state(state, [pad(p) for p in parents], clips=clips)
+        state = model.gather_state(held, [pad(p) for p in parents], clips=clips)
         logits, held = model.decode_logits(params, config, chunk,
                                            np.asarray([pad(i) for i in ids], dtype=np.int64),
                                            state=state)
@@ -181,7 +182,8 @@ def make_clips_step_fn(params: model.ModelParams, config: model.ModelConfig,
 
 def make_step_fn(params: model.ModelParams, config: model.ModelConfig,
                  enc: model.EncodedModalities) -> StepFn:
-    """:func:`make_clips_step_fn` for one clip and one prefix at a time."""
+    """:func:`make_clips_step_fn` for one clip and one prefix at a time, each
+    prefix extending the previous one by a token, as greedy decoding steps."""
     step_clips = make_clips_step_fn(params, config, [enc])
     return lambda prefix: step_clips({0: [prefix]})[0][0]
 
@@ -196,12 +198,9 @@ def caption_beam_clips(params, config, encs, beam: int = 3) -> list[list[Hypothe
                              config.max_caption_len)
 
 
-def caption_beam(params, config, enc, beam: int = 3) -> list[Hypothesis]:
-    return caption_beam_clips(params, config, [enc], beam=beam)[0]
-
-
-def decode_example(params, config, enc, beam: int = 3) -> list[int]:
-    """Decode one clip: beam search for beam > 1, greedy otherwise."""
+def caption_clips(params, config, encs, beam: int) -> list[list[int]]:
+    """The caption token ids of each encoded clip of ``encs``: greedy clip by
+    clip for ``beam`` 1, else beam search over all of them in lockstep."""
     if beam == 1:
-        return caption_greedy(params, config, enc)
-    return caption_beam(params, config, enc, beam=beam)[0].tokens
+        return [caption_greedy(params, config, enc) for enc in encs]
+    return [hyps[0].tokens for hyps in caption_beam_clips(params, config, encs, beam=beam)]

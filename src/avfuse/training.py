@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import frontend, model, numerics as N
 from .data import PAD_ID, PreparedExample, Vocabulary
-from .errors import ConfigError, DomainError, TrainingError
+from .errors import ConfigError, DomainError, TrainingError, ValidationError
 from .numerics import GradTape, Tensor
 
 
@@ -64,12 +64,22 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TrainConfig":
+        """A ``train`` config object.  Its ``augment`` is absent or false for
+        no augmentation, true for the default policy, or an object of
+        :class:`frontend.SpecAugmentPolicy` fields with values >= 0."""
         payload = dict(payload)
         augment = payload.pop("augment", None)
-        cfg = cls(**payload)
-        if augment:
-            cfg.augment = frontend.SpecAugmentPolicy.from_json(augment)
-        return cfg
+        policy_keys = {f.name for f in fields(frontend.SpecAugmentPolicy)}
+        if augment is True:
+            augment = frontend.SpecAugmentPolicy()
+        elif (isinstance(augment, dict) and set(augment) <= policy_keys
+              and all(type(v) is int and v >= 0 for v in augment.values())):
+            augment = frontend.SpecAugmentPolicy(**augment)
+        elif augment is not None and augment is not False:
+            raise ValidationError(
+                f"train.augment must be true, false or an object of integers >= 0 "
+                f"with keys from {sorted(policy_keys)}; got {json.dumps(augment)}")
+        return cls(**payload, augment=augment or None)
 
 
 def label_smoothing_ce(logits: Tensor, targets: np.ndarray, eps: float) -> Tensor:

@@ -126,6 +126,10 @@ class TestSynth:
         assert run(["synth", "--out", tmp_path / "x", "--classes", 3,
                     "--ambiguous-pairs", 2]) == EXIT_VALIDATION
 
+    def test_more_classes_than_object_words_is_validation_error(self, tmp_path, capsys):
+        assert run(["synth", "--out", tmp_path / "x", "--classes", 17]) == EXIT_VALIDATION
+        assert "need 17 object words, have 16" in capsys.readouterr().err
+
     def test_refuses_non_empty_dir_without_force(self, tmp_path):
         out = tmp_path / "d"
         assert run(synth_args(out)) == EXIT_OK
@@ -233,6 +237,31 @@ class TestTrain:
         resolved = json.loads((tmp_path / "rc" / "resolved_config.json").read_text())
         assert resolved["model"]["beta"] == 0.13  # flag wins over file
 
+    @pytest.mark.parametrize("augment, code, policy", [
+        (False, EXIT_OK, None),
+        ({"n_time_masks": 1, "max_time_width": 4}, EXIT_OK,
+         {"n_time_masks": 1, "max_time_width": 4, "n_freq_masks": 2, "max_freq_width": 8}),
+        (5, EXIT_VALIDATION, None),
+        ({"bogus": 1}, EXIT_VALIDATION, None),
+        ({"max_time_width": -1}, EXIT_VALIDATION, None),
+    ])
+    def test_augment_config_value(self, tmp_path, capsys, augment, code, policy):
+        """``train.augment`` on waveform-backed examples: false or a policy
+        object trains, anything else is a validation error naming the key."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "train_manifest": str(tone_manifest(tmp_path)), "out_dir": str(tmp_path / "r"),
+            "model": {"d": 16, "heads": 2, "encoder_blocks": 1, "decoder_blocks": 1,
+                      "fusion_mode": "audio_only", "dropout": 0.0},
+            "train": {"epochs": 1, "warmup_epochs": 0, "batch_size": 1, "augment": augment},
+        }))
+        assert run(["train", "--config", cfg]) == code
+        if code == EXIT_OK:
+            resolved = json.loads((tmp_path / "r" / "resolved_config.json").read_text())
+            assert resolved["train"]["augment"] == policy
+        else:
+            assert "error: train.augment must be" in capsys.readouterr().err
+
     def test_lockfile_blocks_second_owner(self, dataset, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
@@ -321,12 +350,30 @@ class TestEvalInfer:
         for ex in data.load_examples(manifest, ck.vocab, ck.config.max_caption_len):
             enc = model.encode_modalities(ck.params, ck.config, audio=ex.audio_patches,
                                           visual=ex.visual)
-            ids = inference.decode_example(ck.params, ck.config, enc, beam=3)
+            [ids] = inference.caption_clips(ck.params, ck.config, [enc], 3)
             caption = " ".join(data.decode_caption(ids, ck.vocab))
             captions.add(caption)
             lines.append(json.dumps({"id": ex.id, "caption": caption}, sort_keys=True) + "\n")
         assert len(captions) > 1
         assert out.read_bytes() == "".join(lines).encode("utf-8")
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_infer_prints_the_eval_caption(self, tmp_path, capsys, beam):
+        manifest_path = ragged_manifest(tmp_path)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)
+        out = tmp_path / "cands.jsonl"
+        assert run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                    "--beam", beam, "--candidates-out", out]) == EXIT_OK
+        evaluated = [json.loads(line)["caption"] for line in out.read_text().splitlines()]
+        capsys.readouterr()
+        printed = []
+        for i in range(len(evaluated)):
+            assert run(["infer", "--checkpoint", tmp_path / "m.avck",
+                        "--audio", tmp_path / f"a{i}.avf", "--visual", tmp_path / f"v{i}.avf",
+                        "--beam", beam]) == EXIT_OK
+            printed.append(capsys.readouterr().out.rstrip("\n"))
+        assert printed == evaluated
+        assert len(set(printed)) > 1
 
     def test_eval_rejects_records_without_visual_features_first(self, tmp_path, capsys):
         manifest_path = ragged_manifest(tmp_path, visual=False)

@@ -196,7 +196,7 @@ class TestBeamStop:
     @pytest.mark.parametrize("mode", M.FUSION_MODES)
     def test_caption_beam_equals_no_stop(self, mode):
         cfg, params, enc = clip(mode, masked=True, seed=1)  # stops early in 3 of 5 modes
-        got = I.caption_beam(params, cfg, enc, beam=3)
+        (got,) = I.caption_beam_clips(params, cfg, [enc], beam=3)
         ref = beam_search_no_stop(clip_rows(I.make_clips_step_fn(params, cfg, [enc])), 3,
                                   cfg.max_caption_len)
         assert [(h.tokens, h.logprob) for h in got] == [(h.tokens, h.logprob) for h in ref]
@@ -226,19 +226,19 @@ class TestModelBound:
         )
         return cfg, params, enc
 
-    def test_decode_example_beam1_equals_greedy(self, rng):
+    def test_caption_clips_beam1_equals_greedy(self, rng):
         cfg, params, enc = self._setup(rng)
-        assert I.decode_example(params, cfg, enc, beam=1) == I.caption_greedy(params, cfg, enc)
+        assert I.caption_clips(params, cfg, [enc], 1) == [I.caption_greedy(params, cfg, enc)]
 
     def test_decoding_deterministic(self, rng):
         cfg, params, enc = self._setup(rng)
-        a = I.caption_beam(params, cfg, enc, beam=3)
-        b = I.caption_beam(params, cfg, enc, beam=3)
-        assert [h.tokens for h in a] == [h.tokens for h in b]
+        a = I.caption_beam_clips(params, cfg, [enc], beam=3)
+        b = I.caption_beam_clips(params, cfg, [enc], beam=3)
+        assert [h.tokens for h in a[0]] == [h.tokens for h in b[0]]
 
     def test_outputs_start_with_sos(self, rng):
         cfg, params, enc = self._setup(rng)
-        tokens = I.decode_example(params, cfg, enc, beam=3)
+        [tokens] = I.caption_clips(params, cfg, [enc], 3)
         assert tokens[0] == SOS_ID
         assert len(tokens) <= cfg.max_caption_len
 
@@ -286,9 +286,9 @@ class TestIncrementalStep:
         step = I.make_step_fn(params, cfg, enc)
         for n in range(1, len(tokens) + 1):
             np.testing.assert_allclose(step(tokens[:n]), full[n - 1], rtol=0, atol=1e-12)
-        # a prefix whose ancestors were never stepped fills them in
-        fresh = I.make_step_fn(params, cfg, enc)
-        np.testing.assert_allclose(fresh(tokens[:5]), full[4], rtol=0, atol=1e-12)
+        # a prefix whose ancestors were never stepped extends no held prefix
+        with pytest.raises(DomainError):
+            I.make_step_fn(params, cfg, enc)(tokens[:5])
 
     def test_greedy_and_beam_match_full_prefix(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
@@ -296,14 +296,17 @@ class TestIncrementalStep:
         max_len = cfg.max_caption_len
         greedy = I.greedy_decode(I.make_step_fn(params, cfg, enc), max_len)
         assert greedy == I.greedy_decode(ref, max_len)
-        beam = I.beam_search(I.make_step_fn(params, cfg, enc), 3, max_len)
-        assert [h.tokens for h in beam] == [h.tokens for h in I.beam_search(ref, 3, max_len)]
+        assert I.caption_clips(params, cfg, [enc], 3) == [I.beam_search(ref, 3, max_len)[0].tokens]
+        # a beam step's hypotheses do not extend each other
+        with pytest.raises(DomainError):
+            I.beam_search(I.make_step_fn(params, cfg, enc), 3, max_len)
 
     def test_batch_rows_match_full_prefix_decode(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
         rng = np.random.default_rng(2)
         step_many = clip_rows(I.make_clips_step_fn(params, cfg, [enc]))
         prefixes = [[SOS_ID]]
+        step_many(prefixes)
         # each generation's parent rows in the previous one: two children of
         # one parent, a permutation, repeats with a drop, a shrink, a growth,
         # the identity, and a batch of one
@@ -316,20 +319,28 @@ class TestIncrementalStep:
                 np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
 
     def test_batch_with_unheld_parent_matches_full_prefix(self, mode, masked):
+        """A batch with a prefix that extends no held one is rejected, and the
+        held prefixes still step to the rows of full-prefix decode after it."""
         cfg, params, enc = clip(mode, masked)
         step_many = clip_rows(I.make_clips_step_fn(params, cfg, [enc]))
+        with pytest.raises(DomainError):
+            step_many([[SOS_ID, 3]])
+        step_many([[SOS_ID]])
         step_many([[SOS_ID, 3], [SOS_ID, 4]])
-        # [sos, 3, 5] extends a held prefix, [sos, 6, 7] and [sos, 8, 1] do not
-        for prefixes in ([[SOS_ID, 3, 5], [SOS_ID, 6, 7]], [[SOS_ID, 8, 1]],
-                         [[SOS_ID, 8, 1, 2], [SOS_ID, 8, 1, 0]]):
-            for prefix, row in zip(prefixes, step_many(prefixes)):
-                ref = full_prefix_log_probs(params, cfg, enc, prefix)[-1]
-                np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+        # [sos, 3, 5] extends a held prefix, [sos, 6, 7], [sos, 8] and [sos, 3, 5, 2] do not
+        for prefixes in ([[SOS_ID, 3, 5], [SOS_ID, 6, 7]], [[SOS_ID, 8]],
+                         [[SOS_ID, 3, 5, 2]]):
+            with pytest.raises(DomainError):
+                step_many(prefixes)
+        prefixes = [[SOS_ID, 4, 1], [SOS_ID, 3, 5]]
+        for prefix, row in zip(prefixes, step_many(prefixes)):
+            ref = full_prefix_log_probs(params, cfg, enc, prefix)[-1]
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
 
     def test_batched_beam_matches_full_prefix(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
         ref = I.beam_search(full_prefix_step_fn(params, cfg, enc), 3, cfg.max_caption_len)
-        got = I.caption_beam(params, cfg, enc, beam=3)
+        (got,) = I.caption_beam_clips(params, cfg, [enc], beam=3)
         assert [h.tokens for h in got] == [h.tokens for h in ref]
         np.testing.assert_allclose([h.logprob for h in got], [h.logprob for h in ref],
                                    rtol=0, atol=1e-12)
@@ -456,7 +467,7 @@ class TestClipsSearch:
         got = I.caption_beam_clips(params, cfg, encs, beam=3)
         assert len(got) == len(encs)
         for c, enc in enumerate(encs):
-            alone = I.caption_beam(params, cfg, enc, beam=3)
+            (alone,) = I.caption_beam_clips(params, cfg, [enc], beam=3)
             # the plain decoder: full-prefix decode of one clip, no early stop
             no_stop = beam_search_no_stop(batched(full_prefix_step_fn(params, cfg, enc)), 3,
                                           cfg.max_caption_len)
@@ -471,7 +482,7 @@ class TestClipsSearch:
         own = []
         for enc in encs:
             calls.clear()
-            I.caption_beam(params, cfg, enc, beam=3)
+            I.caption_beam_clips(params, cfg, [enc], beam=3)
             own.append(len(calls))
         assert len(set(own)) > 1, own
         calls.clear()
@@ -515,15 +526,16 @@ class TestClipsSearch:
         np.testing.assert_array_equal(stacked.visual_mask[:, 0], [[1, 1], [1, 0]])
 
     def test_step_rows_match_full_prefix_decode(self):
-        """Rows of held and of unheld prefixes, over ragged slot counts and
-        a clip that left the state and comes back, equal full-prefix decode."""
+        """Rows of held prefixes, over ragged slot counts and clips leaving
+        the state, equal full-prefix decode; a clip that left the state
+        cannot come back."""
         cfg, params, encs = chunk("concatenate", lengths=[(3, 1), (6, 2), (4, 3)])
         step_clips = I.make_clips_step_fn(params, cfg, encs)
         for live in ({0: [[SOS_ID]], 1: [[SOS_ID]], 2: [[SOS_ID]]},
                      {0: [[SOS_ID, 3], [SOS_ID, 4]], 2: [[SOS_ID, 5]]},
                      {0: [[SOS_ID, 4, 6]], 2: [[SOS_ID, 5, 1], [SOS_ID, 5, 2], [SOS_ID, 5, 3]]},
-                     {1: [[SOS_ID, 7, 2, 3]], 2: [[SOS_ID, 5, 2, 8]]},
-                     {0: [[SOS_ID, 3, 3, 3, 3]], 2: [[SOS_ID, 5, 2, 8, 9]]}):
+                     {2: [[SOS_ID, 5, 2, 8]]},
+                     {2: [[SOS_ID, 5, 2, 8, 9], [SOS_ID, 5, 2, 8, 0]]}):
             rows = step_clips(live)
             assert sorted(rows) == sorted(live)
             for c, prefixes in live.items():
@@ -531,12 +543,12 @@ class TestClipsSearch:
                 for prefix, row in zip(prefixes, rows[c]):
                     ref = full_prefix_log_probs(params, cfg, encs[c], prefix)[-1]
                     np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
-        with pytest.raises(DomainError):
-            step_clips({0: [[SOS_ID, 3]], 1: [[SOS_ID, 3, 4]]})
-        with pytest.raises(DomainError):
-            step_clips({0: [[SOS_ID, 3], [SOS_ID, 4, 5]]})
-        with pytest.raises(DomainError):
-            step_clips({0: []})
+        for live in ({0: [[SOS_ID, 4, 6, 1]], 2: [[SOS_ID, 5, 2, 8, 9, 1]]},
+                     {1: [[SOS_ID, 7, 2, 3, 4, 5]]},
+                     {2: [[SOS_ID, 5, 2, 8, 9, 1], [SOS_ID, 5, 2, 8, 0, 1, 2]]},
+                     {2: []}, {}):
+            with pytest.raises(DomainError):
+                step_clips(live)
 
 
 def two_step_state(lengths):
