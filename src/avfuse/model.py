@@ -367,8 +367,13 @@ def _mlp_forward(x: Tensor, p: MlpParams, dropout: float, rng) -> Tensor:
     return N.linear(h, p.fc2.weight, p.fc2.bias)
 
 
-def audio_encode(patches, params: ModelParams, config: ModelConfig, rng=None) -> Tensor:
-    """Patch projection + learned positions, then pre-norm attention/MLP blocks."""
+def audio_encode(patches, params: ModelParams, config: ModelConfig, mask=None,
+                 rng=None) -> Tensor:
+    """Patch projection + learned positions, then pre-norm attention/MLP blocks.
+
+    ``mask`` marks the valid patches, (T,) or (B, T); self-attention keeps
+    the others out, so a clip padded into a batch encodes as it does alone.
+    """
     x = N._as_tensor(patches)
     if x.shape[-1] != config.audio_in_dim:
         raise DimensionError(
@@ -382,11 +387,11 @@ def audio_encode(patches, params: ModelParams, config: ModelConfig, rng=None) ->
     for blk in params.encoder:
         attn_in = N.layer_norm(x, blk.norm_attn.gain, blk.norm_attn.bias, config.ln_eps)
         x = N.add(x, N.multi_head_attention(
-            attn_in, attn_in, blk.attn, config.heads,
-            attn_dropout=config.dropout if rng is not None else 0.0, dropout_rng=rng,
+            attn_in, attn_in, blk.attn, config.heads, kv_padding_mask=mask,
+            attn_dropout=config.dropout, dropout_rng=rng,
         ))
         mlp_in = N.layer_norm(x, blk.norm_mlp.gain, blk.norm_mlp.bias, config.ln_eps)
-        x = N.add(x, _mlp_forward(mlp_in, blk.mlp, config.dropout if rng is not None else 0.0, rng))
+        x = N.add(x, _mlp_forward(mlp_in, blk.mlp, config.dropout, rng))
     return x
 
 
@@ -407,7 +412,7 @@ def encode_modalities(params, config, audio=None, visual=None,
     if mode_uses_audio(mode):
         if audio is None:
             raise ConfigError(f"fusion mode {mode!r} requires audio input")
-        enc.audio = audio_encode(audio, params, config, rng=rng)
+        enc.audio = audio_encode(audio, params, config, mask=audio_mask, rng=rng)
     if mode_uses_visual(mode):
         if visual is None:
             raise ConfigError(f"fusion mode {mode!r} requires visual features")
@@ -472,7 +477,7 @@ def decoder_self_attend(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
     attn_in = N.layer_norm(x, blk.norm_self.gain, blk.norm_self.bias, config.ln_eps)
     out, kv = N.multi_head_attention(
         attn_in, attn_in, blk.self_attn, config.heads, causal=True,
-        attn_dropout=config.dropout if rng is not None else 0.0, dropout_rng=rng,
+        attn_dropout=config.dropout, dropout_rng=rng,
         past_kv=past_kv,
     )
     return N.add(x, out), kv
@@ -487,29 +492,19 @@ def cross_attend(h_hidden: Tensor, features, attn: AttentionParams,
     """
     return N.multi_head_attention(
         h_hidden, features, attn, config.heads, kv_padding_mask=kv_mask,
-        attn_dropout=config.dropout if rng is not None else 0.0, dropout_rng=rng,
+        attn_dropout=config.dropout, dropout_rng=rng,
     )
 
 
-def _fusion_inputs(enc: EncodedModalities, mode: str):
-    """(features, padding mask) read by the cross_audio and the cross_video
-    attention of ``mode``, each ``None`` where the mode has no such attention.
-
-    ``concatenate`` reads the time-concatenated features through cross_audio;
-    a side without a mask counts as all valid when the other side has one.
-    """
-    if mode == "audio_only":
-        return (enc.audio, enc.audio_mask), None
-    if mode == "video_only":
-        return None, (enc.visual, enc.visual_mask)
-    if mode == "concatenate":
-        mask = None
-        if enc.audio_mask is not None or enc.visual_mask is not None:
-            sides = ((enc.audio, enc.audio_mask), (enc.visual, enc.visual_mask))
-            mask = np.concatenate([np.ones(f.shape[:-1], dtype=bool) if m is None
-                                   else np.asarray(m, dtype=bool) for f, m in sides], axis=-1)
-        return (N.concat([enc.audio, enc.visual], axis=-2), mask), None
-    return (enc.audio, enc.audio_mask), (enc.visual, enc.visual_mask)
+def _concatenated(enc: EncodedModalities):
+    """(features, padding mask) of the audio and visual rows joined in time;
+    a side without a mask counts as all valid when the other side has one."""
+    mask = None
+    if enc.audio_mask is not None or enc.visual_mask is not None:
+        sides = ((enc.audio, enc.audio_mask), (enc.visual, enc.visual_mask))
+        mask = np.concatenate([np.ones(f.shape[:-1], dtype=bool) if m is None
+                               else np.asarray(m, dtype=bool) for f, m in sides], axis=-1)
+    return N.concat([enc.audio, enc.visual], axis=-2), mask
 
 
 @dataclass(frozen=True)
@@ -517,9 +512,9 @@ class BlockCache:
     """One decoder block's keys and values.
 
     ``self_kv`` is the self-attention (k, v) of every position decoded so
-    far.  ``cross`` is what :func:`_fusion_inputs` gives for the block's
-    cross_audio and cross_video attentions, with the features replaced by
-    their (k, v), projected once per clip.
+    far.  ``cross`` holds, for the block's cross_audio and cross_video
+    attentions, the ((k, v), padding mask) of the features each reads,
+    projected once per clip, or None where the block has no such attention.
     """
 
     self_kv: tuple[Tensor, Tensor]
@@ -551,21 +546,20 @@ def init_decoder_state(params: ModelParams, config: ModelConfig,
 
     The self-attention caches hold one empty hypothesis, which extends to
     any number of rows.  Each block's cross-attention keys and values are
-    projected from ``enc`` here, the one place the decoder reads ``enc``;
-    the fusion inputs are resolved per block, in block order.
+    projected from ``enc`` here, the one place the decoder reads ``enc``, for
+    each cross-attention the block holds, in block order.  cross_video reads
+    the visual features and cross_audio the audio ones, or under
+    ``concatenate`` both joined in time.
     """
     empty = Tensor(np.zeros((1, config.heads, 0, config.d // config.heads)))
-
-    def projected(side, attn):
-        if side is None:
-            return None
-        return N.project_kv(side[0], attn, config.heads), side[1]
-
     blocks = []
     for blk in params.decoder:
-        audio, video = _fusion_inputs(enc, config.fusion_mode)
-        blocks.append(BlockCache(self_kv=(empty, empty), cross=(
-            projected(audio, blk.cross_audio), projected(video, blk.cross_video))))
+        audio = (_concatenated(enc) if config.fusion_mode == "concatenate"
+                 else (enc.audio, enc.audio_mask))
+        sides = ((blk.cross_audio, audio), (blk.cross_video, (enc.visual, enc.visual_mask)))
+        blocks.append(BlockCache(self_kv=(empty, empty), cross=tuple(
+            None if attn is None else (N.project_kv(feats, attn, config.heads), mask)
+            for attn, (feats, mask) in sides)))
     return DecoderState(length=0, blocks=tuple(blocks))
 
 
@@ -608,34 +602,29 @@ def decoder_block(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
     """One decoder block: self-attention, fusion sublayer, MLP.
 
     ``x`` holds the positions after the ``cache``'s self-attention keys and
-    values, and the cross attentions read the cache's projected features.
-    Returns (output, trace, cache extended by ``x``'s positions); the trace
-    is None outside the adaava modes.
+    values, and the cross attentions the block holds, audio first, read the
+    cache's projected features.  Without a ``conf_fc`` the one cross output
+    is added to the stream; with one the two are gated.  Returns (output,
+    trace, cache extended by ``x``'s positions); the trace is None without
+    gating.
     """
-    mode = config.fusion_mode
     h, self_kv = decoder_self_attend(x, blk, config, cache.self_kv, rng=rng)
     hn = N.layer_norm(h, blk.norm_fuse.gain, blk.norm_fuse.bias, config.ln_eps)
-    audio_kv, video_kv = cache.cross
+    crosses = [cross_attend(hn, side[0], attn, config, kv_mask=side[1], rng=rng)
+               for attn, side in zip((blk.cross_audio, blk.cross_video), cache.cross)
+               if attn is not None]
     trace = None
-
-    if mode.startswith("adaava"):
-        a_cross = cross_attend(hn, audio_kv[0], blk.cross_audio, config,
-                               kv_mask=audio_kv[1], rng=rng)
-        v_cross = cross_attend(hn, video_kv[0], blk.cross_video, config,
-                               kv_mask=video_kv[1], rng=rng)
-        primary = a_cross if mode == "adaava_audio" else v_cross
-        a_conf = confidence(primary, hn, blk.conf_fc)
-        trace = adaava_fuse(a_cross, v_cross, a_conf, config.beta)
+    if blk.conf_fc is None:
+        (cross,) = crosses
+        fused = N.add(h, cross)
+    else:
+        a_cross, v_cross = crosses
+        primary = a_cross if config.fusion_mode == "adaava_audio" else v_cross
+        trace = adaava_fuse(a_cross, v_cross, confidence(primary, hn, blk.conf_fc), config.beta)
         fused = trace.av_out  # no residual into the fusion output
-    elif mode == "video_only":
-        fused = N.add(h, cross_attend(hn, video_kv[0], blk.cross_video, config,
-                                      kv_mask=video_kv[1], rng=rng))
-    else:  # audio_only / concatenate
-        fused = N.add(h, cross_attend(hn, audio_kv[0], blk.cross_audio, config,
-                                      kv_mask=audio_kv[1], rng=rng))
 
     mlp_in = N.layer_norm(fused, blk.norm_mlp.gain, blk.norm_mlp.bias, config.ln_eps)
-    out = N.add(fused, _mlp_forward(mlp_in, blk.mlp, config.dropout if rng is not None else 0.0, rng))
+    out = N.add(fused, _mlp_forward(mlp_in, blk.mlp, config.dropout, rng))
     return out, trace, BlockCache(self_kv, cache.cross)
 
 
@@ -695,14 +684,8 @@ def forward(params: ModelParams, config: ModelConfig, batch: Batch, rng=None,
         params, config, audio=batch.audio, visual=batch.visual,
         audio_mask=batch.audio_mask, visual_mask=batch.visual_mask, rng=rng,
     )
-    result = decode_logits(params, config, enc, batch.tokens_in, rng=rng,
-                           collect_traces=collect_traces)
-    logits = result[0] if collect_traces else result
-    finite = np.isfinite(logits.data)
-    if not finite.all():  # pragma: no cover - op-level checks fire first
-        bad = np.argwhere(~finite)[0]
-        raise DomainError(f"non-finite logit for batch element {int(bad[0])}")
-    return result
+    return decode_logits(params, config, enc, batch.tokens_in, rng=rng,
+                         collect_traces=collect_traces)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,9 @@ def fit(
 ) -> tuple[TrainState, list[dict]]:
     """Run the epoch loop; returns the final state and the metrics history.
 
+    A waveform-backed example too short for ``cfg.augment``'s mask widths is
+    a :class:`ConfigError` before anything is logged.
+
     With ``state`` from a checkpoint, training continues exactly where it
     stopped (same shuffles, same dropout draws, same Adam moments).
     Checkpoints: ``last.avck`` every ``checkpoint_interval`` epochs and at the
@@ -302,6 +305,13 @@ def fit(
     config.validate()
     if not train_examples:
         raise DomainError("training set is empty")
+    if cfg.augment is not None and model.mode_uses_audio(config.fusion_mode):
+        widths = (cfg.augment.max_time_width, cfg.augment.max_freq_width)
+        short = [ex.id for ex in train_examples
+                 if ex.mel is not None and np.any(np.less(ex.mel.frames.shape, widths))]
+        if short:
+            raise ConfigError(f"train.augment mask widths {widths} exceed the spectrogram "
+                              f"extents of clips {', '.join(short)}")
 
     named = model.named_parameters(params)
 

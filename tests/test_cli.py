@@ -262,6 +262,26 @@ class TestTrain:
         else:
             assert "error: train.augment must be" in capsys.readouterr().err
 
+    def test_augment_rejects_clip_shorter_than_mask(self, tmp_path, capsys):
+        """A 0.5 s clip has 50 frames, fewer than the default 64-frame time
+        mask: the run stops before its first step and names the clip."""
+        lines = []
+        for name, seconds in (("long", 1.0), ("short", 0.5)):
+            t = np.arange(int(32000 * seconds)) / 32000.0
+            frontend.write_wav(tmp_path / f"{name}.wav",
+                               (0.3 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32), 32000)
+            lines.append(json.dumps({"id": name, "audio": f"{name}.wav", "captions": ["a tone"]}))
+        (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
+        rc = run(["train", "--train-manifest", tmp_path / "m.jsonl", "--out", tmp_path / "r",
+                  "--fusion-mode", "audio_only", "--d", 16, "--heads", 2, "--encoder-blocks", 1,
+                  "--decoder-blocks", 1, "--epochs", 1, "--warmup-epochs", 0,
+                  "--batch-size", 1, "--augment"])
+        assert rc == EXIT_VALIDATION
+        error = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(error) == 1 and "short" in error[0] and "long" not in error[0]
+        log = tmp_path / "r" / "metrics.jsonl"
+        assert not log.exists() or log.read_text() == ""
+
     def test_lockfile_blocks_second_owner(self, dataset, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 
@@ -59,6 +60,18 @@ class TestAudioEncode:
         out = M.audio_encode(patches, params, cfg).data
         permuted = M.audio_encode(patches[::-1].copy(), params, cfg).data
         assert not np.allclose(out, permuted[::-1])
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["plain", "taped"])
+    def test_ragged_batch_encodes_each_clip_as_alone(self, rng, taped):
+        cfg = tiny_config("audio_only", d=32, encoder_blocks=2)
+        params = M.init_params(cfg, seed=67)
+        clips = [rng.normal(size=(n, cfg.audio_in_dim)) for n in (5, 9, 2)]
+        patches, mask = M.pad_stack(clips, cfg.audio_in_dim)
+        with N.GradTape() if taped else contextlib.nullcontext():
+            batched = M.encode_modalities(params, cfg, audio=patches, audio_mask=mask).audio
+        for i, clip in enumerate(clips):
+            alone = M.audio_encode(clip, params, cfg).data
+            np.testing.assert_allclose(batched.data[i, :len(clip)], alone, rtol=0, atol=1e-12)
 
     def test_length_over_positional_table(self, rng):
         cfg = tiny_config("audio_only", max_audio_len=4)
@@ -426,6 +439,43 @@ class TestForward:
         for tr in traces:
             assert tr.a_conf.shape == (len(tokens), cfg.d)
             assert np.all((tr.a_conf.data > 0) & (tr.a_conf.data < 1))
+
+
+# sha256 prefixes of the teacher-forced logits and of every parameter
+# gradient of a 2-clip decode with ragged audio and visual masks at dropout
+# 0.1, recorded before the decoder read its fusion wiring from the
+# parameter tree; the masks are passed in, so the encoder does not enter.
+MASKED_DECODE_PIN = {
+    "audio_only": ("b69f6a02e631603d", "1ef081f70478bd75"),
+    "video_only": ("b65602a0877f1652", "8959f04e1c987699"),
+    "concatenate": ("33399b6a75046363", "cca0099f5c8e5483"),
+    "adaava_audio": ("d0480112b55fc854", "5674e2bf176c42dc"),
+    "adaava_video": ("ab4a34097483ecad", "3a4079c1bebbeb14"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MASKED_DECODE_PIN))
+def test_masked_decode_bits_are_pinned(mode):
+    cfg = tiny_config(mode, decoder_blocks=2, dropout=0.1)
+    params = M.init_params(cfg, seed=53)
+    rng = np.random.default_rng(59)
+    enc = M.EncodedModalities(
+        audio=N.Tensor(rng.normal(size=(2, 5, cfg.d))),
+        visual=N.Tensor(rng.normal(size=(2, 4, cfg.d))),
+        audio_mask=np.arange(5) < np.array([[5], [3]]),
+        visual_mask=np.arange(4) < np.array([[2], [4]]),
+    )
+    tokens = rng.integers(0, cfg.vocab_size, size=(2, 6))
+    mixer = rng.normal(size=(2, 6, cfg.vocab_size))
+    with N.GradTape() as tape:
+        logits = M.decode_logits(params, cfg, enc, tokens, rng=np.random.default_rng(61))
+        loss = N.sum_(N.mul(logits, mixer))
+    grads = N.backward(loss, tape)
+    grad_bytes = b"".join(name.encode() + grads[t].tobytes()
+                          for name, t in M.named_parameters(params) if t in grads)
+    digests = tuple(hashlib.sha256(raw).hexdigest()[:16]
+                    for raw in (logits.data.tobytes(), grad_bytes))
+    assert digests == MASKED_DECODE_PIN[mode]
 
 
 class TestBlockGradients:
