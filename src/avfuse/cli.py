@@ -357,8 +357,8 @@ def cmd_eval(args) -> int:
     per-clip times.  ``environment`` names the
     interpreter, numpy, the CPU count and the BLAS thread settings.
     """
-    ck = model.load_checkpoint(args.checkpoint)
     manifest = data.load_manifest(args.manifest)
+    ck = model.load_checkpoint(args.checkpoint)
     candidates, clip_s = _decode_manifest(ck, manifest, 1 if args.greedy else args.beam)
     if args.candidates_out:
         with open(args.candidates_out, "w", encoding="utf-8") as fh:
@@ -371,7 +371,7 @@ def cmd_eval(args) -> int:
         "beam": args.beam, "greedy": args.greedy,
         "fusion_mode": ck.config.fusion_mode,
     }
-    decode_s = sum(clip_s)  # evaluate() has rejected an empty manifest
+    decode_s = sum(clip_s)  # load_manifest has rejected an empty manifest
     payload["timing"] = {"clips": len(clip_s), "decode_s": decode_s,
                          "clips_per_s": len(clip_s) / decode_s,
                          "ms_per_clip_p50": 1000.0 * float(np.median(clip_s)),

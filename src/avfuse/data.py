@@ -247,7 +247,8 @@ def read_json_lines(path):
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Load a JSON-lines manifest; every validation error names its line number."""
+    """Load a JSON-lines manifest of at least one record; every validation
+    error names the file and, for a bad record, its line number."""
     path = Path(path)
     root = path.parent
     records: list[ManifestRecord] = []
@@ -287,6 +288,8 @@ def load_manifest(path) -> DatasetManifest:
                     f"{path}: line {lineno}: {label} path does not exist: {target}"
                 )
         records.append(rec)
+    if not records:
+        raise ValidationError(f"{path}: manifest has no records")
     return DatasetManifest(records=records, root=root)
 
 

@@ -9,7 +9,10 @@ produce one gradient per ``requires_grad`` leaf.  A finite-difference
 Conventions that the rest of the package relies on:
 
 * every tensor is float64, and all stated tolerances assume it,
-* every forward result is checked for NaN/Inf and rejected,
+* every forward result is checked for NaN/Inf and rejected with a
+  DomainError, by one ``np.isfinite(x).all()`` per result; the ops whose
+  products may overflow (matmul, linear, project_heads, attention) ignore
+  the overflow, so it surfaces as that error and never as a RuntimeWarning,
 * op ordering is deterministic, so repeated runs are bit-identical,
 * masked attention logits are *set* to a large negative finite constant
   (never ``-inf``), which makes causal outputs bit-invariant to future
@@ -34,6 +37,15 @@ MASKED_LOGIT = -1.0e30
 
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# sigmoid's clamp: the float64 neighbours of 0 and 1 inside the open interval.
+_SIGMOID_LO = np.nextafter(0.0, 1.0)
+_SIGMOID_HI = np.nextafter(1.0, 0.0)
+
+# Decorates the ops whose products may overflow: the inf they produce becomes
+# a DomainError in the finite check, with no RuntimeWarning.  As a decorator
+# errstate costs less per call than a ``with`` block, which builds a new
+# errstate object each time.
+_overflow_to_inf = np.errstate(over="ignore")
 
 
 class Tensor:
@@ -108,7 +120,7 @@ def _active_tape() -> GradTape | None:
 
 
 def _check_finite(arr: np.ndarray, opname: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"non-finite values produced by {opname}")
 
 
@@ -188,14 +200,9 @@ def sigmoid(a) -> Tensor:
     """Elementwise logistic function, clamped into the open interval (0, 1)."""
     a = _as_tensor(a)
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    one = x.dtype.type(1.0)
-    zero = x.dtype.type(0.0)
-    np.clip(out, np.nextafter(zero, one), np.nextafter(one, zero), out=out)
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -235,10 +242,9 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     if not tensors:
         raise UsageError("concat of zero tensors")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
     return _result(out, tuple(tensors), vjp, "concat")
@@ -299,6 +305,7 @@ def take_along_last(a, idx: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+@_overflow_to_inf
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -306,12 +313,11 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    with np.errstate(over="ignore"):  # overflow becomes a DomainError in _result
-        out = a.data @ b.data
+    out = a.data @ b.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
         return ga, gb
 
     return _result(out, (a, b), vjp, "matmul")
@@ -324,6 +330,7 @@ def linear(x, weight, bias) -> Tensor:
     return _result(out, (x, weight, bias), vjp, "linear")
 
 
+@_overflow_to_inf
 def _affine(x: Tensor, weight: Tensor, bias: Tensor):
     """The forward array and the VJP of :func:`linear`, unrecorded."""
     if weight.ndim != 2:
@@ -333,8 +340,7 @@ def _affine(x: Tensor, weight: Tensor, bias: Tensor):
         raise DimensionError(f"linear input width {x.shape[-1]} != weight rows {k}")
     if bias.shape != (n,):
         raise DimensionError(f"linear bias shape {bias.shape} != ({n},)")
-    with np.errstate(over="ignore"):
-        out = x.data @ weight.data + bias.data
+    out = x.data @ weight.data + bias.data
 
     def vjp(g):
         gx = g @ weight.data.T
@@ -392,17 +398,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match last dim {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is ndarray.mean's own sum and division, bit for
+    # bit, without its Python-level dispatch.
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xn = xc * inv
     out = xn * gain.data + bias.data
 
     def vjp(g):
         gy = g * gain.data
-        gmean = gy.mean(axis=-1, keepdims=True)
-        gproj = (gy * xn).mean(axis=-1, keepdims=True)
+        gmean = np.add.reduce(gy, axis=-1, keepdims=True) / d
+        gproj = np.add.reduce(gy * xn, axis=-1, keepdims=True) / d
         gx = inv * (gy - gmean - xn * gproj)
         lead = tuple(range(g.ndim - 1))
         ggain = (g * xn).sum(axis=lead)
@@ -436,14 +444,15 @@ def project_heads(x, weight, bias, heads: int) -> Tensor:
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     flat, affine_vjp = _affine(x, weight, bias)
     *lead, L, d = flat.shape
-    out = np.ascontiguousarray(np.swapaxes(flat.reshape(*lead, L, heads, d // heads), -3, -2))
+    out = np.ascontiguousarray(flat.reshape(*lead, L, heads, d // heads).swapaxes(-3, -2))
 
     def vjp(g):
-        return affine_vjp(np.swapaxes(g, -3, -2).reshape(flat.shape))
+        return affine_vjp(g.swapaxes(-3, -2).reshape(flat.shape))
 
     return _result(out, (x, weight, bias), vjp, "project_heads")
 
 
+@_overflow_to_inf
 def attention(q, k, v, valid: np.ndarray | None, dropout: float,
               rng: np.random.Generator | None) -> Tensor:
     """Scaled dot-product attention over split heads, merged back to (..., L_q, d).
@@ -458,9 +467,8 @@ def attention(q, k, v, valid: np.ndarray | None, dropout: float,
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     scale = 1.0 / math.sqrt(q.shape[-1])
-    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    with np.errstate(over="ignore"):
-        logits = (q.data @ kt) * scale  # (..., heads, L_q, L_kv)
+    kt = np.ascontiguousarray(k.data.swapaxes(-1, -2))
+    logits = (q.data @ kt) * scale  # (..., heads, L_q, L_kv)
     _check_finite(logits, "attention logits")
     masked = logits
     if valid is not None:
@@ -473,8 +481,7 @@ def attention(q, k, v, valid: np.ndarray | None, dropout: float,
     if dropout > 0.0 and rng is not None:
         keep = (rng.random(probs.shape) >= dropout).astype(probs.dtype) / (1.0 - dropout)
         dropped = probs * keep
-    with np.errstate(over="ignore"):
-        ctx = np.ascontiguousarray(np.swapaxes(dropped @ v.data, -3, -2))
+    ctx = np.ascontiguousarray((dropped @ v.data).swapaxes(-3, -2))
     *lead, L_q, heads, width = ctx.shape
     out = ctx.reshape(*lead, L_q, heads * width)
 
@@ -482,17 +489,17 @@ def attention(q, k, v, valid: np.ndarray | None, dropout: float,
         # The VJPs of the head merge, ·v, dropout, softmax, mask, ·scale and
         # q kᵀ as separate ops would run them, on the same arrays, so that
         # the gradient bits do not depend on the fusion.
-        g = np.swapaxes(g.reshape(ctx.shape), -3, -2)
-        gp = _unbroadcast(g @ np.swapaxes(v.data, -1, -2), dropped.shape)
-        gv = _unbroadcast(np.swapaxes(dropped, -1, -2) @ g, v.shape)
+        g = g.reshape(ctx.shape).swapaxes(-3, -2)
+        gp = _unbroadcast(g @ v.data.swapaxes(-1, -2), dropped.shape)
+        gv = _unbroadcast(dropped.swapaxes(-1, -2) @ g, v.shape)
         if keep is not None:
             gp = _unbroadcast(gp * keep, probs.shape)
         gl = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
         if valid is not None:
             gl = _unbroadcast(np.where(valid, gl, 0.0), logits.shape)
         gl = gl * scale
-        gq = _unbroadcast(gl @ np.swapaxes(kt, -1, -2), q.shape)
-        gk = np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ gl, kt.shape), -1, -2)
+        gq = _unbroadcast(gl @ kt.swapaxes(-1, -2), q.shape)
+        gk = _unbroadcast(q.data.swapaxes(-1, -2) @ gl, kt.shape).swapaxes(-1, -2)
         return gq, gk, gv
 
     return _result(out, (q, k, v), vjp, "attention")

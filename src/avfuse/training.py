@@ -151,7 +151,7 @@ def adam_step(named_params: list[tuple[str, Tensor]], grads: dict[str, np.ndarra
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(tensor.data)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         m = state.m.get(name)
         v = state.v.get(name)

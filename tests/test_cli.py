@@ -573,6 +573,30 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["", "\n  \n"])
+    def test_empty_eval_manifest_is_validation_before_checkpoint_read(self, tmp_path, capsys,
+                                                                      content):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(content)
+        # the checkpoint is missing: reading it first would exit 2
+        rc = run(["eval", "--checkpoint", tmp_path / "none.avck", "--manifest", empty,
+                  "--report", tmp_path / "report.json",
+                  "--candidates-out", tmp_path / "cands.jsonl"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {empty}: manifest has no records\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
+
+    @pytest.mark.parametrize("which", ["--train-manifest", "--val-manifest"])
+    def test_empty_train_manifest_is_validation_before_anything_is_written(
+            self, dataset, tmp_path, capsys, which):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "run"
+        rc = run(train_args(dataset, out, **{which: empty}))
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {empty}: manifest has no records\n"
+        assert not out.exists()
+
     def test_infer_beam_below_one_is_validation(self, tmp_path, capsys):
         rc = run(["infer", "--checkpoint", tmp_path / "none.avck",
                   "--audio", tmp_path / "none.wav", "--beam", 0])

@@ -4,10 +4,13 @@ Oracles here are deliberately naive (triple loops, direct formulas,
 per-head recomputation) and independent of the production code paths.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 import attention_oracle as oracle
+import numerics_oracle
 from avfuse import numerics as N
 from avfuse.errors import ConfigError, DimensionError, DomainError, UsageError
 
@@ -363,6 +366,101 @@ class TestFusedAttentionMatchesComposite:
         assert len(tape) == 3  # project q; attention; output linear
 
 
+def _taped_op(op, arrays, mixer):
+    """Output bytes and the bytes of every input gradient of ``sum(op(*leaves) * mixer)``."""
+    leaves = [N.Tensor(a, requires_grad=True) for a in arrays]
+    with N.GradTape() as tape:
+        out = op(*leaves)
+        loss = N.sum_(N.mul(out, mixer))
+    grads = N.backward(loss, tape)
+    return out.data.tobytes(), [grads[t].tobytes() for t in leaves]
+
+
+class TestFastFormsMatchOracles:
+    """The cheaper forms of ``sigmoid``, ``layer_norm``, ``concat``'s VJP and
+    the finite check equal the plain formulas in ``numerics_oracle`` bit for
+    bit, on inputs chosen to reach their edges, with every warning an error."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_sigmoid(self, rng):
+        tiny = np.nextafter(0.0, 1.0)
+        edges = np.array([0.0, -0.0, tiny, -tiny, 1e-300, 1e-17, 0.5, 1.0, 17.0, 36.0,
+                          36.8, 37.0, 40.0, 708.0, 709.8, 710.0, 745.1, 746.0, 1e5, 1e300,
+                          1e308, np.finfo(np.float64).max])
+        cases = [np.concatenate([edges, -edges]),
+                 rng.normal(scale=10.0, size=(3, 4, 5)),
+                 np.exp(rng.uniform(-700, 700, size=20000)) * rng.choice([-1.0, 1.0], size=20000),
+                 np.array(-3.5), np.array(0.0), np.zeros((0, 3))]
+        for x in cases:
+            mixer = rng.normal(size=x.shape)
+            assert _taped_op(N.sigmoid, [x], mixer) == _taped_op(numerics_oracle.sigmoid, [x], mixer)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3), (4, 1, 9), (2, 3, 130), (1, 1, 1000)])
+    def test_layer_norm(self, rng, shape):
+        d = shape[-1]
+        scales = 10.0 ** rng.uniform(-150, 150, size=shape)
+        for x in (rng.normal(size=shape), rng.normal(loc=1e6, scale=1e-3, size=shape),
+                  rng.normal(size=shape) * scales, np.full(shape, -2.5)):
+            arrays = [x, rng.normal(size=d), rng.normal(size=d)]
+            mixer = rng.normal(size=shape)
+            for eps in (1e-5, 1e-12):
+                def fast(a, g, b):
+                    return N.layer_norm(a, g, b, eps=eps)
+
+                def plain(a, g, b):
+                    return numerics_oracle.layer_norm(a, g, b, eps=eps)
+
+                assert _taped_op(fast, arrays, mixer) == _taped_op(plain, arrays, mixer)
+
+    def test_layer_norm_non_contiguous_input(self, rng):
+        x = rng.normal(size=(16, 5)).T  # rows of stride 16
+        arrays = [x, rng.normal(size=16), rng.normal(size=16)]
+        mixer = rng.normal(size=x.shape)
+        assert (_taped_op(N.layer_norm, arrays, mixer)
+                == _taped_op(numerics_oracle.layer_norm, arrays, mixer))
+
+    @pytest.mark.parametrize("axis, shapes", [
+        (-1, [(2, 3), (2, 1), (2, 4)]),
+        (-2, [(1, 2, 0, 4), (1, 2, 3, 4), (1, 2, 1, 4)]),
+        (0, [(5, 2)]),
+        (1, [(3, 0), (3, 2), (3, 0), (3, 5)]),
+        (-3, [(2, 3, 1, 4), (2, 1, 1, 4)]),
+    ])
+    def test_concat(self, rng, axis, shapes):
+        arrays = [rng.normal(size=s) for s in shapes]
+        mixer = rng.normal(size=np.concatenate(arrays, axis=axis).shape)
+
+        def fast(*ts):
+            return N.concat(ts, axis=axis)
+
+        def plain(*ts):
+            return numerics_oracle.concat(ts, axis=axis)
+
+        assert _taped_op(fast, arrays, mixer) == _taped_op(plain, arrays, mixer)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 1, 4)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_finite_rejects_each_position(self, shape, bad):
+        size = int(np.prod(shape))
+        for pos in sorted({0, size // 2, size - 1}):
+            arr = np.ones(shape)
+            arr.reshape(-1)[pos] = bad
+            for check in (N._check_finite, numerics_oracle.check_finite):
+                with pytest.raises(DomainError, match="produced by probe"):
+                    check(arr, "probe")
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0, 3), (), (5,), (2, 3, 1, 4)])
+    def test_check_finite_accepts_empty_and_finite(self, shape):
+        arr = np.full(shape, np.finfo(np.float64).max)
+        N._check_finite(arr, "probe")
+        numerics_oracle.check_finite(arr, "probe")
+
+
 class TestBackward:
     def test_identity_gradient(self):
         x = N.Tensor(np.array([3.0]), requires_grad=True)
@@ -546,10 +644,37 @@ class TestGradcheck:
             assert err < 1e-5, f"graph seed {seed}: {err}"
 
 
+class _KeepAll:
+    """A dropout generator whose draws keep every position."""
+
+    def random(self, shape):
+        return np.ones(shape)
+
+
 class TestFiniteGuard:
     def test_overflow_is_an_error(self):
         with pytest.raises(DomainError):
             N.matmul(N.Tensor([[1e200]]), N.Tensor([[1e200]]))
+
+    @pytest.mark.parametrize("op", ["linear", "project_heads", "attention_logits",
+                                    "attention_context"])
+    def test_overflow_in_src_ops_is_an_error_without_warning(self, op):
+        big = np.full((1, 2, 4), 1e200)
+        w, b = np.full((4, 4), 1e200), np.zeros(4)
+        calls = {
+            "linear": lambda: N.linear(big, w, b),
+            "project_heads": lambda: N.project_heads(big, w, b, 2),
+            # q kᵀ overflows
+            "attention_logits": lambda: N.attention(big, big, big, None, 0.0, None),
+            # two keys kept at rate 0.5 weigh 1.0 each: 1.5e308 + 1.5e308 overflows
+            "attention_context": lambda: N.attention(
+                np.ones((1, 1, 4)), np.zeros((1, 2, 4)), np.full((1, 2, 4), 1.5e308),
+                None, 0.5, _KeepAll()),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                calls[op]()
 
     def test_nan_input_rejected_at_construction(self):
         with pytest.raises(DomainError):
