@@ -185,37 +185,13 @@ _TRAIN_FLAGS = (
 )
 
 
-def _infer_feature_widths(manifest: data.DatasetManifest) -> tuple[int | None, int | None]:
-    audio_widths, visual_widths = set(), set()
-    for rec in manifest.records:
-        audio_widths.add(data.audio_input_width(manifest.resolve(rec.audio)))
-        if rec.visual_features is not None:
-            visual_widths.add(data.feature_file_shape(manifest.resolve(rec.visual_features))[1])
-    if len(audio_widths) > 1:
-        raise ValidationError(f"inconsistent audio feature widths: {sorted(audio_widths)}")
-    if len(visual_widths) > 1:
-        raise ValidationError(f"inconsistent visual feature widths: {sorted(visual_widths)}")
-    return (audio_widths.pop() if audio_widths else None,
-            visual_widths.pop() if visual_widths else None)
-
-
-def _require_visual(manifest: data.DatasetManifest, fusion_mode: str) -> None:
-    """Reject the manifest if ``fusion_mode`` reads visual features and some
-    of its records have none, naming the first few of them."""
-    if not model.mode_uses_visual(fusion_mode):
-        return
-    missing = [rec.id for rec in manifest.records if rec.visual_features is None]
-    if missing:
-        raise ConfigError(
-            f"fusion mode {fusion_mode!r} requires visual features; "
-            f"records without them: {', '.join(missing[:5])}"
-            + ("..." if len(missing) > 5 else "")
-        )
-
-
-def _max_audio_rows(examples) -> int:
-    rows = [ex.audio_patches.shape[0] for ex in examples if ex.audio_patches is not None]
-    return max(rows, default=0)
+def _infer_feature_widths(manifest: data.DatasetManifest) -> tuple[int, int | None]:
+    """The widths of the manifest's first audio file and first visual file;
+    :func:`_check_inputs` then holds every clip to the configured widths."""
+    visual = next((rec.visual_features for rec in manifest.records
+                   if rec.visual_features is not None), None)
+    return (data.audio_input_width(manifest.resolve(manifest.records[0].audio)),
+            None if visual is None else data.feature_file_shape(manifest.resolve(visual))[1])
 
 
 def build_run(resolved: dict):
@@ -236,8 +212,7 @@ def build_run(resolved: dict):
     fusion_mode = model_kw.get("fusion_mode", "adaava_audio")
     audio_w, visual_w = _infer_feature_widths(manifest)
     if model.mode_uses_audio(fusion_mode) and "audio_in_dim" not in model_kw:
-        model_kw["audio_in_dim"] = audio_w or data.WAV_PATCH_WIDTH
-    _require_visual(manifest, fusion_mode)
+        model_kw["audio_in_dim"] = audio_w
     if visual_w is not None and model.mode_uses_visual(fusion_mode):
         model_kw.setdefault("visual_in_dim", visual_w)
 
@@ -254,9 +229,10 @@ def build_run(resolved: dict):
     val_examples = (
         data.load_examples(val_manifest, vocab, config.max_caption_len) if val_manifest else []
     )
-    needed = _max_audio_rows(train_examples + val_examples)
-    if needed > config.max_audio_len:
-        config.max_audio_len = needed
+    config.max_audio_len = max(config.max_audio_len,
+                               *(len(ex.audio_patches) for ex in train_examples + val_examples))
+    _check_inputs(_manifest_inputs(resolved["train_manifest"], train_examples)
+                  + _manifest_inputs(resolved.get("val_manifest"), val_examples), config)
     return config, tcfg, vocab, train_examples, val_examples
 
 
@@ -301,38 +277,61 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Beam search decodes this many clips of an eval manifest in lockstep.
+# An eval manifest is encoded and decoded this many clips at a time.
 _EVAL_CHUNK = 32
 
 
-def _check_audio_rows(rows: int, config: model.ModelConfig) -> None:
-    """Reject audio of more patch rows than the checkpoint's positional table."""
-    if rows > config.max_audio_len:
-        raise ConfigError(f"audio of {rows} patches exceeds the checkpoint's positional table "
-                          f"({config.max_audio_len})")
+def _check_inputs(inputs, config: model.ModelConfig) -> None:
+    """Reject the first of ``inputs``, (name, side, rows) triples, that the
+    model cannot read: no rows or rows of another width than its config's
+    for a side it reads, or audio of more patch rows than its positional
+    table."""
+    mode = config.fusion_mode
+    widths = {"audio": config.audio_in_dim if model.mode_uses_audio(mode) else None,
+              "visual": config.visual_in_dim if model.mode_uses_visual(mode) else None}
+    for name, side, rows in inputs:
+        if widths[side] is None:
+            continue
+        if rows is None:
+            raise ConfigError(f"{name}: fusion mode {mode!r} reads {side} features, "
+                              "and there are none")
+        if rows.shape[1] != widths[side]:
+            raise ConfigError(f"{name}: {side} features have width {rows.shape[1]}, "
+                              f"the model reads {widths[side]}")
+        if side == "audio" and len(rows) > config.max_audio_len:
+            raise ConfigError(f"{name}: audio of {len(rows)} patches exceeds the checkpoint's "
+                              f"positional table ({config.max_audio_len})")
 
 
-def _decode_manifest(ck: model.Checkpoint, manifest: data.DatasetManifest,
+def _manifest_inputs(manifest_path, examples) -> list[tuple]:
+    """:func:`_check_inputs` triples of manifest examples, named by clip."""
+    return [(f"{manifest_path}: clip {ex.id!r}", side, rows) for ex in examples
+            for side, rows in (("audio", ex.audio_patches), ("visual", ex.visual))]
+
+
+def _decode_manifest(ck: model.Checkpoint, manifest_path,
+                     manifest: data.DatasetManifest,
                      beam: int) -> tuple[dict[str, str], list[float]]:
     """Candidate captions by id, and the seconds each clip took to decode.
 
-    Greedy decoding (beam 1) runs clip by clip.  Beam search runs chunks of
-    :data:`_EVAL_CHUNK` clips, each encoded alone and then searched in
-    lockstep; every clip of a chunk is booked the chunk's wall time over its
-    clip count.
+    The clips run in chunks of :data:`_EVAL_CHUNK`.  A chunk is padded by
+    :func:`training.collate` and encoded in one call with its padding masks,
+    as a training batch is; greedy decoding (beam 1) then decodes its clips
+    one by one, and beam search all of them in lockstep.  Every clip of a
+    chunk is booked the chunk's wall time over its clip count.
     """
-    _require_visual(manifest, ck.config.fusion_mode)
     examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)
-    _check_audio_rows(_max_audio_rows(examples), ck.config)
+    _check_inputs(_manifest_inputs(manifest_path, examples), ck.config)
 
-    chunk_size = 1 if beam == 1 else _EVAL_CHUNK
     candidates, clip_s = {}, []
-    for first in range(0, len(examples), chunk_size):
-        chunk = examples[first:first + chunk_size]
+    for first in range(0, len(examples), _EVAL_CHUNK):
+        chunk = examples[first:first + _EVAL_CHUNK]
         start = time.perf_counter()
-        encs = [model.encode_modalities(ck.params, ck.config, audio=ex.audio_patches,
-                                        visual=ex.visual) for ex in chunk]
-        decoded = inference.caption_clips(ck.params, ck.config, encs, beam)
+        batch, _ = training.collate(chunk, ck.config)
+        enc = model.encode_modalities(ck.params, ck.config, audio=batch.audio,
+                                      visual=batch.visual, audio_mask=batch.audio_mask,
+                                      visual_mask=batch.visual_mask)
+        decoded = inference.caption_clips(ck.params, ck.config, enc, beam)
         for ex, ids in zip(chunk, decoded):
             candidates[ex.id] = " ".join(data.decode_caption(ids, ck.vocab))
         clip_s += [(time.perf_counter() - start) / len(chunk)] * len(chunk)
@@ -350,16 +349,18 @@ def cmd_eval(args) -> int:
     """Decode the manifest, score it, and print (and with ``--report`` write)
     the report.
 
-    ``timing`` covers encoding and decoding.  Greedy clips are timed one by
-    one; a beam-search chunk is timed as a whole and each of its clips is
-    booked the chunk's time over its clip count, so ``ms_per_clip_p50`` and
+    ``timing`` covers encoding and decoding.  Each chunk of clips, greedy or
+    beam search, is timed as a whole and each of its clips is booked the
+    chunk's time over its clip count, so ``ms_per_clip_p50`` and
     ``ms_per_clip_p95`` are the median and the 95th percentile of those
-    per-clip times.  ``environment`` names the
-    interpreter, numpy, the CPU count and the BLAS thread settings.
+    per-clip times.  ``settings`` names the beam width that ran, 1 under
+    ``--greedy``.  ``environment`` names the interpreter, numpy, the CPU
+    count and the BLAS thread settings.
     """
     manifest = data.load_manifest(args.manifest)
     ck = model.load_checkpoint(args.checkpoint)
-    candidates, clip_s = _decode_manifest(ck, manifest, 1 if args.greedy else args.beam)
+    beam = 1 if args.greedy else args.beam
+    candidates, clip_s = _decode_manifest(ck, args.manifest, manifest, beam)
     if args.candidates_out:
         with open(args.candidates_out, "w", encoding="utf-8") as fh:
             for cid, caption in candidates.items():
@@ -368,7 +369,7 @@ def cmd_eval(args) -> int:
     payload = report.to_json()
     payload["settings"] = {
         "checkpoint": str(args.checkpoint), "manifest": str(args.manifest),
-        "beam": args.beam, "greedy": args.greedy,
+        "beam": beam, "greedy": args.greedy,
         "fusion_mode": ck.config.fusion_mode,
     }
     decode_s = sum(clip_s)  # load_manifest has rejected an empty manifest
@@ -390,7 +391,6 @@ def cmd_infer(args) -> int:
     audio = None
     if model.mode_uses_audio(config.fusion_mode):
         audio, _ = data.load_audio_input(args.audio)
-        _check_audio_rows(audio.shape[0], config)
     visual = None
     if model.mode_uses_visual(config.fusion_mode):
         if not args.visual:
@@ -398,9 +398,10 @@ def cmd_infer(args) -> int:
                 f"fusion mode {config.fusion_mode!r} needs --visual features"
             )
         visual = data.read_feature_file(args.visual).astype(np.float64)
+    _check_inputs([(args.audio, "audio", audio), (args.visual, "visual", visual)], config)
 
     enc = model.encode_modalities(ck.params, config, audio=audio, visual=visual)
-    [ids] = inference.caption_clips(ck.params, config, [enc], args.beam)
+    [ids] = inference.caption_clips(ck.params, config, enc[None], args.beam)
     caption = " ".join(data.decode_caption(ids, ck.vocab))
     print(caption)
 

@@ -8,14 +8,15 @@ testable against toy models and exhaustive enumeration.  All tie-breaks are
 deterministic: lowest token id at expansion, lexicographic token sequence at
 ranking.
 
-:func:`make_clips_step_fn` binds the ``step_clips`` contract to the model:
-one single-position decoder pass over a (clip, slot) grid steps every live
-hypothesis of every listed clip, the cross-attention keys and values are
-projected once per clip, and only the decoder state of the latest
-generation is held, so every prefix must extend one of that generation's.
-:func:`make_step_fn` is its adapter for one clip whose prefixes each extend
-the previous one, which greedy decoding drives.  :func:`caption_clips` is
-the one caption entry of ``avfuse eval`` and ``avfuse infer``.
+:func:`make_clips_step_fn` binds the ``step_clips`` contract to a chunk of
+clips encoded as one batch: one single-position decoder pass over a (clip,
+slot) grid steps every live hypothesis of every listed clip, the
+cross-attention keys and values are projected once per clip, and only the
+decoder state of the latest generation is held, so every prefix must extend
+one of that generation's.  :func:`make_step_fn` is its adapter for one clip
+whose prefixes each extend the previous one, which greedy decoding drives.
+:func:`caption_clips`, over a chunk, is the one caption entry of ``avfuse
+eval`` and ``avfuse infer``.
 """
 
 from __future__ import annotations
@@ -135,13 +136,13 @@ def beam_search(step_fn: StepFn, beam: int, max_len: int) -> list[Hypothesis]:
 
 
 def make_clips_step_fn(params: model.ModelParams, config: model.ModelConfig,
-                       encs: Sequence[model.EncodedModalities]) -> ClipsStepFn:
-    """Incremental step function for several clips in lockstep:
+                       chunk: model.EncodedModalities) -> ClipsStepFn:
+    """Incremental step function for the clips of ``chunk`` in lockstep:
     ``step_clips({clip: prefixes})`` gives each listed clip's (n, V)
     next-token log-probs after its n prefixes.
 
-    The clips' features are stacked by :func:`model.stack_clips`, so the
-    cross-attention keys and values are projected once per clip, and one
+    The cross-attention keys and values are projected once per clip from a
+    view of ``chunk`` with a slot axis of one after its clip axis, and one
     decoder pass over a (clips, slots, 1) grid steps every listed clip.  A
     clip with fewer prefixes than the widest fills its spare slots with its
     first row, whose outputs are dropped.  Only the previous call's
@@ -150,9 +151,8 @@ def make_clips_step_fn(params: model.ModelParams, config: model.ModelConfig,
     call gathers the parents' slots of the listed clips and decodes the last
     tokens; a prefix that extends no held prefix raises :class:`DomainError`.
     """
-    chunk = model.stack_clips(list(encs))
-    held = model.init_decoder_state(params, config, chunk)
-    held_clips = list(range(len(encs)))
+    held = model.init_decoder_state(params, config, chunk[:, None])
+    held_clips = list(range(len(chunk)))
     held_rows = {(c, ()): 0 for c in held_clips}
 
     def step_clips(live: dict[int, list[list[int]]]) -> dict[int, np.ndarray]:
@@ -169,7 +169,7 @@ def make_clips_step_fn(params: model.ModelParams, config: model.ModelConfig,
         width = max(map(len, ids))
         pad = lambda row: row + row[:1] * (width - len(row))  # noqa: E731
         state = model.gather_state(held, [pad(p) for p in parents], clips=clips)
-        logits, held = model.decode_logits(params, config, chunk,
+        logits, held = model.decode_logits(params, config, None,
                                            np.asarray([pad(i) for i in ids], dtype=np.int64),
                                            state=state)
         held_clips = list(keys)
@@ -184,7 +184,7 @@ def make_step_fn(params: model.ModelParams, config: model.ModelConfig,
                  enc: model.EncodedModalities) -> StepFn:
     """:func:`make_clips_step_fn` for one clip and one prefix at a time, each
     prefix extending the previous one by a token, as greedy decoding steps."""
-    step_clips = make_clips_step_fn(params, config, [enc])
+    step_clips = make_clips_step_fn(params, config, enc[None])
     return lambda prefix: step_clips({0: [prefix]})[0][0]
 
 
@@ -192,15 +192,15 @@ def caption_greedy(params, config, enc) -> list[int]:
     return greedy_decode(make_step_fn(params, config, enc), config.max_caption_len)
 
 
-def caption_beam_clips(params, config, encs, beam: int = 3) -> list[list[Hypothesis]]:
-    """Beam search over the encoded clips ``encs`` in lockstep."""
-    return beam_search_clips(make_clips_step_fn(params, config, encs), len(encs), beam,
+def caption_beam_clips(params, config, chunk, beam: int = 3) -> list[list[Hypothesis]]:
+    """Beam search over the clips of the encoded ``chunk`` in lockstep."""
+    return beam_search_clips(make_clips_step_fn(params, config, chunk), len(chunk), beam,
                              config.max_caption_len)
 
 
-def caption_clips(params, config, encs, beam: int) -> list[list[int]]:
-    """The caption token ids of each encoded clip of ``encs``: greedy clip by
-    clip for ``beam`` 1, else beam search over all of them in lockstep."""
+def caption_clips(params, config, chunk, beam: int) -> list[list[int]]:
+    """The caption token ids of each clip of the encoded ``chunk``: greedy clip
+    by clip for ``beam`` 1, else beam search over all of them in lockstep."""
     if beam == 1:
-        return [caption_greedy(params, config, enc) for enc in encs]
-    return [hyps[0].tokens for hyps in caption_beam_clips(params, config, encs, beam=beam)]
+        return [caption_greedy(params, config, chunk[c]) for c in range(len(chunk))]
+    return [hyps[0].tokens for hyps in caption_beam_clips(params, config, chunk, beam=beam)]

@@ -166,8 +166,8 @@ WEIGHT_STD = 0.02
 _ZERO_INIT = frozenset({"bias", "bq", "bk", "bv", "bo"})
 
 
-def _init_tensor(name: str, attr: str, shape: tuple[int, ...], seed: int | None) -> Tensor:
-    if seed is None or attr in _ZERO_INIT:
+def _init_tensor(name: str, attr: str, shape: tuple[int, ...], seed: int) -> Tensor:
+    if attr in _ZERO_INIT:
         arr = np.zeros(shape)
     elif attr == "gain":
         arr = np.ones(shape)
@@ -177,15 +177,12 @@ def _init_tensor(name: str, attr: str, shape: tuple[int, ...], seed: int | None)
     return Tensor(arr, requires_grad=True)
 
 
-def _build_params(config: ModelConfig, seed: int | None) -> ModelParams:
-    """Construct the parameter tree for ``config``.
+def _build_params(config: ModelConfig) -> ModelParams:
+    """The parameter tree for ``config``, with each tensor's shape in its place.
 
-    The tree is first built with each tensor's shape in its place, then every
-    leaf is filled in ``parameter_slots`` order, so the dataclass field order
-    is the checkpoint order.  Gains start at one, biases at zero, and every
-    other tensor is drawn from its own seed substream keyed by (seed, name),
-    so a parameter shared between two fusion modes initializes identically
-    regardless of which other parameters exist.  ``seed=None`` gives zeros.
+    :func:`init_params` and :func:`load_checkpoint` fill the leaves in
+    ``parameter_slots`` order, so the dataclass field order is the checkpoint
+    order.
     """
     d, V = config.d, config.vocab_size
     hidden = int(round(config.mlp_ratio * d))
@@ -229,14 +226,19 @@ def _build_params(config: ModelConfig, seed: int | None) -> ModelParams:
         final_norm=norm(),
         out_proj=lin(d, V),
     )
-    for name, owner, attr in parameter_slots(params):
-        setattr(owner, attr, _init_tensor(name, attr, getattr(owner, attr), seed))
     return params
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
+    """Fresh parameters: gains start at one, biases at zero, and every other
+    tensor is drawn from its own seed substream keyed by (seed, name), so a
+    parameter shared between two fusion modes initializes identically
+    regardless of which other parameters exist."""
     config.validate()
-    return _build_params(config, seed)
+    params = _build_params(config)
+    for name, owner, attr in parameter_slots(params):
+        setattr(owner, attr, _init_tensor(name, attr, getattr(owner, attr), seed))
+    return params
 
 
 def _collect_slots(node, prefix: str, out: list) -> None:
@@ -290,12 +292,27 @@ class AdaAVATrace:
 
 @dataclass
 class EncodedModalities:
-    """Post-projection modality features at common width d, plus padding masks."""
+    """Post-projection modality features at common width d, plus padding masks.
+
+    One clip's features are (T, d) with (T,) masks.  A chunk of clips,
+    encoded as one padded batch, leads with a clip axis.  Indexing indexes
+    every side's features and mask alike, as views: ``chunk[c]`` is clip
+    ``c`` and ``enc[None]`` one clip as a chunk of one.
+    """
 
     audio: Tensor | None = None
     visual: Tensor | None = None
     audio_mask: np.ndarray | None = None
     visual_mask: np.ndarray | None = None
+
+    def __getitem__(self, key) -> "EncodedModalities":
+        feats = [None if f is None else Tensor(f.data[key]) for f in (self.audio, self.visual)]
+        masks = [None if m is None else m[key] for m in (self.audio_mask, self.visual_mask)]
+        return EncodedModalities(*feats, *masks)
+
+    def __len__(self) -> int:
+        """The length of the leading axis: a chunk's clip count."""
+        return len((self.audio if self.audio is not None else self.visual).data)
 
 
 def threshold_mask(x, beta: float):
@@ -438,32 +455,6 @@ def pad_stack(mats: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarra
     return out, mask
 
 
-def stack_clips(encs: list[EncodedModalities]) -> EncodedModalities:
-    """The encoded features of several clips as one :class:`EncodedModalities`.
-
-    Each side is padded by :func:`pad_stack` to (clips, 1, T_max, d), and
-    its mask, (clips, 1, T_max), also keeps out the rows a clip's own mask
-    excludes.  The axis of one broadcasts over a clip's hypotheses, so the
-    decoder state built from the result holds each clip's cross-attention
-    keys and values once (see :class:`DecoderState`).
-    """
-    chunk = EncodedModalities()
-    for side in ("audio", "visual"):
-        feats = [getattr(enc, side) for enc in encs]
-        if feats[0] is None:
-            continue
-        rows, mask = pad_stack([f.data for f in feats], feats[0].shape[-1])
-        own = [getattr(enc, side + "_mask") for enc in encs]
-        if any(m is not None for m in own):
-            mask = np.ones(rows.shape[:2], dtype=bool) if mask is None else mask
-            for i, m in enumerate(own):
-                if m is not None:
-                    mask[i, :len(m)] &= np.asarray(m, dtype=bool)
-        setattr(chunk, side, Tensor(rows[:, None]))
-        setattr(chunk, side + "_mask", None if mask is None else mask[:, None])
-    return chunk
-
-
 def decoder_self_attend(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
                         past_kv: tuple[Tensor, Tensor], rng=None):
     """Causal self-attention with residual over the token stream.
@@ -526,14 +517,13 @@ class DecoderState:
     """Where decoding stands: ``length`` positions decoded for each
     hypothesis, with one :class:`BlockCache` per decoder block.
 
-    Hypotheses sit in a (clip, slot) grid over the features of the clips
-    stacked by :func:`stack_clips`: the self-attention (k, v) lead with both
-    axes, and the cross-attention (k, v) and masks, held once per clip, lead
-    with the clip axis and a slot axis of one that broadcasts over the
-    slots.  Before the first position the self-attention (k, v) hold one
-    empty row, which broadcasts over any grid.  A teacher-forced decode
-    starts from the state of one clip's unstacked features, which it never
-    gathers.
+    Hypotheses sit in a (clip, slot) grid over a chunk's features: the
+    self-attention (k, v) lead with both axes, and the cross-attention (k, v)
+    and masks, held once per clip, lead with the clip axis and a slot axis
+    of one that broadcasts over the slots.  Before the first position the
+    self-attention (k, v) hold one empty row, which broadcasts over any
+    grid.  A teacher-forced decode starts from the state of one clip's or
+    one batch's features, which it never gathers.
     """
 
     length: int
@@ -811,18 +801,17 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(payload[start:start + nbytes], dtype="<f8")
         return arr.reshape(entry["shape"]).copy()
 
-    params = _build_params(config, seed=None)
-    expected = named_parameters(params)
-    for name, tensor in expected:
-        entry = stored.pop(name, None)
+    params = _build_params(config)
+    for name, owner, attr in parameter_slots(params):
+        entry, shape = stored.pop(name, None), getattr(owner, attr)
         if entry is None:
             raise DataFormatError(f"{path}: checkpoint is missing parameter {name!r}")
-        if tuple(entry["shape"]) != tensor.shape:
+        if tuple(entry["shape"]) != shape:
             raise DataFormatError(
                 f"{path}: shape mismatch for {name!r}: "
-                f"checkpoint {tuple(entry['shape'])} vs config {tensor.shape}"
+                f"checkpoint {tuple(entry['shape'])} vs config {shape}"
             )
-        tensor.data = pull(entry)
+        setattr(owner, attr, Tensor(pull(entry), requires_grad=True))
     if stored:
         name = sorted(stored)[0]
         raise DataFormatError(f"{path}: unexpected parameter {name!r} for this config")

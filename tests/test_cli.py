@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import os
 import platform
@@ -63,6 +64,15 @@ def peaked_checkpoint(path, manifest_path, mode="concatenate"):
     for _, tensor in model.named_parameters(params):
         tensor.data = tensor.data * 7.0
     model.save_checkpoint(path, params, config, vocab)
+
+
+# sha256 prefixes of the candidate files that ``avfuse eval`` writes over
+# ``ragged_manifest`` with ``peaked_checkpoint`` of each fusion mode, as
+# GOLDEN_FIT pins training: a decoding change must keep these bytes.
+EVAL_PIN = {
+    "adaava_audio": {"--greedy": "7a970a5ce06a1b80", "--beam": "417741327722a813"},
+    "concatenate": {"--greedy": "079b6fc3eec51f0e", "--beam": "af176c82b97917ef"},
+}
 
 
 def synth_args(out, classes=2, pairs=1, per_class=4, seed=0):
@@ -330,6 +340,17 @@ class TestEvalInfer:
         a.pop("settings"), b.pop("settings"), a.pop("timing"), b.pop("timing")
         assert a == b
 
+    @pytest.mark.parametrize("flags, settings", [(["--greedy"], {"beam": 1, "greedy": True}),
+                                                 ([], {"beam": 3, "greedy": False})])
+    def test_report_names_the_beam_that_ran(self, tmp_path, flags, settings):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)
+        report_path = tmp_path / "rep.json"
+        assert run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                    "--report", report_path] + flags) == EXIT_OK
+        reported = json.loads(report_path.read_text())["settings"]
+        assert {key: reported[key] for key in settings} == settings
+
     def test_report_times_the_decode_loop(self, trained, dataset, tmp_path):
         report_path = tmp_path / "rep.json"
         for flags in (["--greedy"], ["--beam", 3]):
@@ -355,27 +376,47 @@ class TestEvalInfer:
                        "cpu_count": os.cpu_count(), "OPENBLAS_NUM_THREADS": None,
                        "OMP_NUM_THREADS": "1"}
 
-    @pytest.mark.parametrize("mode", ["concatenate", "adaava_video"])
-    def test_chunked_beam_candidates_equal_per_clip_decoding(self, tmp_path, monkeypatch, mode):
+    @staticmethod
+    def assert_chunked_candidates_equal_per_clip_decoding(tmp_path, monkeypatch, mode, beam):
         """3-clip chunks over 8 ragged clips: a chunk boundary and a short last chunk."""
         manifest_path = ragged_manifest(tmp_path)
         peaked_checkpoint(tmp_path / "m.avck", manifest_path, mode)
         monkeypatch.setattr(cli, "_EVAL_CHUNK", 3)
         out = tmp_path / "cands.jsonl"
         assert run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
-                    "--beam", 3, "--candidates-out", out]) == EXIT_OK
+                    "--beam", beam, "--candidates-out", out]) == EXIT_OK
         ck = model.load_checkpoint(tmp_path / "m.avck")
         manifest = data.load_manifest(manifest_path)
         lines, captions = [], set()
         for ex in data.load_examples(manifest, ck.vocab, ck.config.max_caption_len):
             enc = model.encode_modalities(ck.params, ck.config, audio=ex.audio_patches,
                                           visual=ex.visual)
-            [ids] = inference.caption_clips(ck.params, ck.config, [enc], 3)
+            [ids] = inference.caption_clips(ck.params, ck.config, enc[None], beam)
             caption = " ".join(data.decode_caption(ids, ck.vocab))
             captions.add(caption)
             lines.append(json.dumps({"id": ex.id, "caption": caption}, sort_keys=True) + "\n")
         assert len(captions) > 1
         assert out.read_bytes() == "".join(lines).encode("utf-8")
+
+    @pytest.mark.parametrize("mode", ["concatenate", "adaava_video"])
+    def test_chunked_beam_candidates_equal_per_clip_decoding(self, tmp_path, monkeypatch, mode):
+        self.assert_chunked_candidates_equal_per_clip_decoding(tmp_path, monkeypatch, mode, 3)
+
+    @pytest.mark.parametrize("mode", ["concatenate", "adaava_video"])
+    def test_chunked_greedy_candidates_equal_per_clip_decoding(self, tmp_path, monkeypatch,
+                                                               mode):
+        self.assert_chunked_candidates_equal_per_clip_decoding(tmp_path, monkeypatch, mode, 1)
+
+    @pytest.mark.parametrize("mode, flags", [(mode, flags) for mode in sorted(EVAL_PIN)
+                                             for flags in (["--greedy"], ["--beam", 3])])
+    def test_candidate_bytes_pinned(self, tmp_path, mode, flags):
+        manifest_path = ragged_manifest(tmp_path)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path, mode)
+        out = tmp_path / "cands.jsonl"
+        assert run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                    "--candidates-out", out] + flags) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+        assert digest == EVAL_PIN[mode][flags[0]]
 
     @pytest.mark.parametrize("beam", [1, 3])
     def test_infer_prints_the_eval_caption(self, tmp_path, capsys, beam):
@@ -596,6 +637,43 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {empty}: manifest has no records\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("val", ["wide", "no_visual"])
+    def test_unreadable_val_clip_is_validation_before_anything_is_written(
+            self, dataset, tmp_path, capsys, val):
+        (tmp_path / val).mkdir()
+        if val == "wide":
+            assert run(synth_args(tmp_path / val) + ["--feature-dim", 16]) == EXIT_OK
+            val_manifest, problem = tmp_path / val / "eval.jsonl", (
+                "audio features have width 16, the model reads 8")
+        else:
+            val_manifest, problem = ragged_manifest(tmp_path / val, visual=False), (
+                "fusion mode 'adaava_audio' reads visual features, and there are none")
+        out = tmp_path / "run"
+        rc = run(train_args(dataset, out, **{"--val-manifest": val_manifest}))
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {val_manifest}: clip ") and err.endswith(problem + "\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side", ["audio", "visual"])
+    def test_eval_and_infer_feature_width_is_validation(self, tmp_path, capsys, side):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)  # reads 8-wide rows
+        wide = tmp_path / f"{side[0]}1.avf"
+        data.write_feature_file(wide, np.zeros((2, 16), np.float32))
+        out = tmp_path / "cands.jsonl"
+        rc = run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                  "--candidates-out", out])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: {manifest_path}: clip 'c1': {side} features "
+                                           "have width 16, the model reads 8\n")
+        assert not out.exists()
+        rc = run(["infer", "--checkpoint", tmp_path / "m.avck", "--audio", tmp_path / "a1.avf",
+                  "--visual", tmp_path / "v1.avf"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: {wide}: {side} features have width 16, "
+                                           "the model reads 8\n")
 
     def test_infer_beam_below_one_is_validation(self, tmp_path, capsys):
         rc = run(["infer", "--checkpoint", tmp_path / "none.avck",

@@ -196,8 +196,8 @@ class TestBeamStop:
     @pytest.mark.parametrize("mode", M.FUSION_MODES)
     def test_caption_beam_equals_no_stop(self, mode):
         cfg, params, enc = clip(mode, masked=True, seed=1)  # stops early in 3 of 5 modes
-        (got,) = I.caption_beam_clips(params, cfg, [enc], beam=3)
-        ref = beam_search_no_stop(clip_rows(I.make_clips_step_fn(params, cfg, [enc])), 3,
+        (got,) = I.caption_beam_clips(params, cfg, enc[None], beam=3)
+        ref = beam_search_no_stop(clip_rows(I.make_clips_step_fn(params, cfg, enc[None])), 3,
                                   cfg.max_caption_len)
         assert [(h.tokens, h.logprob) for h in got] == [(h.tokens, h.logprob) for h in ref]
 
@@ -228,17 +228,17 @@ class TestModelBound:
 
     def test_caption_clips_beam1_equals_greedy(self, rng):
         cfg, params, enc = self._setup(rng)
-        assert I.caption_clips(params, cfg, [enc], 1) == [I.caption_greedy(params, cfg, enc)]
+        assert I.caption_clips(params, cfg, enc[None], 1) == [I.caption_greedy(params, cfg, enc)]
 
     def test_decoding_deterministic(self, rng):
         cfg, params, enc = self._setup(rng)
-        a = I.caption_beam_clips(params, cfg, [enc], beam=3)
-        b = I.caption_beam_clips(params, cfg, [enc], beam=3)
+        a = I.caption_beam_clips(params, cfg, enc[None], beam=3)
+        b = I.caption_beam_clips(params, cfg, enc[None], beam=3)
         assert [h.tokens for h in a[0]] == [h.tokens for h in b[0]]
 
     def test_outputs_start_with_sos(self, rng):
         cfg, params, enc = self._setup(rng)
-        [tokens] = I.caption_clips(params, cfg, [enc], 3)
+        [tokens] = I.caption_clips(params, cfg, enc[None], 3)
         assert tokens[0] == SOS_ID
         assert len(tokens) <= cfg.max_caption_len
 
@@ -296,7 +296,8 @@ class TestIncrementalStep:
         max_len = cfg.max_caption_len
         greedy = I.greedy_decode(I.make_step_fn(params, cfg, enc), max_len)
         assert greedy == I.greedy_decode(ref, max_len)
-        assert I.caption_clips(params, cfg, [enc], 3) == [I.beam_search(ref, 3, max_len)[0].tokens]
+        assert I.caption_clips(params, cfg, enc[None], 3) == [
+            I.beam_search(ref, 3, max_len)[0].tokens]
         # a beam step's hypotheses do not extend each other
         with pytest.raises(DomainError):
             I.beam_search(I.make_step_fn(params, cfg, enc), 3, max_len)
@@ -304,7 +305,7 @@ class TestIncrementalStep:
     def test_batch_rows_match_full_prefix_decode(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
         rng = np.random.default_rng(2)
-        step_many = clip_rows(I.make_clips_step_fn(params, cfg, [enc]))
+        step_many = clip_rows(I.make_clips_step_fn(params, cfg, enc[None]))
         prefixes = [[SOS_ID]]
         step_many(prefixes)
         # each generation's parent rows in the previous one: two children of
@@ -322,7 +323,7 @@ class TestIncrementalStep:
         """A batch with a prefix that extends no held one is rejected, and the
         held prefixes still step to the rows of full-prefix decode after it."""
         cfg, params, enc = clip(mode, masked)
-        step_many = clip_rows(I.make_clips_step_fn(params, cfg, [enc]))
+        step_many = clip_rows(I.make_clips_step_fn(params, cfg, enc[None]))
         with pytest.raises(DomainError):
             step_many([[SOS_ID, 3]])
         step_many([[SOS_ID]])
@@ -340,14 +341,14 @@ class TestIncrementalStep:
     def test_batched_beam_matches_full_prefix(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
         ref = I.beam_search(full_prefix_step_fn(params, cfg, enc), 3, cfg.max_caption_len)
-        (got,) = I.caption_beam_clips(params, cfg, [enc], beam=3)
+        (got,) = I.caption_beam_clips(params, cfg, enc[None], beam=3)
         assert [h.tokens for h in got] == [h.tokens for h in ref]
         np.testing.assert_allclose([h.logprob for h in got], [h.logprob for h in ref],
                                    rtol=0, atol=1e-12)
 
     def test_unequal_prefix_lengths_rejected(self, mode, masked):
         cfg, params, enc = clip(mode, masked)
-        step_many = clip_rows(I.make_clips_step_fn(params, cfg, [enc]))
+        step_many = clip_rows(I.make_clips_step_fn(params, cfg, enc[None]))
         with pytest.raises(DomainError):
             step_many([[SOS_ID], [SOS_ID, 3]])
         with pytest.raises(DomainError):
@@ -381,9 +382,9 @@ def test_dropped_step_fn_frees_its_cache(monkeypatch):
         assert cached[-1]() is None
 
         cached.clear()
-        cfg, params, encs = chunk("adaava_audio")
-        step_clips = I.make_clips_step_fn(params, cfg, encs)
-        I.beam_search_clips(step_clips, len(encs), 3, cfg.max_caption_len)
+        cfg, params, batch, _ = chunk("adaava_audio")
+        step_clips = I.make_clips_step_fn(params, cfg, batch)
+        I.beam_search_clips(step_clips, len(batch), 3, cfg.max_caption_len)
         assert len(cached) >= 3 and cached[-1]() is not None
         assert all(ref() is None for ref in cached[:-1])
         del step_clips
@@ -402,16 +403,22 @@ CHUNK_LENGTHS = [(6, 3), (4, 2), (9, 5), (2, 1), (5, 4), (3, 2)]
 
 
 def chunk(mode, lengths=CHUNK_LENGTHS, seed=1):
-    """``clip``'s model with one encoded clip per (audio, visual) length pair.
+    """``clip``'s model with one clip per (audio, visual) length pair: the
+    clips encoded as one padded batch with its masks, as ``avfuse eval``
+    encodes a chunk, and each clip encoded alone.
 
     With seed 1, clips of one chunk stop at different steps in 4 of the 5
     fusion modes."""
     cfg, params, _ = clip(mode, masked=False, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    encs = [M.encode_modalities(params, cfg, audio=rng.normal(size=(t_a, cfg.audio_in_dim)),
-                                visual=rng.normal(size=(t_v, cfg.visual_in_dim)))
-            for t_a, t_v in lengths]
-    return cfg, params, encs
+    raw = [(rng.normal(size=(t_a, cfg.audio_in_dim)), rng.normal(size=(t_v, cfg.visual_in_dim)))
+           for t_a, t_v in lengths]
+    audio, audio_mask = M.pad_stack([a for a, _ in raw], cfg.audio_in_dim)
+    visual, visual_mask = M.pad_stack([v for _, v in raw], cfg.visual_in_dim)
+    batch = M.encode_modalities(params, cfg, audio=audio, visual=visual,
+                                audio_mask=audio_mask, visual_mask=visual_mask)
+    encs = [M.encode_modalities(params, cfg, audio=a, visual=v) for a, v in raw]
+    return cfg, params, batch, encs
 
 
 def counted_decode_logits(monkeypatch):
@@ -463,30 +470,46 @@ class TestClipsSearch:
 
     @pytest.mark.parametrize("mode", M.FUSION_MODES)
     def test_model_chunk_equals_per_clip_decoding(self, mode):
-        cfg, params, encs = chunk(mode)
-        got = I.caption_beam_clips(params, cfg, encs, beam=3)
+        cfg, params, batch, encs = chunk(mode)
+        got = I.caption_beam_clips(params, cfg, batch, beam=3)
         assert len(got) == len(encs)
         for c, enc in enumerate(encs):
-            (alone,) = I.caption_beam_clips(params, cfg, [enc], beam=3)
+            (alone,) = I.caption_beam_clips(params, cfg, enc[None], beam=3)
             # the plain decoder: full-prefix decode of one clip, no early stop
             no_stop = beam_search_no_stop(batched(full_prefix_step_fn(params, cfg, enc)), 3,
                                           cfg.max_caption_len)
             assert_same_search(got[c], alone, f"{mode}, clip {c}")
             assert_same_search(got[c], no_stop, f"{mode}, clip {c}")
 
+    @pytest.mark.parametrize("mode", M.FUSION_MODES)
+    def test_model_chunk_greedy_equals_per_clip_decoding(self, mode):
+        """Greedy over a chunk's clip gives the tokens of that clip encoded
+        alone, and every step's log-probs within 1e-12."""
+        cfg, params, batch, encs = chunk(mode)
+        got = I.caption_clips(params, cfg, batch, 1)
+        assert len(got) == len(encs)
+        for c, enc in enumerate(encs):
+            tokens = I.caption_greedy(params, cfg, enc)
+            assert got[c] == tokens, f"{mode}, clip {c}"
+            in_chunk = I.make_step_fn(params, cfg, batch[c])
+            alone = I.make_step_fn(params, cfg, enc)
+            for n in range(1, len(tokens)):
+                np.testing.assert_allclose(in_chunk(tokens[:n]), alone(tokens[:n]),
+                                           rtol=0, atol=1e-12, err_msg=f"{mode}, clip {c}")
+
     def test_clips_stop_at_different_steps(self, monkeypatch):
         """The chunk makes as many decoder calls as its slowest clip alone,
         while its other clips stop earlier."""
-        cfg, params, encs = chunk("adaava_video")
+        cfg, params, batch, encs = chunk("adaava_video")
         calls = counted_decode_logits(monkeypatch)
         own = []
         for enc in encs:
             calls.clear()
-            I.caption_beam_clips(params, cfg, [enc], beam=3)
+            I.caption_beam_clips(params, cfg, enc[None], beam=3)
             own.append(len(calls))
         assert len(set(own)) > 1, own
         calls.clear()
-        I.caption_beam_clips(params, cfg, encs, beam=3)
+        I.caption_beam_clips(params, cfg, batch, beam=3)
         assert len(calls) == max(own)
         # a clip leaves the decoder state once its search has stopped
         live = [state.blocks[0].self_kv[0].shape[0] for state in calls[1:]]
@@ -495,18 +518,18 @@ class TestClipsSearch:
     @pytest.mark.parametrize("masked", [False, True])
     def test_single_clip_chunk(self, masked):
         cfg, params, enc = clip("concatenate", masked=masked, seed=1)
-        (got,) = I.caption_beam_clips(params, cfg, [enc], beam=3)
+        (got,) = I.caption_beam_clips(params, cfg, enc[None], beam=3)
         ref = beam_search_no_stop(batched(full_prefix_step_fn(params, cfg, enc)), 3,
                                   cfg.max_caption_len)
         assert_same_search(got, ref, f"masked={masked}")
 
     def test_cross_kv_held_once_per_clip(self, monkeypatch):
-        cfg, params, encs = chunk("adaava_video")
+        cfg, params, batch, _ = chunk("adaava_video")
         calls = counted_decode_logits(monkeypatch)
-        I.caption_beam_clips(params, cfg, encs, beam=3)
+        I.caption_beam_clips(params, cfg, batch, beam=3)
         heads, width = cfg.heads, cfg.d // cfg.heads
         for state in calls:
-            clips = state.blocks[0].self_kv[0].shape[0] if state.length else len(encs)
+            clips = state.blocks[0].self_kv[0].shape[0] if state.length else len(batch)
             for blk in state.blocks:
                 (audio_k, audio_v), audio_mask = blk.cross[0]
                 (video_k, video_v), video_mask = blk.cross[1]
@@ -514,23 +537,35 @@ class TestClipsSearch:
                 assert video_k.shape == video_v.shape == (clips, 1, heads, 5, width)
                 assert audio_mask.shape == (clips, 1, 9) and video_mask.shape == (clips, 1, 5)
 
-    def test_stack_clips_pads_and_keeps_own_masks(self):
-        cfg, params, encs = chunk("concatenate", lengths=[(3, 2), (5, 1)])
-        encs[1].audio_mask = np.array([1, 0, 1, 1, 1], bool)
-        stacked = M.stack_clips(encs)
-        assert stacked.audio.shape == (2, 1, 5, cfg.d)
-        np.testing.assert_array_equal(stacked.audio.data[0, 0, :3], encs[0].audio.data)
-        np.testing.assert_array_equal(stacked.audio.data[0, 0, 3:], 0.0)
-        np.testing.assert_array_equal(stacked.audio_mask[:, 0],
-                                      [[1, 1, 1, 0, 0], [1, 0, 1, 1, 1]])
-        np.testing.assert_array_equal(stacked.visual_mask[:, 0], [[1, 1], [1, 0]])
+    def test_chunk_indexing_views_features_and_masks(self):
+        """``batch[c]`` is clip c's padded rows with its padding mask, within
+        1e-12 of the clip alone on its valid rows; ``enc[None]`` is one clip
+        as a chunk of one, and ``batch[:, None]`` the grid's slot axis.  All
+        three are views."""
+        cfg, params, batch, encs = chunk("concatenate", lengths=[(3, 2), (5, 1)])
+        assert len(batch) == 2 and batch.audio.shape == (2, 5, cfg.d)
+        np.testing.assert_array_equal(batch.audio_mask, [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
+        np.testing.assert_array_equal(batch.visual_mask, [[1, 1], [1, 0]])
+        for c, enc in enumerate(encs):
+            row = batch[c]
+            for side in ("audio", "visual"):
+                feats, mask = getattr(row, side), getattr(row, side + "_mask")
+                assert np.shares_memory(feats.data, getattr(batch, side).data)
+                np.testing.assert_array_equal(mask, getattr(batch, side + "_mask")[c])
+                np.testing.assert_allclose(feats.data[mask], getattr(enc, side).data,
+                                           rtol=0, atol=1e-12)
+        one = encs[1][None]
+        assert len(one) == 1 and one.audio.shape == (1, 5, cfg.d) and one.audio_mask is None
+        assert np.shares_memory(one.audio.data, encs[1].audio.data)
+        grid = batch[:, None]
+        assert grid.audio.shape == (2, 1, 5, cfg.d) and grid.visual_mask.shape == (2, 1, 2)
 
     def test_step_rows_match_full_prefix_decode(self):
         """Rows of held prefixes, over ragged slot counts and clips leaving
         the state, equal full-prefix decode; a clip that left the state
         cannot come back."""
-        cfg, params, encs = chunk("concatenate", lengths=[(3, 1), (6, 2), (4, 3)])
-        step_clips = I.make_clips_step_fn(params, cfg, encs)
+        cfg, params, batch, encs = chunk("concatenate", lengths=[(3, 1), (6, 2), (4, 3)])
+        step_clips = I.make_clips_step_fn(params, cfg, batch)
         for live in ({0: [[SOS_ID]], 1: [[SOS_ID]], 2: [[SOS_ID]]},
                      {0: [[SOS_ID, 3], [SOS_ID, 4]], 2: [[SOS_ID, 5]]},
                      {0: [[SOS_ID, 4, 6]], 2: [[SOS_ID, 5, 1], [SOS_ID, 5, 2], [SOS_ID, 5, 3]]},
@@ -554,9 +589,9 @@ class TestClipsSearch:
 def two_step_state(lengths):
     """The decoder state of ``chunk``'s clips after SOS, then tokens 3 and 4
     in two slots per clip."""
-    cfg, params, encs = chunk("adaava_audio", lengths=lengths)
-    n, every = len(encs), list(range(len(encs)))
-    state = M.init_decoder_state(params, cfg, M.stack_clips(encs))
+    cfg, params, batch, _ = chunk("adaava_audio", lengths=lengths)
+    n, every = len(batch), list(range(len(batch)))
+    state = M.init_decoder_state(params, cfg, batch[:, None])
     _, state = M.decode_logits(params, cfg, None, np.array([[[SOS_ID]]] * n), state=state)
     _, state = M.decode_logits(params, cfg, None, np.array([[[3], [4]]] * n),
                                state=M.gather_state(state, [[0, 0]] * n, clips=every))
