@@ -1,9 +1,11 @@
 """Command-line surface: synth, train, eval, infer, gradcheck.
 
-A run is configured by an optional JSON config file plus flag overrides
-(file < flags); the fully resolved configuration is echoed next to every
-artifact the command writes.  Exit codes: 0 success, 1 validation error,
-2 runtime or numerical error.
+A train run is configured by an optional JSON config file, whose top
+level and ``model`` and ``train`` sections each spell a setting once and
+hold it in its default's type, and by flags, each of which overrides one
+setting (file < flags).  The configuration each command ran with is echoed
+next to every artifact it writes.  Exit codes: 0 success, 1 validation
+error, 2 runtime or numerical error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import MISSING
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -36,56 +39,64 @@ class _Parser(argparse.ArgumentParser):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = {f.name for f in dataclass_fields(model.ModelConfig)} - {"vocab_size"}
-_TRAIN_KEYS = {f.name for f in dataclass_fields(training.TrainConfig)}
-_TOP_KEYS = {"train_manifest", "val_manifest", "out_dir", "seed", "model", "train", "min_count"}
+def _defaults(cls) -> dict:
+    """The fields of a config dataclass that have a default, with it."""
+    return {f.name: f.default for f in dataclass_fields(cls) if f.default is not MISSING}
+
+
+# A train run's settings by section, None being the run config's top level,
+# each with its default.  A file value must have its default's type; a JSON
+# int also passes for a float, and null for ``train.clip_norm``.
+# ``train.augment`` (default None) is typed by ``TrainConfig.from_json``.
+_SETTINGS = {
+    None: {"train_manifest": "", "val_manifest": "", "out_dir": "runs/default", "min_count": 1},
+    "model": _defaults(model.ModelConfig),
+    "train": _defaults(training.TrainConfig),
+}
 
 
 def load_run_config(path: str | None) -> dict:
+    """The run config file's settings by section, as :data:`_SETTINGS` keys
+    them.  Every unknown key and every value of another type than its
+    default's is reported."""
+    sections = {section: {} for section in _SETTINGS}
     if path is None:
-        return {}
+        return sections
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     problems = []
-    for key in cfg:
-        if key not in _TOP_KEYS:
-            problems.append(f"{path}: unknown config key {key!r}")
-    for section, allowed in (("model", _MODEL_KEYS), ("train", _TRAIN_KEYS)):
-        for key in cfg.get(section, {}):
-            if key not in allowed:
-                problems.append(f"{path}: unknown {section} config key {key!r}")
+    for section, settings in _SETTINGS.items():
+        body = cfg if section is None else cfg.get(section, {})
+        if not isinstance(body, dict):
+            raise ValidationError(f"{path}: {section or 'a run config'} must be an object, "
+                                  f"got {json.dumps(body)}")
+        for key, value in body.items():
+            if section is None and key in _SETTINGS:
+                continue  # a section, read on its own turn
+            where = key if section is None else f"{section}.{key}"
+            default = settings.get(key, MISSING)
+            if default is MISSING:
+                problems.append(f"{path}: unknown config key {where!r}")
+            elif (default is None or type(value) is type(default)
+                  or (type(default), type(value)) == (float, int)
+                  or (value, where) == (None, "train.clip_norm")):
+                sections[section][key] = value
+            else:
+                problems.append(f"{path}: {where} must be {type(default).__name__}, "
+                                f"got {json.dumps(value)}")
     if problems:
         raise ValidationError(problems)
-    return cfg
+    return sections
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    """Merge the ``avfuse train`` flags of :data:`_TRAIN_FLAGS` that were given
-    over the file config."""
-    out = {"model": dict(cfg.get("model", {})), "train": dict(cfg.get("train", {}))}
-    for key in cfg:
-        if key not in ("model", "train"):
-            out[key] = cfg[key]
-    for flag, section, key, _ in _TRAIN_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is None:
-            continue
-        if section is None:
-            out[key] = value
-        else:
-            out[section][key] = value
-    return out
-
-
-def _echo_config(resolved: dict, out_dir: Path | None) -> None:
+def _echo_config(resolved: dict, out_dir: Path) -> None:
     text = json.dumps(resolved, indent=2, sort_keys=True)
     print(text)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "resolved_config.json").write_text(text + "\n", encoding="utf-8")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "resolved_config.json").write_text(text + "\n", encoding="utf-8")
 
 
 class _DirLock:
@@ -161,27 +172,30 @@ def cmd_synth(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-# The ``avfuse train`` flags that override one run-config key: (flag, section,
-# key, argparse kwargs).  Section ``None`` is the top level of the run config.
+# The ``avfuse train`` flags, each overriding one run-config setting: (flag,
+# section, key, argparse kwargs).  A flag that takes a value has its
+# setting's type (see :data:`_SETTINGS`); keys are unique across sections.
 _TRAIN_FLAGS = (
     ("--train-manifest", None, "train_manifest", {}),
     ("--val-manifest", None, "val_manifest", {}),
     ("--out", None, "out_dir", {}),
-    ("--seed", None, "seed", {"type": int}),
+    ("--seed", "train", "seed", {}),
     ("--fusion-mode", "model", "fusion_mode", {"choices": model.FUSION_MODES}),
-    ("--beta", "model", "beta", {"type": float}),
-    ("--d", "model", "d", {"type": int}),
-    ("--heads", "model", "heads", {"type": int}),
-    ("--encoder-blocks", "model", "encoder_blocks", {"type": int}),
-    ("--decoder-blocks", "model", "decoder_blocks", {"type": int}),
-    ("--dropout", "model", "dropout", {"type": float}),
-    ("--max-caption-len", "model", "max_caption_len", {"type": int}),
-    ("--epochs", "train", "epochs", {"type": int}),
-    ("--warmup-epochs", "train", "warmup_epochs", {"type": int}),
-    ("--lr", "train", "lr_peak", {"type": float}),
-    ("--batch-size", "train", "batch_size", {"type": int}),
-    ("--label-smoothing", "train", "label_smoothing", {"type": float}),
-    ("--checkpoint-interval", "train", "checkpoint_interval", {"type": int}),
+    ("--beta", "model", "beta", {}),
+    ("--d", "model", "d", {}),
+    ("--heads", "model", "heads", {}),
+    ("--encoder-blocks", "model", "encoder_blocks", {}),
+    ("--decoder-blocks", "model", "decoder_blocks", {}),
+    ("--dropout", "model", "dropout", {}),
+    ("--max-caption-len", "model", "max_caption_len", {}),
+    ("--epochs", "train", "epochs", {}),
+    ("--warmup-epochs", "train", "warmup_epochs", {}),
+    ("--lr", "train", "lr_peak", {}),
+    ("--batch-size", "train", "batch_size", {}),
+    ("--label-smoothing", "train", "label_smoothing", {}),
+    ("--checkpoint-interval", "train", "checkpoint_interval", {}),
+    ("--augment", "train", "augment", {"action": "store_const", "const": True}),
+    ("--no-clip", "train", "clip_norm", {"action": "store_const", "const": None}),
 )
 
 
@@ -194,34 +208,34 @@ def _infer_feature_widths(manifest: data.DatasetManifest) -> tuple[int, int | No
             None if visual is None else data.feature_file_shape(manifest.resolve(visual))[1])
 
 
-def build_run(resolved: dict):
-    """Construct (model_config, train_config, vocab, train/val examples) from a resolved run dict."""
-    problems = []
-    if "train_manifest" not in resolved:
-        problems.append("train_manifest is required")
-    if problems:
-        raise ValidationError(problems)
+def build_run(args):
+    """Construct (top-level settings, model_config, train_config, vocab,
+    train/val examples) from the ``--config`` file's settings with each
+    given :data:`_TRAIN_FLAGS` flag over them; a setting that neither
+    gives takes its default."""
+    sections = load_run_config(args.config)
+    given = vars(args)  # a flag that was not given is absent (argparse.SUPPRESS)
+    for _, section, key, _ in _TRAIN_FLAGS:
+        if key in given:
+            sections[section][key] = given[key]
+    top = {**_SETTINGS[None], **sections[None]}
+    if not top["train_manifest"]:
+        raise ValidationError("train_manifest is required")
 
-    manifest = data.load_manifest(resolved["train_manifest"])
-    val_manifest = (
-        data.load_manifest(resolved["val_manifest"]) if resolved.get("val_manifest") else None
-    )
-    vocab = data.build_vocabulary_from_manifest(manifest, min_count=resolved.get("min_count", 1))
+    manifest = data.load_manifest(top["train_manifest"])
+    val_manifest = data.load_manifest(top["val_manifest"]) if top["val_manifest"] else None
+    vocab = data.build_vocabulary_from_manifest(manifest, min_count=top["min_count"])
 
-    model_kw = dict(resolved.get("model", {}))
-    fusion_mode = model_kw.get("fusion_mode", "adaava_audio")
+    model_kw = sections["model"]
+    mode = model_kw.get("fusion_mode", _SETTINGS["model"]["fusion_mode"])
     audio_w, visual_w = _infer_feature_widths(manifest)
-    if model.mode_uses_audio(fusion_mode) and "audio_in_dim" not in model_kw:
-        model_kw["audio_in_dim"] = audio_w
-    if visual_w is not None and model.mode_uses_visual(fusion_mode):
-        model_kw.setdefault("visual_in_dim", visual_w)
-
-    train_kw = dict(resolved.get("train", {}))
-    if "seed" in resolved and "seed" not in train_kw:
-        train_kw["seed"] = resolved["seed"]
+    for key, width, used in (("audio_in_dim", audio_w, model.mode_uses_audio(mode)),
+                             ("visual_in_dim", visual_w, model.mode_uses_visual(mode))):
+        if used and width is not None:
+            model_kw.setdefault(key, width)
 
     config = model.ModelConfig(vocab_size=len(vocab), **model_kw)
-    tcfg = training.TrainConfig.from_json(train_kw)
+    tcfg = training.TrainConfig.from_json(sections["train"])
     config.validate()
     tcfg.validate()
 
@@ -231,30 +245,20 @@ def build_run(resolved: dict):
     )
     config.max_audio_len = max(config.max_audio_len,
                                *(len(ex.audio_patches) for ex in train_examples + val_examples))
-    _check_inputs(_manifest_inputs(resolved["train_manifest"], train_examples)
-                  + _manifest_inputs(resolved.get("val_manifest"), val_examples), config)
-    return config, tcfg, vocab, train_examples, val_examples
+    _check_inputs(_manifest_inputs(top["train_manifest"], train_examples)
+                  + _manifest_inputs(top["val_manifest"], val_examples), config)
+    return top, config, tcfg, vocab, train_examples, val_examples
 
 
 def cmd_train(args) -> int:
-    resolved = _apply_overrides(load_run_config(args.config), args)
-    if args.augment:
-        resolved["train"]["augment"] = True
-    if args.no_clip:
-        resolved["train"]["clip_norm"] = None
-    config, tcfg, vocab, train_examples, val_examples = build_run(resolved)
-
-    out_dir = Path(resolved.get("out_dir", "runs/default"))
-    echo = {
-        "command": "train",
-        "train_manifest": str(resolved["train_manifest"]),
-        "val_manifest": resolved.get("val_manifest"),
-        "out_dir": str(out_dir),
-        "seed": tcfg.seed,
-        "vocab_size": len(vocab),
-        "model": config.to_json(),
-        "train": tcfg.to_json(),
-    }
+    """Train from the ``--config`` file's settings with the given flags over
+    them, and echo the run as it was built to ``<out_dir>/resolved_config.json``:
+    the top-level settings, ``min_count`` included, and the model and train
+    configs, each value once.  A bad setting exits 1 before anything is
+    written."""
+    top, config, tcfg, vocab, train_examples, val_examples = build_run(args)
+    out_dir = Path(top["out_dir"])
+    echo = {"command": "train", **top, "model": config.to_json(), "train": tcfg.to_json()}
     with _DirLock(out_dir):
         _echo_config(echo, out_dir)
         params = model.init_params(config, seed=tcfg.seed)
@@ -541,10 +545,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a captioner")
     p.add_argument("--config", help="JSON run config; flags override file values")
-    for flag, _, _, kwargs in _TRAIN_FLAGS:
-        p.add_argument(flag, **kwargs)
-    p.add_argument("--augment", action="store_true")
-    p.add_argument("--no-clip", action="store_true")
+    for flag, section, key, kwargs in _TRAIN_FLAGS:
+        typed = {} if "const" in kwargs else {"type": type(_SETTINGS[section][key])}
+        p.add_argument(flag, dest=key, default=argparse.SUPPRESS, **typed, **kwargs)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="decode an eval manifest and score it")

@@ -315,17 +315,14 @@ class EncodedModalities:
         return len((self.audio if self.audio is not None else self.visual).data)
 
 
-def threshold_mask(x, beta: float):
+def threshold_mask(x: Tensor, beta: float) -> Tensor:
     """Elementwise strict comparison ``x > beta`` as a {0, 1} constant.
 
     The result never carries gradients: the threshold is piecewise constant.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"threshold beta must be in [0, 1], got {beta}")
-    if isinstance(x, Tensor):
-        return Tensor((x.data > beta).astype(x.data.dtype))
-    arr = np.asarray(x)
-    return (arr > beta).astype(arr.dtype)
+    return Tensor((x.data > beta).astype(x.data.dtype))
 
 
 def confidence(primary_cross: Tensor, h_hidden: Tensor, fc: LinearParams) -> Tensor:
@@ -667,15 +664,13 @@ class Batch:
     visual_mask: np.ndarray | None = None
 
 
-def forward(params: ModelParams, config: ModelConfig, batch: Batch, rng=None,
-            collect_traces: bool = False):
+def forward(params: ModelParams, config: ModelConfig, batch: Batch, rng=None) -> Tensor:
     """Teacher-forced forward pass producing (B, L, vocab) logits."""
     enc = encode_modalities(
         params, config, audio=batch.audio, visual=batch.visual,
         audio_mask=batch.audio_mask, visual_mask=batch.visual_mask, rng=rng,
     )
-    return decode_logits(params, config, enc, batch.tokens_in, rng=rng,
-                         collect_traces=collect_traces)
+    return decode_logits(params, config, enc, batch.tokens_in, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +794,8 @@ def load_checkpoint(path) -> Checkpoint:
         if start + nbytes > len(payload):
             raise DataFormatError(f"{path}: payload truncated at tensor {entry['name']!r}")
         arr = np.frombuffer(payload[start:start + nbytes], dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: tensor {entry['name']!r} holds non-finite values")
         return arr.reshape(entry["shape"]).copy()
 
     params = _build_params(config)

@@ -55,14 +55,13 @@ class Tensor:
     ``data`` wholesale between tapes, never during one.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         _check_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -137,7 +136,6 @@ def _result(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable, opn
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = track
-    out.grad = None
     if track:
         tape._record(out, inputs, vjp)
     return out
@@ -596,7 +594,7 @@ def backward(output: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
 
     Returns a dict with exactly one gradient per requires_grad leaf that
     participated in the tape (zero-filled if the leaf did not influence the
-    output).  Leaf ``.grad`` fields are populated as a convenience.
+    output).
     """
     if output.data.size != 1:
         raise UsageError(f"backward needs a scalar output, got shape {output.shape}")
@@ -629,7 +627,6 @@ def backward(output: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
             g = np.zeros_like(leaf.data)
         if g.shape != leaf.data.shape:  # pragma: no cover - internal invariant
             raise DimensionError(f"gradient shape {g.shape} != leaf shape {leaf.shape}")
-        leaf.grad = g
         result[leaf] = g
     return result
 

@@ -1,3 +1,4 @@
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -105,9 +106,30 @@ def train_args(data_dir, out, **overrides):
     flags.update(overrides)
     argv = ["train"]
     for k, v in flags.items():
-        if v is not None:
+        if v is True:  # a flag that takes no value
+            argv.append(k)
+        elif v is not None:
             argv += [k, v]
     return argv
+
+
+def write_run_config(tmp_path, train_manifest, **sections):
+    """A ``--config`` file for a 1-epoch audio-only run over ``train_manifest``
+    into ``tmp_path / "r"``; each keyword updates the top level or a section."""
+    cfg = {
+        "train_manifest": str(train_manifest), "out_dir": str(tmp_path / "r"),
+        "model": {"d": 16, "heads": 2, "encoder_blocks": 1, "decoder_blocks": 1,
+                  "fusion_mode": "audio_only", "dropout": 0.0},
+        "train": {"epochs": 1, "warmup_epochs": 0, "batch_size": 4, "label_smoothing": 0.0},
+    }
+    for key, value in sections.items():
+        if isinstance(cfg.get(key), dict) and isinstance(value, dict):
+            cfg[key].update(value)
+        else:
+            cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 @pytest.fixture
@@ -185,7 +207,12 @@ class TestTrain:
         "--batch-size": (3, ("train", "batch_size")),
         "--label-smoothing": (0.2, ("train", "label_smoothing")),
         "--checkpoint-interval": (2, ("train", "checkpoint_interval")),
+        "--augment": (True, ("train", "augment")),
+        "--no-clip": (True, ("train", "clip_norm")),
     }
+    # what the flags that take no value (True above) land as
+    BARE_FLAG_VALUES = {"--augment": dataclasses.asdict(frontend.SpecAugmentPolicy()),
+                        "--no-clip": None}
 
     def test_flag_cases_cover_every_train_flag(self):
         assert sorted(self.FLAG_CASES) == sorted(row[0] for row in cli._TRAIN_FLAGS)
@@ -202,7 +229,7 @@ class TestTrain:
         resolved = json.loads((out / "resolved_config.json").read_text())
         for key in where:
             resolved = resolved[key]
-        assert resolved == value
+        assert resolved == self.BARE_FLAG_VALUES.get(flag, value)
 
     def test_video_only_without_visual_features_is_config_error(self, tmp_path):
         feat = tmp_path / "a.avf"
@@ -234,18 +261,58 @@ class TestTrain:
         assert "bogus_key" in err and "not_a_field" in err
 
     def test_flags_override_config_file(self, dataset, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "train_manifest": str(dataset / "train.jsonl"),
-            "out_dir": str(tmp_path / "rc"),
-            "model": {"d": 16, "heads": 2, "encoder_blocks": 1, "decoder_blocks": 1,
-                      "fusion_mode": "audio_only", "dropout": 0.0, "beta": 0.5},
-            "train": {"epochs": 1, "warmup_epochs": 0, "batch_size": 4,
-                      "label_smoothing": 0.0, "lr_peak": 1e-3},
-        }))
-        assert run(["train", "--config", cfg, "--beta", "0.13"]) == EXIT_OK
-        resolved = json.loads((tmp_path / "rc" / "resolved_config.json").read_text())
+        cfg = write_run_config(tmp_path, dataset / "train.jsonl", model={"beta": 0.5},
+                               train={"lr_peak": 1e-3, "augment": False, "clip_norm": 0.5})
+        assert run(["train", "--config", cfg, "--beta", "0.13", "--augment",
+                    "--no-clip"]) == EXIT_OK
+        resolved = json.loads((tmp_path / "r" / "resolved_config.json").read_text())
         assert resolved["model"]["beta"] == 0.13  # flag wins over file
+        assert resolved["train"]["augment"] == self.BARE_FLAG_VALUES["--augment"]
+        assert resolved["train"]["clip_norm"] is None
+
+    def test_seed_flag_overrides_file_train_seed(self, dataset, tmp_path):
+        cfg = write_run_config(tmp_path, dataset / "train.jsonl", train={"seed": 5})
+        assert run(["train", "--config", cfg, "--seed", 7]) == EXIT_OK
+        resolved = json.loads((tmp_path / "r" / "resolved_config.json").read_text())
+        assert resolved["train"]["seed"] == 7 and "seed" not in resolved
+        ck = model.load_checkpoint(tmp_path / "r" / "last.avck")
+        assert ck.state["train_config"]["seed"] == 7
+
+    def test_resolved_config_echoes_file_values_as_given(self, dataset, tmp_path):
+        cfg = write_run_config(tmp_path, dataset / "train.jsonl", min_count=2,
+                               model={"beta": 0}, train={"clip_norm": None})
+        assert run(["train", "--config", cfg]) == EXIT_OK
+        resolved = json.loads((tmp_path / "r" / "resolved_config.json").read_text())
+        assert resolved["min_count"] == 2
+        assert type(resolved["model"]["beta"]) is int  # a JSON int passes for a float
+        assert resolved["train"]["clip_norm"] is None
+
+    @pytest.mark.parametrize("sections, message", [
+        ({"min_count": "2"}, 'min_count must be int, got "2"'),
+        ({"out_dir": 5}, "out_dir must be str, got 5"),
+        ({"model": {"d": "16"}}, 'model.d must be int, got "16"'),
+        ({"model": {"beta": True}}, "model.beta must be float, got true"),
+        ({"model": {"fusion_mode": None}}, "model.fusion_mode must be str, got null"),
+        ({"train": {"epochs": "1"}}, 'train.epochs must be int, got "1"'),
+        ({"train": {"seed": 1.5}}, "train.seed must be int, got 1.5"),
+        ({"train": {"batch_size": True}}, "train.batch_size must be int, got true"),
+        ({"train": {"clip_norm": "1"}}, 'train.clip_norm must be float, got "1"'),
+        ({"seed": 3}, "unknown config key 'seed'"),  # the seed is train.seed
+        ({"seed": "3"}, "unknown config key 'seed'"),
+        ({"model": 5}, "model must be an object, got 5"),
+    ])
+    def test_wrong_typed_config_value_is_validation(self, dataset, tmp_path, capsys,
+                                                    sections, message):
+        cfg = write_run_config(tmp_path, dataset / "train.jsonl", **sections)
+        assert run(["train", "--config", cfg]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_non_object_config_is_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        assert run(["train", "--config", cfg]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {cfg}: a run config must be an object, got [1]\n"
 
     @pytest.mark.parametrize("augment, code, policy", [
         (False, EXIT_OK, None),
@@ -258,13 +325,8 @@ class TestTrain:
     def test_augment_config_value(self, tmp_path, capsys, augment, code, policy):
         """``train.augment`` on waveform-backed examples: false or a policy
         object trains, anything else is a validation error naming the key."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "train_manifest": str(tone_manifest(tmp_path)), "out_dir": str(tmp_path / "r"),
-            "model": {"d": 16, "heads": 2, "encoder_blocks": 1, "decoder_blocks": 1,
-                      "fusion_mode": "audio_only", "dropout": 0.0},
-            "train": {"epochs": 1, "warmup_epochs": 0, "batch_size": 1, "augment": augment},
-        }))
+        cfg = write_run_config(tmp_path, tone_manifest(tmp_path),
+                               train={"batch_size": 1, "augment": augment})
         assert run(["train", "--config", cfg]) == code
         if code == EXIT_OK:
             resolved = json.loads((tmp_path / "r" / "resolved_config.json").read_text())
@@ -604,6 +666,29 @@ class TestExitCodes:
         assert rc == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "tensors entry 0" in err
+
+    @pytest.mark.parametrize("table, name", [("tensors", "out_proj.bias"),
+                                             ("state_tensors", "v.out_proj.bias")])
+    def test_non_finite_checkpoint_tensor_is_named(self, tmp_path, capsys, table, name):
+        """A NaN in a parameter or a stored Adam moment is a format error
+        naming the file and the tensor."""
+        manifest_path = tone_manifest(tmp_path)
+        ck = tmp_path / "ck.avck"
+        untrained_checkpoint(ck, manifest_path)
+        loaded = model.load_checkpoint(ck)
+        moments = {f"{kind}.{n}": np.zeros(t.shape) for kind in "mv"
+                   for n, t in model.named_parameters(loaded.params)}
+        model.save_checkpoint(ck, loaded.params, loaded.config, loaded.vocab,
+                              state_tensors=moments)
+        raw = bytearray(ck.read_bytes())
+        hlen = int.from_bytes(raw[8:16], "little")
+        [entry] = [e for e in json.loads(raw[16:16 + hlen])[table] if e["name"] == name]
+        at = 16 + hlen + entry["offset"]
+        raw[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        ck.write_bytes(bytes(raw))
+        rc = run(["eval", "--checkpoint", ck, "--manifest", manifest_path, "--greedy"])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {ck}: tensor {name!r} holds non-finite values\n"
 
     def test_non_object_manifest_line_is_validation(self, tmp_path, capsys):
         manifest_path = tone_manifest(tmp_path)

@@ -200,23 +200,23 @@ class TestConfidence:
 
 class TestThresholdMask:
     def test_boundary_is_strict(self):
-        x = np.array([[0.5, 0.1], [0.13, 0.9]])
+        x = N.Tensor([[0.5, 0.1], [0.13, 0.9]])
         out = M.threshold_mask(x, 0.13)
-        assert np.array_equal(out, [[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(out.data, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_beta_zero_all_ones_on_open_interval(self, rng):
-        x = rng.uniform(1e-6, 1 - 1e-6, size=(4, 4))
-        assert np.all(M.threshold_mask(x, 0.0) == 1.0)
+        x = N.Tensor(rng.uniform(1e-6, 1 - 1e-6, size=(4, 4)))
+        assert np.all(M.threshold_mask(x, 0.0).data == 1.0)
 
     def test_default_beta_matches_elementwise_oracle(self, rng):
         x = rng.uniform(0, 1, size=(64, 16))
-        out = M.threshold_mask(x, 0.13)
+        out = M.threshold_mask(N.Tensor(x), 0.13)
         expected = np.where(x > 0.13, 1.0, 0.0)
-        assert np.array_equal(out, expected)
+        assert np.array_equal(out.data, expected)
 
     def test_beta_range_checked(self):
         with pytest.raises(ConfigError):
-            M.threshold_mask(np.zeros(2), 1.5)
+            M.threshold_mask(N.Tensor(np.zeros(2)), 1.5)
 
 
 class TestAdaavaFuse:
@@ -431,10 +431,8 @@ class TestForward:
         cfg = tiny_config("adaava_video", decoder_blocks=2)
         params = M.init_params(cfg, seed=37)
         audio, visual, tokens = tiny_inputs(rng, cfg)
-        logits, traces = M.forward(
-            params, cfg, M.Batch(tokens_in=tokens, audio=audio, visual=visual),
-            collect_traces=True,
-        )
+        enc = M.encode_modalities(params, cfg, audio=audio, visual=visual)
+        logits, traces = M.decode_logits(params, cfg, enc, tokens, collect_traces=True)
         assert len(traces) == 2
         for tr in traces:
             assert tr.a_conf.shape == (len(tokens), cfg.d)

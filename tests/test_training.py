@@ -300,7 +300,9 @@ class TestFit:
         grads = {name_of[id(t)]: g for t, g in grads_by_id.items()}
 
         # confidence stays far from both thresholds, so no exclusions trigger
-        _, traces = M.forward(params, cfg, batch, collect_traces=True)
+        enc = M.encode_modalities(params, cfg, audio=batch.audio, visual=batch.visual,
+                                  audio_mask=batch.audio_mask, visual_mask=batch.visual_mask)
+        _, traces = M.decode_logits(params, cfg, enc, batch.tokens_in, collect_traces=True)
         conf = traces[0].a_conf.data
         assert np.all(np.abs(conf - cfg.beta) > 1e-3)
         assert np.all(np.abs(1 - conf - cfg.beta) > 1e-3)
