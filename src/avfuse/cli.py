@@ -2,10 +2,10 @@
 
 A train run is configured by an optional JSON config file, whose top
 level and ``model`` and ``train`` sections each spell a setting once and
-hold it in its default's type, and by flags, each of which overrides one
-setting (file < flags).  The configuration each command ran with is echoed
-next to every artifact it writes.  Exit codes: 0 success, 1 validation
-error, 2 runtime or numerical error.
+hold it within its declared type and range, and by flags, each of which
+overrides one setting (file < flags).  The configuration each command ran
+with is echoed next to every artifact it writes.  Exit codes: 0 success,
+1 validation error, 2 runtime or numerical error.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import os
 import platform
 import sys
 import time
-from dataclasses import MISSING
+from dataclasses import MISSING, asdict, dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
-from . import data, inference, metrics, model, numerics, training
+from . import data, inference, metrics, model, numerics, settings, training
 from .errors import AvfuseError, ConfigError, ValidationError
 
 EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME = 0, 1, 2
@@ -39,27 +39,26 @@ class _Parser(argparse.ArgumentParser):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-def _defaults(cls) -> dict:
-    """The fields of a config dataclass that have a default, with it."""
-    return {f.name: f.default for f in dataclass_fields(cls) if f.default is not MISSING}
+@dataclass
+class RunSettings:
+    """A train run config's top-level settings."""
+
+    train_manifest: str = settings.setting("")
+    val_manifest: str = settings.setting("")
+    out_dir: str = settings.setting("runs/default")
+    min_count: int = settings.setting(1, ">= 1")
 
 
-# A train run's settings by section, None being the run config's top level,
-# each with its default.  A file value must have its default's type; a JSON
-# int also passes for a float, and null for ``train.clip_norm``.
-# ``train.augment`` (default None) is typed by ``TrainConfig.from_json``.
-_SETTINGS = {
-    None: {"train_manifest": "", "val_manifest": "", "out_dir": "runs/default", "min_count": 1},
-    "model": _defaults(model.ModelConfig),
-    "train": _defaults(training.TrainConfig),
-}
+# A train run config's sections, None being its top level, each by the config
+# dataclass whose fields with a default are the settings it may hold.
+_SECTIONS = {None: RunSettings, "model": model.ModelConfig, "train": training.TrainConfig}
 
 
 def load_run_config(path: str | None) -> dict:
-    """The run config file's settings by section, as :data:`_SETTINGS` keys
-    them.  Every unknown key and every value of another type than its
-    default's is reported."""
-    sections = {section: {} for section in _SETTINGS}
+    """The run config file's settings by section, as :data:`_SECTIONS` keys
+    them.  Every unknown key and every value outside its setting's declared
+    type and range is reported."""
+    sections = {section: {} for section in _SECTIONS}
     if path is None:
         return sections
     with open(path, "r", encoding="utf-8") as fh:
@@ -68,25 +67,22 @@ def load_run_config(path: str | None) -> dict:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     problems = []
-    for section, settings in _SETTINGS.items():
+    for section, cls in _SECTIONS.items():
         body = cfg if section is None else cfg.get(section, {})
         if not isinstance(body, dict):
             raise ValidationError(f"{path}: {section or 'a run config'} must be an object, "
                                   f"got {json.dumps(body)}")
+        settable = {f.name: f for f in dataclass_fields(cls) if f.default is not MISSING}
         for key, value in body.items():
-            if section is None and key in _SETTINGS:
+            if section is None and key in _SECTIONS:
                 continue  # a section, read on its own turn
             where = key if section is None else f"{section}.{key}"
-            default = settings.get(key, MISSING)
-            if default is MISSING:
+            if key not in settable:
                 problems.append(f"{path}: unknown config key {where!r}")
-            elif (default is None or type(value) is type(default)
-                  or (type(default), type(value)) == (float, int)
-                  or (value, where) == (None, "train.clip_norm")):
-                sections[section][key] = value
+            elif bad := settings.problem(settable[key], value, where):
+                problems.append(f"{path}: {bad}")
             else:
-                problems.append(f"{path}: {where} must be {type(default).__name__}, "
-                                f"got {json.dumps(value)}")
+                sections[section][key] = value
     if problems:
         raise ValidationError(problems)
     return sections
@@ -156,7 +152,6 @@ def cmd_synth(args) -> int:
             f"output directory {out_dir} is not empty; pass --force to overwrite"
         )
     spec = data.SyntheticTaskSpec(**{f: getattr(args, dest) for dest, f in _SYNTH_FIELDS.items()})
-    spec.validate()
     task = data.generate_synthetic_task(spec, out_dir)
     echo = {"command": "synth", **{dest: getattr(spec, f) for dest, f in _SYNTH_FIELDS.items()}}
     _echo_config(echo, out_dir)
@@ -173,14 +168,14 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 # The ``avfuse train`` flags, each overriding one run-config setting: (flag,
-# section, key, argparse kwargs).  A flag that takes a value has its
-# setting's type (see :data:`_SETTINGS`); keys are unique across sections.
+# section, key, argparse kwargs).  A flag that takes a value parses to its
+# setting's default's type; keys are unique across sections.
 _TRAIN_FLAGS = (
     ("--train-manifest", None, "train_manifest", {}),
     ("--val-manifest", None, "val_manifest", {}),
     ("--out", None, "out_dir", {}),
     ("--seed", "train", "seed", {}),
-    ("--fusion-mode", "model", "fusion_mode", {"choices": model.FUSION_MODES}),
+    ("--fusion-mode", "model", "fusion_mode", {}),
     ("--beta", "model", "beta", {}),
     ("--d", "model", "d", {}),
     ("--heads", "model", "heads", {}),
@@ -218,16 +213,16 @@ def build_run(args):
     for _, section, key, _ in _TRAIN_FLAGS:
         if key in given:
             sections[section][key] = given[key]
-    top = {**_SETTINGS[None], **sections[None]}
-    if not top["train_manifest"]:
+    top = RunSettings(**sections[None])
+    if not top.train_manifest:
         raise ValidationError("train_manifest is required")
 
-    manifest = data.load_manifest(top["train_manifest"])
-    val_manifest = data.load_manifest(top["val_manifest"]) if top["val_manifest"] else None
-    vocab = data.build_vocabulary_from_manifest(manifest, min_count=top["min_count"])
+    manifest = data.load_manifest(top.train_manifest)
+    val_manifest = data.load_manifest(top.val_manifest) if top.val_manifest else None
+    vocab = data.build_vocabulary_from_manifest(manifest, min_count=top.min_count)
 
     model_kw = sections["model"]
-    mode = model_kw.get("fusion_mode", _SETTINGS["model"]["fusion_mode"])
+    mode = model_kw.get("fusion_mode", model.ModelConfig.fusion_mode)
     audio_w, visual_w = _infer_feature_widths(manifest)
     for key, width, used in (("audio_in_dim", audio_w, model.mode_uses_audio(mode)),
                              ("visual_in_dim", visual_w, model.mode_uses_visual(mode))):
@@ -245,8 +240,8 @@ def build_run(args):
     )
     config.max_audio_len = max(config.max_audio_len,
                                *(len(ex.audio_patches) for ex in train_examples + val_examples))
-    _check_inputs(_manifest_inputs(top["train_manifest"], train_examples)
-                  + _manifest_inputs(top["val_manifest"], val_examples), config)
+    _check_inputs(_manifest_inputs(top.train_manifest, train_examples)
+                  + _manifest_inputs(top.val_manifest, val_examples), config)
     return top, config, tcfg, vocab, train_examples, val_examples
 
 
@@ -257,8 +252,8 @@ def cmd_train(args) -> int:
     configs, each value once.  A bad setting exits 1 before anything is
     written."""
     top, config, tcfg, vocab, train_examples, val_examples = build_run(args)
-    out_dir = Path(top["out_dir"])
-    echo = {"command": "train", **top, "model": config.to_json(), "train": tcfg.to_json()}
+    out_dir = Path(top.out_dir)
+    echo = {"command": "train", **asdict(top), "model": config.to_json(), "train": tcfg.to_json()}
     with _DirLock(out_dir):
         _echo_config(echo, out_dir)
         params = model.init_params(config, seed=tcfg.seed)
@@ -546,7 +541,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a captioner")
     p.add_argument("--config", help="JSON run config; flags override file values")
     for flag, section, key, kwargs in _TRAIN_FLAGS:
-        typed = {} if "const" in kwargs else {"type": type(_SETTINGS[section][key])}
+        typed = {} if "const" in kwargs else {"type": type(getattr(_SECTIONS[section], key))}
         p.add_argument(flag, dest=key, default=argparse.SUPPRESS, **typed, **kwargs)
     p.set_defaults(func=cmd_train)
 
@@ -585,12 +580,9 @@ def main(argv=None) -> int:
         if getattr(args, "beam", 1) < 1:  # eval and infer, before the checkpoint is read
             raise ConfigError(f"--beam must be >= 1, got {args.beam}")
         return args.func(args)
-    except ValidationError as exc:
+    except ConfigError as exc:  # ValidationError included
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except AvfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import frontend
 from .errors import ConfigError, DataFormatError, DomainError, ValidationError
+from .settings import check, setting
 
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 PAD, SOS, EOS, UNK = "<pad>", "<sos>", "<eos>", "<unk>"
@@ -53,8 +54,6 @@ class Vocabulary:
     @classmethod
     def build(cls, corpus: list[list[str]], min_count: int = 1) -> "Vocabulary":
         """Build from tokenized captions; order is frequency desc then lexicographic."""
-        if min_count < 1:
-            raise ConfigError(f"min_count must be >= 1, got {min_count}")
         if not corpus:
             raise DomainError("cannot build a vocabulary from an empty corpus")
         counts = Counter(tok for caption in corpus for tok in caption)
@@ -322,36 +321,24 @@ class SyntheticTaskSpec:
     pairs).  Remaining classes get unique prototypes in both modalities.
     """
 
-    n_classes: int = 8
-    n_ambiguous_pairs: int = 4
-    feature_dim: int = 64
-    noise_std: float = 0.1
-    examples_per_class: int = 24
-    eval_examples_per_class: int = 4
-    t_audio: int = 12
-    t_visual: int = 6
-    seed: int = 0
+    n_classes: int = setting(8, ">= 2")
+    n_ambiguous_pairs: int = setting(4, ">= 0")
+    feature_dim: int = setting(64, ">= 1")
+    noise_std: float = setting(0.1, ">= 0")
+    examples_per_class: int = setting(24, ">= 1")
+    eval_examples_per_class: int = setting(4, ">= 1")
+    t_audio: int = setting(12, ">= 1")
+    t_visual: int = setting(6, ">= 1")
+    seed: int = setting(0, ">= 0")
 
     def validate(self) -> None:
-        problems = []
-        if self.n_classes < 2:
-            problems.append(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.n_ambiguous_pairs < 0:
-            problems.append("n_ambiguous_pairs must be >= 0")
+        check(self)
         if self.n_classes < 2 * self.n_ambiguous_pairs:
-            problems.append(
+            raise ConfigError(
                 f"n_classes={self.n_classes} cannot host {self.n_ambiguous_pairs} ambiguous pairs"
             )
-        if self.noise_std < 0:
-            problems.append(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.feature_dim < 1 or self.t_audio < 1 or self.t_visual < 1:
-            problems.append("feature_dim, t_audio and t_visual must be positive")
-        if self.examples_per_class < 1 or self.eval_examples_per_class < 1:
-            problems.append("examples per class must be positive")
         if len(OBJECT_WORDS) < self.n_classes:
-            problems.append(f"need {self.n_classes} object words, have {len(OBJECT_WORDS)}")
-        if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError(f"need {self.n_classes} object words, have {len(OBJECT_WORDS)}")
 
     def class_caption(self, cls: int) -> str:
         return CAPTION_TEMPLATE.format(object=OBJECT_WORDS[cls])

@@ -18,7 +18,16 @@ class DomainError(AvfuseError, ValueError):
 
 
 class ConfigError(AvfuseError, ValueError):
-    """A configuration object violates its invariants."""
+    """A configuration object or a user-supplied value is invalid.
+
+    ``problems`` carries every issue found so they can be reported at once.
+    """
+
+    def __init__(self, problems):
+        if isinstance(problems, str):
+            problems = [problems]
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
 
 
 class UsageError(AvfuseError, ValueError):
@@ -29,17 +38,8 @@ class DataFormatError(AvfuseError, OSError):
     """A file on disk does not match its declared binary or text format."""
 
 
-class ValidationError(AvfuseError, ValueError):
-    """User-supplied data (manifest, run config, CLI flags) failed validation.
-
-    ``problems`` carries every issue found so they can be reported at once.
-    """
-
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+class ValidationError(ConfigError):
+    """User-supplied data (manifest, run config, CLI flags) failed validation."""
 
 
 class TrainingError(AvfuseError, RuntimeError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetManifest, normalize_caption, read_json_lines
+from .data import DatasetManifest, normalize_caption
 from .errors import DomainError, ValidationError
 
 CIDER_N = 4
@@ -200,21 +200,6 @@ def score_corpus(corpus: list[EvalItem]) -> MetricReport:
 # ---------------------------------------------------------------------------
 # file-level evaluation
 # ---------------------------------------------------------------------------
-
-
-def load_candidates(path) -> dict[str, str]:
-    """Read a JSON-lines candidates file of {id, caption} records."""
-    out: dict[str, str] = {}
-    for lineno, obj in read_json_lines(path):
-        if "id" not in obj or "caption" not in obj:
-            raise ValidationError(f"{path}: line {lineno}: needs 'id' and 'caption'")
-        cid = str(obj["id"])
-        if cid in out:
-            raise ValidationError(f"{path}: line {lineno}: duplicate id {cid!r}")
-        out[cid] = str(obj["caption"])
-    if not out:
-        raise ValidationError(f"{path}: no candidate records found")
-    return out
 
 
 def evaluate(candidates: dict[str, str], manifest: DatasetManifest) -> MetricReport:

@@ -31,6 +31,7 @@ from . import numerics as N
 from .data import Vocabulary
 from .errors import ConfigError, DataFormatError, DimensionError, DomainError
 from .numerics import AttentionParams, Tensor
+from .settings import check, setting
 
 FUSION_MODES = ("audio_only", "video_only", "concatenate", "adaava_audio", "adaava_video")
 
@@ -51,39 +52,27 @@ class ModelConfig:
     the 512-wide, 8-head, 12+4-block variant.
     """
 
-    vocab_size: int
-    d: int = 128
-    heads: int = 4
-    encoder_blocks: int = 2
-    decoder_blocks: int = 2
-    mlp_ratio: float = 4.0
-    beta: float = 0.13
-    fusion_mode: str = "adaava_audio"
-    max_caption_len: int = 22
-    audio_in_dim: int = 256
-    visual_in_dim: int = 512
-    max_audio_len: int = 250
-    dropout: float = 0.1
-    ln_eps: float = 1e-5
+    vocab_size: int = setting(within=">= 5", kind=int)  # the reserved ids and more
+    d: int = setting(128, ">= 1")
+    heads: int = setting(4, ">= 1")
+    encoder_blocks: int = setting(2, ">= 0")
+    decoder_blocks: int = setting(2, ">= 1")
+    mlp_ratio: float = setting(4.0, "> 0")
+    beta: float = setting(0.13, ">= 0 and <= 1")  # the fusion threshold
+    fusion_mode: str = setting("adaava_audio", FUSION_MODES)
+    max_caption_len: int = setting(22, ">= 3")
+    audio_in_dim: int = setting(256, ">= 1")
+    visual_in_dim: int = setting(512, ">= 1")
+    max_audio_len: int = setting(250, ">= 1")
+    dropout: float = setting(0.1, ">= 0 and < 1")
+    ln_eps: float = setting(1e-5, "> 0")
 
     def validate(self) -> None:
-        problems = []
-        if self.vocab_size < 5:
-            problems.append(f"vocab_size must cover the reserved ids, got {self.vocab_size}")
-        if self.d < 1 or self.d % self.heads != 0:
-            problems.append(f"d={self.d} must be positive and divisible by heads={self.heads}")
-        if not 0.0 <= self.beta <= 1.0:
-            problems.append(f"beta must be in [0, 1], got {self.beta}")
-        if self.fusion_mode not in FUSION_MODES:
-            problems.append(f"fusion_mode {self.fusion_mode!r} not one of {FUSION_MODES}")
-        if self.max_caption_len < 3:
-            problems.append(f"max_caption_len must be >= 3, got {self.max_caption_len}")
-        if not 0.0 <= self.dropout < 1.0:
-            problems.append(f"dropout must be in [0, 1), got {self.dropout}")
-        if min(self.encoder_blocks, self.decoder_blocks) < 0 or self.decoder_blocks == 0:
-            problems.append("decoder_blocks must be >= 1 and encoder_blocks >= 0")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        check(self)
+        if self.d % self.heads:
+            raise ConfigError(f"d={self.d} must be divisible by heads={self.heads}")
+        if round(self.mlp_ratio * self.d) < 1:
+            raise ConfigError(f"mlp_ratio={self.mlp_ratio} leaves d={self.d} no MLP units")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -778,9 +767,9 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = ModelConfig.from_json(header["config"])
         vocab = Vocabulary.from_json(header["vocab"])
-    except (TypeError, KeyError) as exc:
-        raise DataFormatError(f"{path}: malformed checkpoint config or vocab: {exc!r}") from exc
-    config.validate()
+        config.validate()
+    except (TypeError, KeyError, ConfigError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint config or vocab: {exc}") from exc
     for key in ("tensors", "state_tensors"):
         _check_entries(path, key, header.get(key, []))
     stored = {e["name"]: e for e in header["tensors"]}

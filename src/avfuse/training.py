@@ -21,43 +21,28 @@ from . import frontend, model, numerics as N
 from .data import PAD_ID, PreparedExample, Vocabulary
 from .errors import ConfigError, DomainError, TrainingError, ValidationError
 from .numerics import GradTape, Tensor
+from .settings import check, setting
 
 
 @dataclass
 class TrainConfig:
-    lr_peak: float = 1e-4
-    epochs: int = 15
-    warmup_epochs: int = 5
-    batch_size: int = 32
-    label_smoothing: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_norm: float | None = 1.0
-    seed: int = 0
-    checkpoint_interval: int = 1  # in epochs
-    augment: frontend.SpecAugmentPolicy | None = None
+    lr_peak: float = setting(1e-4, "> 0")
+    epochs: int = setting(15, ">= 0")
+    warmup_epochs: int = setting(5, ">= 0")
+    batch_size: int = setting(32, ">= 1")
+    label_smoothing: float = setting(0.1, ">= 0 and < 1")
+    adam_beta1: float = setting(0.9, ">= 0 and < 1")
+    adam_beta2: float = setting(0.999, ">= 0 and < 1")
+    adam_eps: float = setting(1e-8, "> 0")
+    clip_norm: float | None = setting(1.0, "> 0", optional=True)
+    seed: int = setting(0, ">= 0")
+    checkpoint_interval: int = setting(1, ">= 1")  # in epochs
+    augment: frontend.SpecAugmentPolicy | None = None  # checked by from_json
 
     def validate(self) -> None:
-        problems = []
-        if self.epochs < 0 or self.warmup_epochs < 0:
-            problems.append("epochs and warmup_epochs must be >= 0")
-        if self.warmup_epochs > self.epochs and self.epochs > 0:
-            problems.append(
-                f"warmup_epochs={self.warmup_epochs} exceeds epochs={self.epochs}"
-            )
-        if self.lr_peak <= 0:
-            problems.append(f"lr_peak must be positive, got {self.lr_peak}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            problems.append(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            problems.append("clip_norm must be positive or None")
-        if self.checkpoint_interval < 1:
-            problems.append("checkpoint_interval must be >= 1")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        check(self)
+        if 0 < self.epochs < self.warmup_epochs:
+            raise ConfigError(f"warmup_epochs={self.warmup_epochs} exceeds epochs={self.epochs}")
 
     def to_json(self) -> dict:
         return asdict(self)

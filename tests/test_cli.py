@@ -1,12 +1,20 @@
+import contextlib
 import dataclasses
 import fcntl
 import hashlib
+import io
 import json
+import math
 import os
 import platform
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfuse import cli, data, frontend, inference, model
 from avfuse.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _DirLock, main
@@ -24,6 +32,16 @@ def untrained_checkpoint(path, manifest_path) -> model.ModelConfig:
                                decoder_blocks=1, fusion_mode="audio_only", max_caption_len=6)
     model.save_checkpoint(path, model.init_params(config), config, vocab)
     return config
+
+
+def rewrite_header(path, change) -> None:
+    """Apply ``change`` in place to the JSON header of the checkpoint at ``path``."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    change(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + hlen:])
 
 
 def tone_manifest(directory):
@@ -656,16 +674,49 @@ class TestExitCodes:
         manifest_path = tone_manifest(tmp_path)
         ck = tmp_path / "ck.avck"
         untrained_checkpoint(ck, manifest_path)
-        raw = ck.read_bytes()
-        hlen = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[16:16 + hlen])
-        del header["tensors"][0]["offset"]
-        new = json.dumps(header).encode()
-        ck.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + hlen:])
+        rewrite_header(ck, lambda header: header["tensors"][0].pop("offset"))
         rc = run(["eval", "--checkpoint", ck, "--manifest", manifest_path, "--greedy"])
         assert rc == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "tensors entry 0" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("heads", 0, "heads must be >= 1, got 0"),
+        ("d", "8", 'd must be int, got "8"'),
+        ("dropout", None, "dropout must be float, got null"),
+    ])
+    def test_invalid_checkpoint_config_is_runtime_naming_it(self, tmp_path, capsys, key, value,
+                                                            message):
+        manifest_path = tone_manifest(tmp_path)
+        ck = tmp_path / "ck.avck"
+        untrained_checkpoint(ck, manifest_path)
+        rewrite_header(ck, lambda header: header["config"].update({key: value}))
+        rc = run(["eval", "--checkpoint", ck, "--manifest", manifest_path, "--greedy"])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"error: {ck}: malformed checkpoint config or vocab: {message}\n")
+
+    # Each probe ended in a traceback, wrote a run directory first, or trained.
+    @pytest.mark.parametrize("command, sections, flags, messages", [
+        ("train", {}, ["--heads", 0], ["heads must be >= 1, got 0"]),
+        ("train", {"model": {"mlp_ratio": 0}}, [], ["{cfg}: model.mlp_ratio must be > 0, got 0"]),
+        ("train", {"train": {"seed": -1}}, [], ["{cfg}: train.seed must be >= 0, got -1"]),
+        ("train", {"model": {"ln_eps": 0}}, [], ["{cfg}: model.ln_eps must be > 0, got 0"]),
+        ("train", {"train": {"adam_beta1": 1.5, "adam_eps": -1}}, [],
+         ["{cfg}: train.adam_beta1 must be >= 0 and < 1, got 1.5",
+          "{cfg}: train.adam_eps must be > 0, got -1"]),
+        ("train", {"train": {"adam_beta2": 1.0}}, [],
+         ["{cfg}: train.adam_beta2 must be >= 0 and < 1, got 1.0"]),
+        ("synth", {}, ["--seed", -1], ["seed must be >= 0, got -1"]),
+    ], ids=["heads-flag", "mlp_ratio", "train-seed", "ln_eps", "adam_beta1-and-eps",
+            "adam_beta2", "synth-seed"])
+    def test_out_of_range_setting_is_validation_naming_it(self, dataset, tmp_path, capsys,
+                                                          command, sections, flags, messages):
+        cfg = write_run_config(tmp_path, dataset / "train.jsonl", **sections)
+        argv = ["train", "--config", cfg] if command == "train" else ["synth", "--out", tmp_path / "r"]
+        assert run(argv + flags) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "".join(f"error: {m.format(cfg=cfg)}\n" for m in messages)
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("table, name", [("tensors", "out_proj.bias"),
                                              ("state_tensors", "v.out_proj.bias")])
@@ -765,3 +816,84 @@ class TestExitCodes:
                   "--audio", tmp_path / "none.wav", "--beam", 0])
         assert rc == EXIT_VALIDATION
         assert "--beam" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# random run configs
+# ---------------------------------------------------------------------------
+
+# Small JSON values of every type.  Integers and finite floats stay small, so
+# that a valid width or epoch count trains in milliseconds: no setting's range
+# has an upper bound, and a huge width meets a memory limit, not a config check.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-2.0, 8.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=3)
+
+
+def _setting_values(section, key):
+    """Values for one run-config setting: often of its declared kind, and any
+    small JSON value.  A run lasts at most one epoch, and a run directory (a
+    ("work", name) marker) lies in the example's own directory."""
+    declared = {f.name: f for f in dataclasses.fields(cli._SECTIONS[section])}[key].metadata
+    kind, within = declared.get("kind"), declared.get("within")
+    values = JSON_VALUES | (st.sampled_from(within) if isinstance(within, tuple)
+                            else st.integers(0, 4) if kind is int
+                            else st.floats(0.0, 1.0) if kind is float else st.nothing())
+    if key == "epochs":
+        return values.map(lambda v: min(v, 1) if type(v) is int else v)
+    if key == "out_dir":
+        return (JSON_VALUES.filter(lambda v: not isinstance(v, str))
+                | st.text(alphabet="ab\0", max_size=2).map(lambda t: ("work", "r" + t)))
+    if key.endswith("manifest"):
+        return values | st.sampled_from([("task", "train.jsonl"), ("task", "eval.jsonl")])
+    return values
+
+
+RUN_SETTINGS = [(section, f.name) for section, cls in cli._SECTIONS.items()
+                for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
+RUN_OVERRIDES = st.lists(st.sampled_from(RUN_SETTINGS).flatmap(
+    lambda where: st.tuples(st.just(where), _setting_values(*where))), max_size=3)
+
+
+@pytest.fixture(scope="module")
+def tiny_task(tmp_path_factory):
+    spec = data.SyntheticTaskSpec(n_classes=2, n_ambiguous_pairs=1, feature_dim=8,
+                                  noise_std=0.05, examples_per_class=4,
+                                  eval_examples_per_class=2, t_audio=4, t_visual=2)
+    return data.generate_synthetic_task(spec, tmp_path_factory.mktemp("tiny-task"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(overrides=RUN_OVERRIDES)
+def test_random_run_config_exits_cleanly(tiny_task, tmp_path_factory, overrides):
+    """A run config with up to three settings drawn at random exits 0, 1 or
+    2 and prints no warning.  A failure prints only ``error:`` lines, and
+    exit 1 writes nothing."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    dirs = {"work": work, "task": tiny_task.train_manifest.parent}
+    cfg = {"train_manifest": str(tiny_task.train_manifest),
+           "val_manifest": str(tiny_task.eval_manifest), "out_dir": str(work / "r"),
+           "model": {"d": 8, "heads": 2, "encoder_blocks": 1, "decoder_blocks": 1,
+                     "dropout": 0.0},
+           "train": {"epochs": 1, "warmup_epochs": 0, "batch_size": 4}}
+    for (section, key), value in overrides:
+        if isinstance(value, tuple):
+            value = str(dirs[value[0]] / value[1])
+        (cfg if section is None else cfg[section])[key] = value
+    path = work / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    stderr = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr)):
+        warnings.simplefilter("always")
+        code = main(["train", "--config", str(path)])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
+    assert [str(w.message) for w in caught] == []
+    lines = stderr.getvalue().splitlines()
+    assert all(line.startswith("error: ") for line in lines) and bool(lines) == (code != EXIT_OK)
+    if code == EXIT_VALIDATION:
+        assert os.listdir(work) == ["cfg.json"]
+

@@ -300,35 +300,6 @@ class TestEvaluate:
         report = MX.evaluate(candidates, manifest)
         assert report.bleu_1 == 1.0
 
-    def test_empty_candidates_file(self, tmp_path):
-        path = tmp_path / "cand.jsonl"
-        path.write_text("")
-        with pytest.raises(ValidationError):
-            MX.load_candidates(path)
-
-    @pytest.mark.parametrize("lines", [
-        ['{"id": "x", "caption": "a"}', '{"id": "x", "caption": "b"}'],
-        ['{"id": "1", "caption": "a"}', '{"id": 1, "caption": "b"}'],
-    ])
-    def test_duplicate_candidate_ids_rejected(self, tmp_path, lines):
-        path = tmp_path / "cand.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValidationError) as exc:
-            MX.load_candidates(path)
-        assert "line 2" in str(exc.value)
-
-    def test_non_object_candidate_line_names_line(self, tmp_path):
-        path = tmp_path / "cand.jsonl"
-        path.write_text('{"id": "a", "caption": "dog barks"}\n5\n')
-        with pytest.raises(ValidationError) as exc:
-            MX.load_candidates(path)
-        assert "line 2" in str(exc.value)
-
-    def test_candidates_round_trip(self, tmp_path):
-        path = tmp_path / "cand.jsonl"
-        path.write_text('{"id": "a", "caption": "dog barks"}\n')
-        assert MX.load_candidates(path) == {"a": "dog barks"}
-
 
 class TestInvariants:
     def test_reference_order_invariance_all_metrics(self, rng):

@@ -635,6 +635,21 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="malformed"):
             M.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("heads", 0, "heads must be >= 1, got 0"),
+        ("d", "8", 'd must be int, got "8"'),
+        ("dropout", None, "dropout must be float, got null"),
+    ])
+    def test_invalid_config_value_is_a_format_error_naming_it(self, tmp_path, key, value,
+                                                               message):
+        cfg, params, vocab = self._setup()
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params, cfg, vocab)
+        self._rewrite_header(path, lambda h: {**h, "config": {**h["config"], key: value}})
+        with pytest.raises(DataFormatError) as exc:
+            M.load_checkpoint(path)
+        assert str(exc.value) == f"{path}: malformed checkpoint config or vocab: {message}"
+
     def test_header_that_is_not_an_object(self, tmp_path):
         cfg, params, vocab = self._setup()
         path = tmp_path / "ck.avck"
