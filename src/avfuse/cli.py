@@ -249,14 +249,14 @@ def cmd_train(args) -> int:
     """Train from the ``--config`` file's settings with the given flags over
     them, and echo the run as it was built to ``<out_dir>/resolved_config.json``:
     the top-level settings, ``min_count`` included, and the model and train
-    configs, each value once.  A bad setting exits 1 before anything is
-    written."""
+    configs, each value once.  A bad setting exits 1, and parameters too
+    large for memory exit 2, before anything is written."""
     top, config, tcfg, vocab, train_examples, val_examples = build_run(args)
     out_dir = Path(top.out_dir)
     echo = {"command": "train", **asdict(top), "model": config.to_json(), "train": tcfg.to_json()}
+    params = model.init_params(config, seed=tcfg.seed)
     with _DirLock(out_dir):
         _echo_config(echo, out_dir)
-        params = model.init_params(config, seed=tcfg.seed)
         state, history = training.fit(
             params, config, vocab, train_examples, val_examples, tcfg,
             out_dir=out_dir, log_path=out_dir / "metrics.jsonl",
@@ -584,11 +584,11 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    except AvfuseError as exc:
+    except (AvfuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

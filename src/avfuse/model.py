@@ -20,6 +20,7 @@ confidence score only through the multiplicative gating terms.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -686,10 +687,11 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocab
     """Write a versioned container: JSON header + contiguous float64 payload.
 
     The payload holds the parameters in ``parameter_slots`` order, then the
-    state tensors by name; each has a header entry with its shape and extent.
-    The bytes go to ``<path>.tmp`` in the same directory, which is fsynced
-    and then renamed over ``path``, so a failed save leaves the previous
-    file whole and no temp file behind.
+    state tensors by name, each written from its own little-endian float64
+    buffer at an 8-byte-aligned offset given in its header entry.  The bytes
+    go to ``<path>.tmp`` in the same directory, which is fsynced and then
+    renamed over ``path``, so a failed save leaves the previous file whole
+    and no temp file behind.
     """
     state_tensors = state_tensors or {}
     tables = {
@@ -698,24 +700,23 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocab
     }
     header = {"version": CHECKPOINT_VERSION, "config": config.to_json(),
               "vocab": vocab.to_json(), "state": state}
-    blobs = []
-    offset = 0
+    payload, offset = [], 0
     for key, arrays in tables.items():
         header[key] = []
         for name, arr in arrays:
-            blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            header[key].append({"name": name, "shape": list(np.shape(arr)),
-                                "offset": offset, "nbytes": len(blob)})
-            blobs.append(blob)
-            offset += len(blob)
+            arr = np.asarray(arr, dtype="<f8", order="C")  # ascontiguousarray would make 0-d 1-d
+            header[key].append({"name": name, "shape": list(arr.shape),
+                                "offset": offset, "nbytes": arr.nbytes})
+            payload.append(arr)
+            offset += arr.nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_CKPT_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header_bytes)))
             fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
+            for arr in payload:
+                fh.write(arr)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -758,7 +759,7 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: undecodable checkpoint header: {exc}") from exc
-        payload = fh.read()
+        payload = np.fromfile(fh, dtype="<f8")  # each tensor loads as a view of this read
     required = ("config", "vocab", "tensors")
     missing = [k for k in required if k not in header] if isinstance(header, dict) else required
     if missing:
@@ -775,17 +776,17 @@ def load_checkpoint(path) -> Checkpoint:
     stored = {e["name"]: e for e in header["tensors"]}
 
     def pull(entry) -> np.ndarray:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if nbytes != 8 * int(np.prod(entry["shape"])):
-            raise DataFormatError(
-                f"{path}: tensor {entry['name']!r} has {nbytes} bytes for shape {entry['shape']}"
-            )
-        if start + nbytes > len(payload):
-            raise DataFormatError(f"{path}: payload truncated at tensor {entry['name']!r}")
-        arr = np.frombuffer(payload[start:start + nbytes], dtype="<f8")
+        name, shape, start, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
+        if start % 8 or nbytes != 8 * math.prod(shape):  # exact: np.prod wraps at 2**63
+            raise DataFormatError(f"{path}: tensor {name!r} at offset {start} with {nbytes} "
+                                  f"bytes is not an 8-byte-aligned float64 array of shape {shape}")
+        start, stop = start // 8, (start + nbytes) // 8
+        if stop > payload.size:
+            raise DataFormatError(f"{path}: payload truncated at tensor {name!r}")
+        arr = payload[start:stop]
         if not np.isfinite(arr).all():
-            raise DataFormatError(f"{path}: tensor {entry['name']!r} holds non-finite values")
-        return arr.reshape(entry["shape"]).copy()
+            raise DataFormatError(f"{path}: tensor {name!r} holds non-finite values")
+        return arr.reshape(shape)
 
     params = _build_params(config)
     for name, owner, attr in parameter_slots(params):
@@ -799,8 +800,7 @@ def load_checkpoint(path) -> Checkpoint:
             )
         setattr(owner, attr, Tensor(pull(entry), requires_grad=True))
     if stored:
-        name = sorted(stored)[0]
-        raise DataFormatError(f"{path}: unexpected parameter {name!r} for this config")
+        raise DataFormatError(f"{path}: unexpected parameter {min(stored)!r} for this config")
 
     state_tensors = {e["name"]: pull(e) for e in header.get("state_tensors", [])}
     return Checkpoint(params=params, config=config, vocab=vocab,

@@ -389,6 +389,18 @@ class TestTrain:
         (out / ".lock").write_text("999999999")
         assert run(train_args(dataset, out, **{"--epochs": 1})) == EXIT_OK
 
+    def test_parameters_too_large_for_memory_exit_2_before_any_write(self, dataset, tmp_path,
+                                                                     capsys, monkeypatch):
+        def out_of_memory(config, seed=0):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(model, "init_params", out_of_memory)
+        out = tmp_path / "r"
+        assert run(train_args(dataset, out)) == EXIT_RUNTIME
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: Unable to allocate 72.8 TiB for an array"]
+        assert not out.exists()
+
 
 def test_dir_lock_is_released_on_exit_and_its_file_kept(tmp_path):
     run_dir = tmp_path / "run"

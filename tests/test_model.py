@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfuse import model as M
 from avfuse import numerics as N
@@ -523,12 +525,15 @@ class TestCheckpoint:
         cfg, params, vocab = self._setup(seed=5)
         path = tmp_path / "ck.avck"
         state = {"step": 17, "best_val": 0.25}
-        extra = {"opt.m.word_embedding": np.arange(12.0)}
+        extra = {"opt.m.word_embedding": np.arange(12.0), "scalar": np.array(2.5),
+                 "empty": np.zeros(0)}
         M.save_checkpoint(path, params, cfg, vocab, state=state, state_tensors=extra)
         ck = M.load_checkpoint(path)
         assert ck.config == cfg
         assert ck.state == state
         np.testing.assert_array_equal(ck.state_tensors["opt.m.word_embedding"], np.arange(12.0))
+        assert ck.state_tensors["scalar"].shape == () and ck.state_tensors["scalar"] == 2.5
+        assert ck.state_tensors["empty"].shape == (0,)
         for (name_a, t_a), (name_b, t_b) in zip(
             M.named_parameters(params), M.named_parameters(ck.params)
         ):
@@ -594,7 +599,7 @@ class TestCheckpoint:
             M.load_checkpoint(path)
         assert "visual_proj.weight" in str(exc.value)
 
-    @pytest.mark.parametrize("keep", [10, 16, 40, 200])
+    @pytest.mark.parametrize("keep", [10, 16, 40, 200, -3])  # -3 cuts the payload mid-tensor
     def test_truncated_file_is_a_format_error(self, tmp_path, keep):
         cfg, params, vocab = self._setup()
         path = tmp_path / "ck.avck"
@@ -682,8 +687,13 @@ class TestCheckpoint:
         ("tensors", lambda es: [{**es[0], "nbytes": -8}] + es[1:], "tensors entry 0"),
         ("state_tensors", lambda es: [{**es[0], "offset": True}], "state_tensors entry 0"),
         ("state_tensors", lambda es: 5, "state_tensors is not a list"),
+        ("tensors", lambda es: es[:1] + [{**es[1], "offset": es[1]["offset"] + 4}] + es[2:],
+         "'decoder_pos' at offset"),
+        ("state_tensors", lambda es: [{**es[0], "shape": [2**32, 2**32], "nbytes": 0}],
+         "'m.x' at offset"),  # 2**64 elements, 0 in int64
     ], ids=["no-offset", "tensors-not-a-list", "entry-not-an-object", "str-in-shape",
-            "int-name", "negative-nbytes", "bool-offset", "state-tensors-not-a-list"])
+            "int-name", "negative-nbytes", "bool-offset", "state-tensors-not-a-list",
+            "misaligned-offset", "size-overflowing-int64"])
     def test_malformed_tensor_entry_is_named(self, tmp_path, key, change, named):
         cfg, params, vocab = self._setup()
         path = tmp_path / "ck.avck"
@@ -720,6 +730,36 @@ class TestCheckpoint:
         raw = path.read_bytes()
         assert (len(M.named_parameters(params)), len(raw)) == (count, size)
         assert hashlib.sha256(raw).hexdigest()[:16] == digest
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A tiny checkpoint with training state: its bytes, the length of its
+    fixed head plus JSON header, and a directory to write variants to."""
+    cfg = tiny_config()
+    vocab = Vocabulary(["dog", "barks", "a", "motor", "runs", "cat", "rain", "falls"])
+    work = tmp_path_factory.mktemp("flips")
+    M.save_checkpoint(work / "tiny.avck", M.init_params(cfg), cfg, vocab,
+                      state={"step": 3, "best_val": 0.5},
+                      state_tensors={"m.word_embedding": np.ones((12, 16))})
+    raw = (work / "tiny.avck").read_bytes()
+    return raw, 16 + int.from_bytes(raw[8:16], "little"), work
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_header_byte_flip_loads_or_is_a_format_error(tiny_checkpoint, data):
+    """One byte flipped anywhere in the magic, version, header length or JSON
+    header either loads or raises DataFormatError, and nothing else.  A
+    flipped payload byte still loads silently unless it makes a value
+    non-finite: the format holds no checksum yet."""
+    raw, head, work = tiny_checkpoint
+    at = data.draw(st.integers(0, head - 1), label="position")
+    corrupt = bytearray(raw)
+    corrupt[at] ^= data.draw(st.integers(1, 255), label="xor mask")
+    (work / "flipped.avck").write_bytes(bytes(corrupt))
+    with contextlib.suppress(DataFormatError):
+        M.load_checkpoint(work / "flipped.avck")
 
 
 class TestConfigValidation:
