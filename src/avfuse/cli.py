@@ -194,15 +194,6 @@ _TRAIN_FLAGS = (
 )
 
 
-def _infer_feature_widths(manifest: data.DatasetManifest) -> tuple[int, int | None]:
-    """The widths of the manifest's first audio file and first visual file;
-    :func:`_check_inputs` then holds every clip to the configured widths."""
-    visual = next((rec.visual_features for rec in manifest.records
-                   if rec.visual_features is not None), None)
-    return (data.audio_input_width(manifest.resolve(manifest.records[0].audio)),
-            None if visual is None else data.feature_file_shape(manifest.resolve(visual))[1])
-
-
 def build_run(args):
     """Construct (top-level settings, model_config, train_config, vocab,
     train/val examples) from the ``--config`` file's settings with each
@@ -221,13 +212,17 @@ def build_run(args):
     val_manifest = data.load_manifest(top.val_manifest) if top.val_manifest else None
     vocab = data.build_vocabulary_from_manifest(manifest, min_count=top.min_count)
 
+    # A width that neither gives is that of the first clip's rows; _check_inputs
+    # then holds every clip to it.
     model_kw = sections["model"]
     mode = model_kw.get("fusion_mode", model.ModelConfig.fusion_mode)
-    audio_w, visual_w = _infer_feature_widths(manifest)
-    for key, width, used in (("audio_in_dim", audio_w, model.mode_uses_audio(mode)),
-                             ("visual_in_dim", visual_w, model.mode_uses_visual(mode))):
-        if used and width is not None:
-            model_kw.setdefault(key, width)
+    if model.mode_uses_audio(mode) and "audio_in_dim" not in model_kw:
+        audio = manifest.resolve(manifest.records[0].audio)
+        model_kw["audio_in_dim"] = data.load_audio_input(audio)[0].shape[1]
+    visual = next((rec.visual_features for rec in manifest.records
+                   if rec.visual_features is not None), None)
+    if model.mode_uses_visual(mode) and "visual_in_dim" not in model_kw and visual is not None:
+        model_kw["visual_in_dim"] = data.read_feature_file(manifest.resolve(visual)).shape[1]
 
     config = model.ModelConfig(vocab_size=len(vocab), **model_kw)
     tcfg = training.TrainConfig.from_json(sections["train"])

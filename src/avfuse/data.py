@@ -13,6 +13,7 @@ video alone are each insufficient; together they determine the class.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import unicodedata
 from collections import Counter
@@ -132,51 +133,33 @@ def write_feature_file(path, matrix) -> None:
         fh.write(arr.tobytes())
 
 
-def _read_header(fh, path) -> tuple[int, int, int]:
-    """(T, d, dtype code) from the AVF1 header at the start of ``fh``."""
-    header = fh.read(_HEADER.size)
-    if len(header) < _HEADER.size:
-        raise DataFormatError(f"{path}: truncated header ({len(header)} bytes)")
-    magic, t, d, code = _HEADER.unpack(header)
-    if magic != FEATURE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC.decode()!r}")
-    return t, d, code
-
-
-def feature_file_shape(path) -> tuple[int, int]:
-    """Read only the AVF1 header and return (T, d)."""
-    with open(path, "rb") as fh:
-        t, d, _ = _read_header(fh, path)
-    return t, d
-
-
 def read_feature_file(path) -> np.ndarray:
-    """Read an AVF1 file back into a (T, d) float32 array, bit-exactly."""
+    """Read an AVF1 file back into a (T, d) float32 array, bit-exactly.
+
+    The header must carry the AVF1 magic and the float32 dtype code, and the
+    file must hold exactly the 4·T·d payload bytes it declares; the file's
+    size is checked before any payload is read.
+    """
     with open(path, "rb") as fh:
-        t, d, code = _read_header(fh, path)
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DataFormatError(f"{path}: truncated header ({len(header)} bytes)")
+        magic, t, d, code = _HEADER.unpack(header)
+        if magic != FEATURE_MAGIC:
+            raise DataFormatError(
+                f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC.decode()!r}"
+            )
         if code != _DTYPE_F32:
             raise DataFormatError(f"{path}: unsupported dtype code {code}")
         expected = 4 * t * d
-        payload = fh.read(expected + 1)
-        if len(payload) != expected:
-            kind = "truncated" if len(payload) < expected else "oversized"
+        held = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if held != expected:
+            kind = "truncated" if held < expected else "oversized"
             raise DataFormatError(
                 f"{path}: {kind} payload, expected {expected} bytes for {t}x{d}"
             )
+        payload = fh.read(expected)
     return np.frombuffer(payload, dtype="<f4").reshape(t, d)
-
-
-# Width of the encoder input rows of a WAV file: one row per patch of mel frames.
-WAV_PATCH_WIDTH = frontend.FRAMES_PER_PATCH * frontend.MelConfig().n_mels
-
-
-def _is_wav(path) -> bool:
-    return Path(path).suffix.lower() == ".wav"
-
-
-def audio_input_width(path) -> int:
-    """Width of the rows that :func:`load_audio_input` gives for ``path``."""
-    return WAV_PATCH_WIDTH if _is_wav(path) else feature_file_shape(path)[1]
 
 
 def load_audio_input(path) -> tuple[np.ndarray, frontend.MelSpec | None]:
@@ -186,7 +169,7 @@ def load_audio_input(path) -> tuple[np.ndarray, frontend.MelSpec | None]:
     frames and patchified; any other file is read as AVF1 features, as
     float64 rows without a spectrogram.
     """
-    if not _is_wav(path):
+    if Path(path).suffix.lower() != ".wav":
         return read_feature_file(path).astype(np.float64), None
     mel = frontend.log_mel(frontend.read_wav(path, frontend.MelConfig().sample_rate))
     return frontend.patchify(mel), mel
@@ -226,48 +209,38 @@ class DatasetManifest:
         return p if p.is_absolute() else self.root / p
 
 
-def read_json_lines(path):
-    """Yield (line number, record) for each non-blank line of a JSON-lines
-    file; a line that is not a JSON object is a ValidationError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: invalid record: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValidationError(
-                    f"{path}: line {lineno}: record must be a JSON object, "
-                    f"got {type(obj).__name__}"
-                )
-            yield lineno, obj
-
-
 def load_manifest(path) -> DatasetManifest:
     """Load a JSON-lines manifest of at least one record; every validation
     error names the file and, for a bad record, its line number."""
     path = Path(path)
-    root = path.parent
-    records: list[ManifestRecord] = []
+    manifest = DatasetManifest(records=[], root=path.parent)
     first_line: dict[str, int] = {}
-    for lineno, obj in read_json_lines(path):
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+            raise ValidationError(f"{where}: invalid record: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValidationError(
+                f"{where}: record must be a JSON object, got {type(obj).__name__}"
+            )
         for key in ("id", "audio", "captions"):
             if key not in obj:
-                raise ValidationError(f"{path}: line {lineno}: missing field {key!r}")
+                raise ValidationError(f"{where}: missing field {key!r}")
         captions = obj["captions"]
         if not isinstance(captions, list) or not captions:
-            raise ValidationError(f"{path}: line {lineno}: captions must be a non-empty list")
+            raise ValidationError(f"{where}: captions must be a non-empty list")
         if len(captions) > MAX_CAPTIONS:
             raise ValidationError(
-                f"{path}: line {lineno}: {len(captions)} captions exceeds the maximum of {MAX_CAPTIONS}"
+                f"{where}: {len(captions)} captions exceeds the maximum of {MAX_CAPTIONS}"
             )
         rec_id = str(obj["id"])
         if rec_id in first_line:
             raise ValidationError(
-                f"{path}: line {lineno}: duplicate id {rec_id!r} "
-                f"(first on line {first_line[rec_id]})"
+                f"{where}: duplicate id {rec_id!r} (first on line {first_line[rec_id]})"
             )
         first_line[rec_id] = lineno
         rec = ManifestRecord(
@@ -279,17 +252,14 @@ def load_manifest(path) -> DatasetManifest:
             ),
         )
         for label, rel in (("audio", rec.audio), ("visual_features", rec.visual_features)):
-            if rel is None:
-                continue
-            target = rel if Path(rel).is_absolute() else root / rel
-            if not Path(target).exists():
+            if rel is not None and not manifest.resolve(rel).exists():
                 raise ValidationError(
-                    f"{path}: line {lineno}: {label} path does not exist: {target}"
+                    f"{where}: {label} path does not exist: {manifest.resolve(rel)}"
                 )
-        records.append(rec)
-    if not records:
+        manifest.records.append(rec)
+    if not manifest.records:
         raise ValidationError(f"{path}: manifest has no records")
-    return DatasetManifest(records=records, root=root)
+    return manifest
 
 
 def write_manifest(records: list[ManifestRecord], path) -> None:

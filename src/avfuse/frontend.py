@@ -10,6 +10,7 @@ ceil(num_samples / hop).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +157,24 @@ def spec_augment(spec: MelSpec, policy: SpecAugmentPolicy, rng: np.random.Genera
 
 
 def read_wav(path, expected_rate: int | None = None) -> np.ndarray:
-    """Read a single-channel PCM16 or float32 WAV into float64 samples in [-1, 1]."""
+    """Read a single-channel PCM16 or float32 WAV into float64 samples in [-1, 1].
+
+    A file that does not parse as a WAV, or whose data ends before its
+    header says, is a DataFormatError naming it; chunks that scipy does not
+    know are skipped.
+    """
     try:
-        rate, samples = wavfile.read(path)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", wavfile.WavFileWarning)
+            warnings.filterwarnings("ignore", r"Chunk \(non-data\) not understood",
+                                    wavfile.WavFileWarning)
+            rate, samples = wavfile.read(path)
+    except OSError:
+        raise  # a file that cannot be opened or read names itself
+    except Exception as exc:  # scipy fails on malformed headers in many ways
         raise DataFormatError(f"{path}: not a readable WAV file: {exc}") from exc
     if samples.ndim != 1:
-        raise DataFormatError(f"{path}: expected mono audio, got {samples.ndim} channels")
+        raise DataFormatError(f"{path}: expected mono audio, got {samples.shape[1]} channels")
     if expected_rate is not None and rate != expected_rate:
         raise ConfigError(f"{path}: sample rate {rate} != required {expected_rate}")
     if samples.dtype == np.int16:
@@ -170,7 +182,3 @@ def read_wav(path, expected_rate: int | None = None) -> np.ndarray:
     if samples.dtype == np.float32:
         return samples.astype(np.float64)
     raise DataFormatError(f"{path}: unsupported sample format {samples.dtype}")
-
-
-def write_wav(path, samples: np.ndarray, rate: int) -> None:
-    wavfile.write(path, rate, np.asarray(samples, dtype=np.float32))

@@ -88,12 +88,9 @@ def label_smoothing_ce(logits: Tensor, targets: np.ndarray, eps: float) -> Tenso
 
     logp = N.log_softmax_lastdim(logits)
     gold = N.take_along_last(logp, np.where(nonpad, targets, 0))
-    if eps == 0.0:
-        per_pos = N.neg(gold)
-    else:
-        off = eps / (vocab - 1)
-        total = N.sum_(logp, axis=-1)
-        per_pos = N.neg(N.add(N.mul(gold, 1.0 - eps - off), N.mul(total, off)))
+    off = eps / (vocab - 1)
+    total = N.sum_(logp, axis=-1)
+    per_pos = N.neg(N.add(N.mul(gold, 1.0 - eps - off), N.mul(total, off)))
     weights = nonpad.astype(np.float64) / count
     return N.sum_(N.mul(per_pos, weights))
 

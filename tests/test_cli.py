@@ -7,22 +7,42 @@ import json
 import math
 import os
 import platform
+import struct
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from avfuse import cli, data, frontend, inference, model
 from avfuse.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _DirLock, main
 from avfuse.errors import ValidationError
+from wav_files import write_wav
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def exits_cleanly(argv) -> tuple[int, str]:
+    """Run ``argv`` through ``main`` and return its exit code and stderr,
+    having checked that the code is 0, 1 or 2, that no warning was raised,
+    and that stderr holds only ``error:`` lines, some exactly when the code
+    is nonzero.  An exception that escapes ``main`` fails the caller."""
+    stderr = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr)):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
+    assert [str(w.message) for w in caught] == []
+    lines = stderr.getvalue().splitlines()
+    assert all(line.startswith("error: ") for line in lines) and bool(lines) == (code != EXIT_OK)
+    return code, stderr.getvalue()
 
 
 def untrained_checkpoint(path, manifest_path) -> model.ModelConfig:
@@ -48,7 +68,7 @@ def tone_manifest(directory):
     """A one-record manifest over a 0.25 s WAV tone, ``tone.wav`` in ``directory``."""
     t = np.arange(8000) / 32000.0
     wav = (0.3 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32)
-    frontend.write_wav(directory / "tone.wav", wav, 32000)
+    write_wav(directory / "tone.wav", wav, 32000)
     path = directory / "m.jsonl"
     path.write_text(json.dumps({"id": "w", "audio": "tone.wav", "captions": ["a tone"]}) + "\n")
     return path
@@ -358,8 +378,8 @@ class TestTrain:
         lines = []
         for name, seconds in (("long", 1.0), ("short", 0.5)):
             t = np.arange(int(32000 * seconds)) / 32000.0
-            frontend.write_wav(tmp_path / f"{name}.wav",
-                               (0.3 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32), 32000)
+            write_wav(tmp_path / f"{name}.wav",
+                      (0.3 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32), 32000)
             lines.append(json.dumps({"id": name, "audio": f"{name}.wav", "captions": ["a tone"]}))
         (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
         rc = run(["train", "--train-manifest", tmp_path / "m.jsonl", "--out", tmp_path / "r",
@@ -604,14 +624,14 @@ class TestEvalInfer:
         manifest = data.load_manifest(manifest_path)
         vocab = data.build_vocabulary_from_manifest(manifest)
         [example] = data.load_examples(manifest, vocab, config.max_caption_len)
-        assert seen[0].shape == (6, data.WAV_PATCH_WIDTH)
+        assert seen[0].shape == (6, frontend.FRAMES_PER_PATCH * frontend.MelConfig().n_mels)
         assert np.array_equal(seen[0], example.audio_patches)
 
     def test_silence_wav_through_audio_only_model(self, tmp_path, capsys):
         t = np.arange(32000) / 32000.0
         for i, freq in enumerate((440.0, 880.0)):
             wav = (0.3 * np.sin(2 * np.pi * freq * t)).astype(np.float32)
-            frontend.write_wav(tmp_path / f"clip{i}.wav", wav, 32000)
+            write_wav(tmp_path / f"clip{i}.wav", wav, 32000)
         lines = [json.dumps({"id": f"w{i}", "audio": f"clip{i}.wav",
                              "captions": [f"tone number {i}"]}) for i in range(2)]
         (tmp_path / "train.jsonl").write_text("\n".join(lines) + "\n")
@@ -623,7 +643,7 @@ class TestEvalInfer:
         assert rc == EXIT_OK
         capsys.readouterr()
 
-        frontend.write_wav(tmp_path / "silence.wav", np.zeros(32000, dtype=np.float32), 32000)
+        write_wav(tmp_path / "silence.wav", np.zeros(32000, dtype=np.float32), 32000)
         rc = run(["infer", "--checkpoint", tmp_path / "wavrun" / "last.avck",
                   "--audio", tmp_path / "silence.wav", "--trace"])
         assert rc == EXIT_OK
@@ -897,15 +917,168 @@ def test_random_run_config_exits_cleanly(tiny_task, tmp_path_factory, overrides)
         (cfg if section is None else cfg[section])[key] = value
     path = work / "cfg.json"
     path.write_text(json.dumps(cfg))
-    stderr = io.StringIO()
-    with (warnings.catch_warnings(record=True) as caught,
-          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr)):
-        warnings.simplefilter("always")
-        code = main(["train", "--config", str(path)])
-    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
-    assert [str(w.message) for w in caught] == []
-    lines = stderr.getvalue().splitlines()
-    assert all(line.startswith("error: ") for line in lines) and bool(lines) == (code != EXIT_OK)
-    if code == EXIT_VALIDATION:
+    if exits_cleanly(["train", "--config", path])[0] == EXIT_VALIDATION:
         assert os.listdir(work) == ["cfg.json"]
+
+
+# ---------------------------------------------------------------------------
+# random input files
+# ---------------------------------------------------------------------------
+
+# Each reader fuzz runs ``avfuse train --epochs 0`` on a manifest over the
+# drawn bytes, so that the width read, the example load and the input checks
+# all meet them.
+FILE_FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def fuzz_train(work, manifest_lines: list[bytes], mode: str) -> tuple[int, str]:
+    """Write ``manifest_lines`` as ``work/m.jsonl``, train on it for zero
+    epochs into ``work/r`` with ``exits_cleanly``, and return the exit code
+    and stderr; exit 1 writes nothing."""
+    manifest = work / "m.jsonl"
+    manifest.write_bytes(b"\n".join(manifest_lines) + b"\n")
+    code, err = exits_cleanly(["train", "--train-manifest", manifest, "--out", work / "r",
+                               "--fusion-mode", mode, "--d", 8, "--heads", 2,
+                               "--encoder-blocks", 1, "--decoder-blocks", 1, "--epochs", 0])
+    if code == EXIT_VALIDATION:
+        assert not (work / "r").exists()
+    event(f"exit {code}")
+    return code, err
+
+
+def record_line(audio, visual=None, id="x", caption="a dog barks") -> bytes:
+    rec = {"id": id, "audio": str(audio), "captions": [caption]}
+    if visual is not None:
+        rec["visual_features"] = str(visual)
+    return json.dumps(rec).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tiny_task, tmp_path_factory):
+    """An audio and a visual AVF1 file of the tiny task, and a 0.125 s PCM16
+    tone: the files that the fuzzed manifests point at."""
+    root = tmp_path_factory.mktemp("fuzz-inputs")
+    t = np.arange(4000) / 32000.0
+    tone = np.round(0.3 * np.sin(2 * np.pi * 440.0 * t) * 32767).astype(np.int16)
+    wavfile.write(root / "tone.wav", 32000, tone)
+    features = tiny_task.train_manifest.parent / "features"
+    return {"audio": features / "train-00-000_audio.avf",
+            "visual": features / "train-00-000_visual.avf", "wav": root / "tone.wav"}
+
+
+def work_dir(tmp_path_factory) -> Path:
+    return Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+
+
+def drawn_lines(files):
+    """A manifest line drawn at random: a record with fields drawn from
+    ``files``, missing files, the manifest's own directory and small JSON
+    values; a record missing fields; any small JSON value; a blank line; or
+    raw bytes."""
+    paths = st.sampled_from([str(f) for f in files] + ["missing.avf", "", "."]) | JSON_VALUES
+    record = st.fixed_dictionaries(
+        {"id": st.text(max_size=2) | JSON_VALUES, "audio": paths,
+         "captions": st.lists(st.text(max_size=12) | JSON_VALUES, max_size=6) | JSON_VALUES},
+        optional={"visual_features": paths})
+    partial = st.dictionaries(st.sampled_from(["id", "audio", "captions", "visual_features"]),
+                              paths, max_size=3)
+    return ((record | partial | JSON_VALUES).map(lambda v: json.dumps(v).encode())
+            | st.sampled_from([b"", b"  \t"]) | st.binary(max_size=12))
+
+
+@st.composite
+def manifest_lines(draw, inputs):
+    """One to four manifest lines, each a well-formed record over ``inputs``
+    or a line of :func:`drawn_lines`."""
+    lines = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            audio = draw(st.sampled_from([inputs["audio"], inputs["wav"]]))
+            visual = draw(st.sampled_from([None, inputs["visual"]]))
+            caption = draw(st.text(max_size=12))
+            lines.append(record_line(audio, visual, id=f"r{i}", caption=caption))
+        else:
+            lines.append(draw(drawn_lines(inputs.values())))
+    return lines
+
+
+@FILE_FUZZ
+@given(data_=st.data(), mode=st.sampled_from(model.FUSION_MODES))
+def test_random_manifest_lines_exit_cleanly(fuzz_inputs, tmp_path_factory, data_, mode):
+    fuzz_train(work_dir(tmp_path_factory), data_.draw(manifest_lines(fuzz_inputs)), mode)
+
+
+DIMS = st.integers(0, 3) | st.sampled_from([2**16, 2**31, 2**32 - 1])
+
+
+@st.composite
+def avf1_bytes(draw):
+    """A well-formed AVF1 file of 8-wide rows, the tiny task's width, with
+    up to two of its header fields or lengths redrawn: the magic, T and d
+    (each small or past any payload), the dtype code, the header's length,
+    or the payload's length by a few bytes."""
+    fields = {"magic": data.FEATURE_MAGIC, "t": draw(st.integers(0, 3)), "d": 8, "code": 0}
+    payload = np.ones((fields["t"], 8), "<f4").tobytes()
+    header_len, extra = 13, 0
+    changes = st.one_of(
+        st.tuples(st.just("magic"), st.binary(min_size=4, max_size=4)),
+        st.tuples(st.just("shape"), st.tuples(DIMS, DIMS)),
+        st.tuples(st.just("code"), st.integers(0, 255)),
+        st.tuples(st.just("header_len"), st.integers(0, 12)),
+        st.tuples(st.just("extra"), st.integers(-4, 4)))
+    for key, value in draw(st.lists(changes, max_size=2)):
+        if key == "header_len":
+            header_len = value
+        elif key == "extra":
+            extra = value
+        elif key == "shape":
+            fields["t"], fields["d"] = value
+        else:
+            fields[key] = value
+    header = struct.pack("<4sIIB", *fields.values())[:header_len]
+    return header + payload[:len(payload) + extra] + bytes(max(extra, 0))
+
+
+@FILE_FUZZ
+@given(raw=avf1_bytes(), mode=st.sampled_from(model.FUSION_MODES))
+def test_random_avf1_headers_exit_cleanly(fuzz_inputs, tmp_path_factory, raw, mode):
+    """The drawn file is the first clip's audio and visual features, whose
+    widths the run takes, and a second clip is well formed.  A runtime error
+    names the file."""
+    work = work_dir(tmp_path_factory)
+    (work / "x.avf").write_bytes(raw)
+    code, err = fuzz_train(work, [record_line(work / "x.avf", work / "x.avf", id="x"),
+                                  record_line(fuzz_inputs["audio"], fuzz_inputs["visual"],
+                                              id="y")], mode)
+    if code == EXIT_RUNTIME:
+        assert f"error: {work / 'x.avf'}: " in err
+
+
+@st.composite
+def wav_bytes(draw, base: bytes):
+    """``base`` with up to two changes drawn: one byte of its 44-byte
+    header, one of its 4-byte header fields (small, large or any), or its
+    length."""
+    raw = bytearray(base)
+    changes = st.one_of(
+        st.tuples(st.just(1), st.integers(0, 43), st.integers(0, 255)),
+        st.tuples(st.just(4), st.sampled_from(range(4, 44, 4)),
+                  st.sampled_from([0, 1, 2, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)),
+        st.tuples(st.just(0), st.integers(0, len(base)), st.just(0)))
+    length = len(raw)
+    for width, offset, value in draw(st.lists(changes, max_size=2)):
+        if width == 0:
+            length = offset
+        else:
+            raw[offset:offset + width] = value.to_bytes(width, "little")
+    return bytes(raw[:length])
+
+
+@FILE_FUZZ
+@given(data_=st.data())
+def test_random_wav_headers_exit_cleanly(fuzz_inputs, tmp_path_factory, data_):
+    """The drawn WAV is the one clip's audio, whose width the run takes."""
+    work = work_dir(tmp_path_factory)
+    (work / "x.wav").write_bytes(data_.draw(wav_bytes(fuzz_inputs["wav"].read_bytes())))
+    fuzz_train(work, [record_line(work / "x.wav")], "audio_only")
 

@@ -1,4 +1,5 @@
 import json
+import struct
 import unicodedata
 
 import numpy as np
@@ -122,6 +123,15 @@ class TestFeatureFile:
             D.read_feature_file(path)
         assert "truncated" in str(exc.value)
 
+    def test_huge_declared_payload_is_truncated_before_any_read(self, tmp_path):
+        # 4·T·d bytes is past what one read may request: the size check must come first
+        path = tmp_path / "huge.avf"
+        path.write_bytes(struct.pack("<4sIIB", b"AVF1", 2**31, 2**31, 0) + b"\x00" * 16)
+        with pytest.raises(DataFormatError) as exc:
+            D.read_feature_file(path)
+        assert str(exc.value) == (f"{path}: truncated payload, expected {4 * 2**62} bytes "
+                                  f"for {2**31}x{2**31}")
+
     def test_oversized_payload(self, tmp_path):
         path = tmp_path / "over.avf"
         D.write_feature_file(path, np.zeros((2, 2), dtype=np.float32))
@@ -203,6 +213,15 @@ class TestManifest:
         with pytest.raises(ValidationError) as exc:
             D.load_manifest(p)
         assert "line 2" in str(exc.value) and "JSON object" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", [b"\x80", b"1" * 5000], ids=["not-utf8", "long-int"])
+    def test_undecodable_line_names_line(self, tmp_path, bad):
+        good = json.dumps({"id": "x", "audio": self._feature(tmp_path), "captions": ["a dog"]})
+        p = tmp_path / "m.jsonl"
+        p.write_bytes(good.encode() + b"\n" + bad + b"\n")
+        with pytest.raises(ValidationError) as exc:
+            D.load_manifest(p)
+        assert str(exc.value).startswith(f"{p}: line 2: invalid record: ")
 
     def test_too_many_captions(self, tmp_path):
         feat = self._feature(tmp_path)

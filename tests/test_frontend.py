@@ -1,10 +1,14 @@
 import math
+import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from avfuse import frontend as F
-from avfuse.errors import ConfigError, DomainError
+from avfuse.errors import ConfigError, DataFormatError, DomainError
+from wav_files import write_wav
 
 
 def unpatchify(patches: np.ndarray, n_mels: int, frames_per_patch: int = F.FRAMES_PER_PATCH) -> np.ndarray:
@@ -161,7 +165,7 @@ class TestWavIO:
     def test_float32_round_trip(self, tmp_path, rng):
         wave = rng.normal(size=1000).astype(np.float32) * 0.1
         path = tmp_path / "w.wav"
-        F.write_wav(path, wave, 32000)
+        write_wav(path, wave, 32000)
         back = F.read_wav(path, expected_rate=32000)
         np.testing.assert_allclose(back, wave.astype(np.float64), atol=0)
 
@@ -175,6 +179,42 @@ class TestWavIO:
 
     def test_wrong_rate_rejected(self, tmp_path):
         path = tmp_path / "w.wav"
-        F.write_wav(path, np.zeros(100, dtype=np.float32), 16000)
+        write_wav(path, np.zeros(100, dtype=np.float32), 16000)
         with pytest.raises(ConfigError):
             F.read_wav(path, expected_rate=32000)
+
+    @pytest.mark.parametrize("keep", [0, 4, 12, 30, 43])
+    def test_cut_header_is_a_format_error_naming_the_file(self, tmp_path, keep):
+        path = tmp_path / "cut.wav"
+        write_wav(path, np.zeros(100, dtype=np.float32), 32000)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not a readable WAV"):
+            F.read_wav(path)
+
+    def test_short_data_chunk_is_a_format_error_not_a_warning(self, tmp_path):
+        path = tmp_path / "short.wav"
+        write_wav(path, np.zeros(100, dtype=np.float32), 32000)
+        path.write_bytes(path.read_bytes()[:-40])
+        filters = list(warnings.filters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="Reached EOF prematurely"):
+                F.read_wav(path)
+            assert warnings.filters[1:] == filters  # the read leaves no filter behind
+
+    def test_unknown_chunk_is_skipped_without_a_warning(self, tmp_path):
+        path = tmp_path / "bext.wav"
+        wave = np.linspace(-0.5, 0.5, 100, dtype=np.float32)
+        write_wav(path, wave, 32000)
+        raw = bytearray(path.read_bytes()) + b"bext" + struct.pack("<I", 6) + b"avfuse"
+        raw[4:8] = struct.pack("<I", len(raw) - 8)  # the RIFF size covers the new chunk
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(F.read_wav(path), wave.astype(np.float64))
+
+    def test_multichannel_is_a_format_error_naming_its_channel_count(self, tmp_path):
+        path = tmp_path / "three.wav"
+        write_wav(path, np.zeros((100, 3), dtype=np.float32), 32000)
+        with pytest.raises(DataFormatError, match="expected mono audio, got 3 channels"):
+            F.read_wav(path)

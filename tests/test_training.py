@@ -9,9 +9,37 @@ from avfuse import model as M
 from avfuse import numerics as N
 from avfuse import training as T
 from avfuse.errors import ConfigError, DomainError, TrainingError
+from wav_files import write_wav
+
+
+def unsmoothed_ce_oracle(logits: N.Tensor, targets: np.ndarray) -> N.Tensor:
+    """The eps = 0 branch that ``label_smoothing_ce`` once took: the mean
+    negative log-probability of the gold tokens over non-pad positions."""
+    nonpad = targets != D.PAD_ID
+    logp = N.log_softmax_lastdim(logits)
+    gold = N.take_along_last(logp, np.where(nonpad, targets, 0))
+    return N.sum_(N.mul(N.neg(gold), nonpad.astype(np.float64) / int(nonpad.sum())))
 
 
 class TestLabelSmoothingCE:
+    def test_eps_zero_equals_unsmoothed_oracle_bitwise(self, rng):
+        """At eps 0 the smoothed formula adds ``total * 0.0`` to ``gold * 1.0``:
+        loss and logit gradient keep every bit of the unsmoothed oracle."""
+        for _ in range(100):
+            b, length, vocab = (int(n) for n in rng.integers(1, 7, size=3))
+            vocab += 4
+            logits = rng.normal(scale=rng.uniform(0.1, 30.0), size=(b, length, vocab))
+            targets = rng.integers(0, vocab, size=(b, length))
+            targets[0, 0] = 1 + int(rng.integers(vocab - 1))  # one non-pad at least
+            bits = []
+            for loss_fn in (lambda t: T.label_smoothing_ce(t, targets, eps=0.0),
+                            lambda t: unsmoothed_ce_oracle(t, targets)):
+                leaf = N.Tensor(logits, requires_grad=True)
+                with N.GradTape() as tape:
+                    loss = loss_fn(leaf)
+                bits.append((loss.data.tobytes(), N.backward(loss, tape)[leaf].tobytes()))
+            assert bits[0] == bits[1]
+
     def test_eps_zero_matches_neg_log_softmax_oracle(self, rng):
         logits = rng.normal(size=(6, 9))
         targets = rng.integers(1, 9, size=6)
@@ -335,7 +363,7 @@ class TestFit:
             t = np.arange(32000) / 32000.0
             wav = (0.3 * np.sin(2 * np.pi * freq * t)).astype(np.float32)
             name = f"clip{i}.wav"
-            F.write_wav(tmp_path / name, wav, 32000)
+            write_wav(tmp_path / name, wav, 32000)
             records.append({"id": f"w{i}", "audio": name, "captions": [f"tone number {i}"]})
         manifest_path = tmp_path / "wav.jsonl"
         manifest_path.write_text("\n".join(_json.dumps(r) for r in records) + "\n")
