@@ -271,8 +271,13 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# An eval manifest is encoded and decoded this many clips at a time.
+# An eval manifest is encoded and decoded in chunks of at most _EVAL_CHUNK
+# clips and at most _EVAL_ROWS padded audio patch rows, the chunk's clips
+# times its longest clip: the batched encoder's attention scores hold clips
+# times rows squared values, so 32 full-size ten-second clips (250 patch
+# rows) would hold 128 MB an array.  2048 rows are 8 such clips.
 _EVAL_CHUNK = 32
+_EVAL_ROWS = 2048
 
 
 def _check_inputs(inputs, config: model.ModelConfig) -> None:
@@ -289,6 +294,8 @@ def _check_inputs(inputs, config: model.ModelConfig) -> None:
         if rows is None:
             raise ConfigError(f"{name}: fusion mode {mode!r} reads {side} features, "
                               "and there are none")
+        if len(rows) == 0:
+            raise ConfigError(f"{name}: {side} features have no rows")
         if rows.shape[1] != widths[side]:
             raise ConfigError(f"{name}: {side} features have width {rows.shape[1]}, "
                               f"the model reads {widths[side]}")
@@ -303,12 +310,30 @@ def _manifest_inputs(manifest_path, examples) -> list[tuple]:
             for side, rows in (("audio", ex.audio_patches), ("visual", ex.visual))]
 
 
+def _eval_chunks(examples, config: model.ModelConfig):
+    """``examples`` in consecutive chunks within :data:`_EVAL_CHUNK` clips
+    and :data:`_EVAL_ROWS` padded audio patch rows; a clip longer than
+    that runs alone."""
+    uses_audio = model.mode_uses_audio(config.fusion_mode)
+    chunk, longest = [], 0
+    for ex in examples:
+        rows = len(ex.audio_patches) if uses_audio else 0
+        if chunk and (len(chunk) == _EVAL_CHUNK
+                      or (len(chunk) + 1) * max(longest, rows) > _EVAL_ROWS):
+            yield chunk
+            chunk, longest = [], 0
+        chunk.append(ex)
+        longest = max(longest, rows)
+    if chunk:
+        yield chunk
+
+
 def _decode_manifest(ck: model.Checkpoint, manifest_path,
                      manifest: data.DatasetManifest,
                      beam: int) -> tuple[dict[str, str], list[float]]:
     """Candidate captions by id, and the seconds each clip took to decode.
 
-    The clips run in chunks of :data:`_EVAL_CHUNK`.  A chunk is padded by
+    The clips run in the chunks of :func:`_eval_chunks`.  A chunk is padded by
     :func:`training.collate` and encoded in one call with its padding masks,
     as a training batch is; greedy decoding (beam 1) then decodes its clips
     one by one, and beam search all of them in lockstep.  Every clip of a
@@ -318,8 +343,7 @@ def _decode_manifest(ck: model.Checkpoint, manifest_path,
     _check_inputs(_manifest_inputs(manifest_path, examples), ck.config)
 
     candidates, clip_s = {}, []
-    for first in range(0, len(examples), _EVAL_CHUNK):
-        chunk = examples[first:first + _EVAL_CHUNK]
+    for chunk in _eval_chunks(examples, ck.config):
         start = time.perf_counter()
         batch, _ = training.collate(chunk, ck.config)
         enc = model.encode_modalities(ck.params, ck.config, audio=batch.audio,
@@ -352,7 +376,7 @@ def cmd_eval(args) -> int:
     count and the BLAS thread settings.
     """
     manifest = data.load_manifest(args.manifest)
-    ck = model.load_checkpoint(args.checkpoint)
+    ck = model.load_checkpoint(args.checkpoint, keep_state=False)
     beam = 1 if args.greedy else args.beam
     candidates, clip_s = _decode_manifest(ck, args.manifest, manifest, beam)
     if args.candidates_out:
@@ -380,7 +404,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    ck = model.load_checkpoint(args.checkpoint)
+    ck = model.load_checkpoint(args.checkpoint, keep_state=False)
     config = ck.config
     audio = None
     if model.mode_uses_audio(config.fusion_mode):

@@ -167,12 +167,17 @@ def load_audio_input(path) -> tuple[np.ndarray, frontend.MelSpec | None]:
 
     A ``.wav`` file is read at the frontend's sample rate, turned into log-mel
     frames and patchified; any other file is read as AVF1 features, as
-    float64 rows without a spectrogram.
+    float64 rows without a spectrogram.  A waveform too short to frame or
+    patchify is a :class:`DataFormatError` naming the file.
     """
     if Path(path).suffix.lower() != ".wav":
         return read_feature_file(path).astype(np.float64), None
-    mel = frontend.log_mel(frontend.read_wav(path, frontend.MelConfig().sample_rate))
-    return frontend.patchify(mel), mel
+    waveform = frontend.read_wav(path, frontend.MelConfig().sample_rate)
+    try:
+        mel = frontend.log_mel(waveform)
+        return frontend.patchify(mel), mel
+    except DomainError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

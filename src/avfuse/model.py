@@ -742,8 +742,15 @@ def _check_entries(path, key: str, entries) -> None:
             raise DataFormatError(f"{path}: malformed {key} entry {i}: {json.dumps(entry)}")
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint, validating every tensor name and shape against its config."""
+def load_checkpoint(path, keep_state: bool = True) -> Checkpoint:
+    """Read a checkpoint, validating every tensor name and shape against its config.
+
+    The parameters are views of one array, read from the start of the
+    payload to the end of the last parameter.  The state tensors follow,
+    one read each in file order, and each is checked as a parameter is; they
+    are kept only with ``keep_state``, so that a caller that only decodes
+    holds the parameters' bytes alone.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_CKPT_HEAD.size)
         if len(head) < _CKPT_HEAD.size:
@@ -753,55 +760,80 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataFormatError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        if hlen > os.fstat(fh.fileno()).st_size - _CKPT_HEAD.size:
+        size = os.fstat(fh.fileno()).st_size
+        if hlen > size - _CKPT_HEAD.size:
             raise DataFormatError(f"{path}: truncated checkpoint header")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: undecodable checkpoint header: {exc}") from exc
-        payload = np.fromfile(fh, dtype="<f8")  # each tensor loads as a view of this read
-    required = ("config", "vocab", "tensors")
-    missing = [k for k in required if k not in header] if isinstance(header, dict) else required
-    if missing:
-        raise DataFormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+        payload_at = fh.tell()
+        slots = (size - payload_at) // 8  # whole float64 values in the payload
+        required = ("config", "vocab", "tensors")
+        missing = [k for k in required if k not in header] if isinstance(header, dict) else required
+        if missing:
+            raise DataFormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
 
-    try:
-        config = ModelConfig.from_json(header["config"])
-        vocab = Vocabulary.from_json(header["vocab"])
-        config.validate()
-    except (TypeError, KeyError, ConfigError) as exc:
-        raise DataFormatError(f"{path}: malformed checkpoint config or vocab: {exc}") from exc
-    for key in ("tensors", "state_tensors"):
-        _check_entries(path, key, header.get(key, []))
-    stored = {e["name"]: e for e in header["tensors"]}
+        try:
+            config = ModelConfig.from_json(header["config"])
+            vocab = Vocabulary.from_json(header["vocab"])
+            config.validate()
+        except (TypeError, KeyError, ConfigError) as exc:
+            raise DataFormatError(f"{path}: malformed checkpoint config or vocab: {exc}") from exc
+        for key in ("tensors", "state_tensors"):
+            _check_entries(path, key, header.get(key, []))
+        stored = {e["name"]: e for e in header["tensors"]}
 
-    def pull(entry) -> np.ndarray:
-        name, shape, start, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
-        if start % 8 or nbytes != 8 * math.prod(shape):  # exact: np.prod wraps at 2**63
-            raise DataFormatError(f"{path}: tensor {name!r} at offset {start} with {nbytes} "
-                                  f"bytes is not an 8-byte-aligned float64 array of shape {shape}")
-        start, stop = start // 8, (start + nbytes) // 8
-        if stop > payload.size:
-            raise DataFormatError(f"{path}: payload truncated at tensor {name!r}")
-        arr = payload[start:stop]
-        if not np.isfinite(arr).all():
-            raise DataFormatError(f"{path}: tensor {name!r} holds non-finite values")
-        return arr.reshape(shape)
+        def span(entry) -> tuple[int, int]:
+            """The payload values [start, stop) of ``entry``, within the file."""
+            name, shape = entry["name"], entry["shape"]
+            start, nbytes = entry["offset"], entry["nbytes"]
+            if start % 8 or nbytes != 8 * math.prod(shape):  # exact: np.prod wraps at 2**63
+                raise DataFormatError(
+                    f"{path}: tensor {name!r} at offset {start} with {nbytes} "
+                    f"bytes is not an 8-byte-aligned float64 array of shape {shape}")
+            start, stop = start // 8, (start + nbytes) // 8
+            if stop > slots:
+                raise DataFormatError(f"{path}: payload truncated at tensor {name!r}")
+            return start, stop
 
-    params = _build_params(config)
-    for name, owner, attr in parameter_slots(params):
-        entry, shape = stored.pop(name, None), getattr(owner, attr)
-        if entry is None:
-            raise DataFormatError(f"{path}: checkpoint is missing parameter {name!r}")
-        if tuple(entry["shape"]) != shape:
-            raise DataFormatError(
-                f"{path}: shape mismatch for {name!r}: "
-                f"checkpoint {tuple(entry['shape'])} vs config {shape}"
-            )
-        setattr(owner, attr, Tensor(pull(entry), requires_grad=True))
-    if stored:
-        raise DataFormatError(f"{path}: unexpected parameter {min(stored)!r} for this config")
+        def read(count: int) -> np.ndarray:
+            """The next ``count`` payload values; fstat has bounded ``count``."""
+            arr = np.empty(count, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise DataFormatError(f"{path}: payload truncated while reading")
+            return arr
 
-    state_tensors = {e["name"]: pull(e) for e in header.get("state_tensors", [])}
+        def finite(name: str, arr: np.ndarray) -> np.ndarray:
+            if not np.isfinite(arr).all():
+                raise DataFormatError(f"{path}: tensor {name!r} holds non-finite values")
+            return arr
+
+        params = _build_params(config)
+        spans = []
+        for name, owner, attr in parameter_slots(params):
+            entry, shape = stored.pop(name, None), getattr(owner, attr)
+            if entry is None:
+                raise DataFormatError(f"{path}: checkpoint is missing parameter {name!r}")
+            if tuple(entry["shape"]) != shape:
+                raise DataFormatError(
+                    f"{path}: shape mismatch for {name!r}: "
+                    f"checkpoint {tuple(entry['shape'])} vs config {shape}"
+                )
+            spans.append((owner, attr, entry, span(entry)))
+        if stored:
+            raise DataFormatError(f"{path}: unexpected parameter {min(stored)!r} for this config")
+        table = read(max((stop for *_, (_, stop) in spans), default=0))
+        for owner, attr, entry, (start, stop) in spans:
+            arr = finite(entry["name"], table[start:stop]).reshape(entry["shape"])
+            setattr(owner, attr, Tensor(arr, requires_grad=True))
+
+        state_tensors = {}
+        for entry in sorted(header.get("state_tensors", []), key=lambda e: e["offset"]):
+            start, stop = span(entry)
+            fh.seek(payload_at + 8 * start)
+            arr = finite(entry["name"], read(stop - start))
+            if keep_state:
+                state_tensors[entry["name"]] = arr.reshape(entry["shape"])
     return Checkpoint(params=params, config=config, vocab=vocab,
                       state=header.get("state"), state_tensors=state_tensors)

@@ -519,6 +519,29 @@ class TestEvalInfer:
                                                                mode):
         self.assert_chunked_candidates_equal_per_clip_decoding(tmp_path, monkeypatch, mode, 1)
 
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_row_bounded_chunks_write_the_one_chunk_candidates(self, tmp_path, monkeypatch,
+                                                               beam):
+        """8 ragged clips of 3 to 6 patch rows in chunks of at most 8 padded
+        rows: pairs and single clips.  A shorter padding may move encoder
+        bits, not the captions."""
+        manifest_path = ragged_manifest(tmp_path)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)
+        argv = ["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                "--beam", beam, "--candidates-out"]
+        assert run(argv + [tmp_path / "one.jsonl"]) == EXIT_OK
+        encode, encoded = model.encode_modalities, []
+
+        def counting_encode(*args, audio, **kwargs):
+            encoded.append(len(audio))
+            return encode(*args, audio=audio, **kwargs)
+
+        monkeypatch.setattr(model, "encode_modalities", counting_encode)
+        monkeypatch.setattr(cli, "_EVAL_ROWS", 8)
+        assert run(argv + [tmp_path / "split.jsonl"]) == EXIT_OK
+        assert encoded == [2, 1, 1, 2, 1, 1]
+        assert (tmp_path / "split.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+
     @pytest.mark.parametrize("mode, flags", [(mode, flags) for mode in sorted(EVAL_PIN)
                                              for flags in (["--greedy"], ["--beam", 3])])
     def test_candidate_bytes_pinned(self, tmp_path, mode, flags):
@@ -842,6 +865,38 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err == (f"error: {wide}: {side} features have width 16, "
                                            "the model reads 8\n")
+
+    @pytest.mark.parametrize("side", ["audio", "visual"])
+    def test_clip_without_rows_is_validation_naming_it(self, dataset, tmp_path, capsys, side):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)
+        empty = tmp_path / f"{side[0]}1.avf"
+        data.write_feature_file(empty, np.zeros((0, 8), np.float32))
+        problem = f"{side} features have no rows\n"
+        out = tmp_path / "run"
+        rc = run(train_args(dataset, out, **{"--train-manifest": manifest_path,
+                                              "--fusion-mode": "concatenate"}))
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {manifest_path}: clip 'c1': {problem}"
+        assert not out.exists()
+        rc = run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {manifest_path}: clip 'c1': {problem}"
+        rc = run(["infer", "--checkpoint", tmp_path / "m.avck", "--audio", tmp_path / "a1.avf",
+                  "--visual", tmp_path / "v1.avf"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {empty}: {problem}"
+
+    @pytest.mark.parametrize("samples", [300, 600])  # too short to frame; frames < one patch
+    def test_wav_too_short_is_runtime_naming_it(self, tmp_path, capsys, samples):
+        manifest_path = tone_manifest(tmp_path)
+        ck = tmp_path / "ck.avck"
+        untrained_checkpoint(ck, manifest_path)
+        wav = tmp_path / "tone.wav"
+        write_wav(wav, np.full(samples, 0.1), 32000)
+        for argv in (["eval", "--manifest", manifest_path], ["infer", "--audio", wav]):
+            assert run(argv + ["--checkpoint", ck]) == EXIT_RUNTIME
+            assert capsys.readouterr().err.startswith(f"error: {wav}: ")
 
     def test_infer_beam_below_one_is_validation(self, tmp_path, capsys):
         rc = run(["infer", "--checkpoint", tmp_path / "none.avck",

@@ -702,6 +702,72 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match=named):
             M.load_checkpoint(path)
 
+    def _save_with_moments(self, path, mode="adaava_audio"):
+        """A checkpoint holding an Adam m and v for every parameter, as ``fit``
+        writes them; returns the saved parameters and moments."""
+        cfg, params, vocab = self._setup(seed=4, mode=mode)
+        rng = np.random.default_rng(4)
+        moments = {f"{kind}.{name}": rng.normal(size=t.shape) for kind in "mv"
+                   for name, t in M.named_parameters(params)}
+        M.save_checkpoint(path, params, cfg, vocab, state={"step": 2}, state_tensors=moments)
+        return params, moments
+
+    @pytest.mark.parametrize("mode", M.FUSION_MODES)
+    def test_keep_state_loads_equal_parameters(self, tmp_path, mode):
+        path = tmp_path / "ck.avck"
+        params, moments = self._save_with_moments(path, mode)
+        kept, dropped = M.load_checkpoint(path), M.load_checkpoint(path, keep_state=False)
+        for (name, saved), (_, a), (_, b) in zip(M.named_parameters(params),
+                                                 M.named_parameters(kept.params),
+                                                 M.named_parameters(dropped.params)):
+            assert saved.data.tobytes() == a.data.tobytes() == b.data.tobytes(), name
+        assert dropped.state_tensors == {} and dropped.state == kept.state == {"step": 2}
+        assert kept.state_tensors.keys() == moments.keys()
+        for name, arr in moments.items():
+            assert kept.state_tensors[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("keep_state", [True, False])
+    def test_parameters_hold_no_state_bytes(self, tmp_path, keep_state):
+        """Kept parameters pin the parameter bytes alone, whatever else was loaded."""
+        path = tmp_path / "ck.avck"
+        self._save_with_moments(path)
+        ck = M.load_checkpoint(path, keep_state=keep_state)
+        owner = lambda arr: arr if arr.base is None else arr.base
+        arrays = [t.data for _, t in M.named_parameters(ck.params)]
+        owners = {id(owner(arr)): owner(arr) for arr in arrays}
+        assert sum(o.nbytes for o in owners.values()) == sum(arr.nbytes for arr in arrays)
+        for arr in arrays:
+            for state in ck.state_tensors.values():
+                assert not np.shares_memory(owner(arr), owner(state))
+
+    @pytest.mark.parametrize("keep_state", [True, False])
+    @pytest.mark.parametrize("fault", ["nan", "past-end"])
+    def test_bad_state_tensor_is_named_in_both_modes(self, tmp_path, keep_state, fault):
+        path = tmp_path / "ck.avck"
+        self._save_with_moments(path)
+        name = "v.out_proj.bias"
+        if fault == "nan":
+            raw = bytearray(path.read_bytes())
+            hlen = int.from_bytes(raw[8:16], "little")
+            [entry] = [e for e in json.loads(raw[16:16 + hlen])["state_tensors"]
+                       if e["name"] == name]
+            at = 16 + hlen + entry["offset"] + 8
+            raw[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+            path.write_bytes(bytes(raw))
+            message = f"{path}: tensor {name!r} holds non-finite values"
+        else:
+            def past_end(header):  # 2**60 bytes on: a read sized from it cannot be allocated
+                for entry in header["state_tensors"]:
+                    if entry["name"] == name:
+                        entry["offset"] += 2**60
+                return header
+
+            self._rewrite_header(path, past_end)
+            message = f"{path}: payload truncated at tensor {name!r}"
+        with pytest.raises(DataFormatError) as exc:
+            M.load_checkpoint(path, keep_state=keep_state)
+        assert str(exc.value) == message
+
     def test_save_is_deterministic(self, tmp_path):
         cfg, params, vocab = self._setup(seed=9)
         p1, p2 = tmp_path / "a.avck", tmp_path / "b.avck"
