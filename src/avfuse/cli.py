@@ -212,24 +212,22 @@ def build_run(args):
     val_manifest = data.load_manifest(top.val_manifest) if top.val_manifest else None
     vocab = data.build_vocabulary_from_manifest(manifest, min_count=top.min_count)
 
-    # A width that neither gives is that of the first clip's rows; _check_inputs
-    # then holds every clip to it.
     model_kw = sections["model"]
-    mode = model_kw.get("fusion_mode", model.ModelConfig.fusion_mode)
-    if model.mode_uses_audio(mode) and "audio_in_dim" not in model_kw:
-        audio = manifest.resolve(manifest.records[0].audio)
-        model_kw["audio_in_dim"] = data.load_audio_input(audio)[0].shape[1]
-    visual = next((rec.visual_features for rec in manifest.records
-                   if rec.visual_features is not None), None)
-    if model.mode_uses_visual(mode) and "visual_in_dim" not in model_kw and visual is not None:
-        model_kw["visual_in_dim"] = data.read_feature_file(manifest.resolve(visual)).shape[1]
-
     config = model.ModelConfig(vocab_size=len(vocab), **model_kw)
     tcfg = training.TrainConfig.from_json(sections["train"])
     config.validate()
     tcfg.validate()
 
     train_examples = data.load_examples(manifest, vocab, config.max_caption_len)
+    # A width that neither gives is that of the first clip's rows; _check_inputs
+    # then holds every clip to it.
+    mode = config.fusion_mode
+    if model.mode_uses_audio(mode) and "audio_in_dim" not in model_kw:
+        config.audio_in_dim = train_examples[0].audio_patches.shape[1]
+    visual = next((ex.visual for ex in train_examples if ex.visual is not None), None)
+    if model.mode_uses_visual(mode) and "visual_in_dim" not in model_kw and visual is not None:
+        config.visual_in_dim = visual.shape[1]
+    config.validate()  # a file of 0-wide rows gives a width of 0
     val_examples = (
         data.load_examples(val_manifest, vocab, config.max_caption_len) if val_manifest else []
     )

@@ -681,6 +681,18 @@ class Checkpoint:
     state_tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _layout(pairs) -> list[dict]:
+    """The index entries of float64 tensors, given as (name, shape) pairs in
+    file order, stored back to back from payload offset 0: the one layout
+    that :func:`save_checkpoint` writes and :func:`load_checkpoint` accepts."""
+    entries, offset = [], 0
+    for name, shape in pairs:
+        nbytes = 8 * math.prod(shape)  # exact: np.prod wraps at 2**63
+        entries.append({"name": name, "shape": list(shape), "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return entries
+
+
 def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocabulary,
                     state: dict | None = None,
                     state_tensors: dict[str, np.ndarray] | None = None) -> None:
@@ -688,27 +700,20 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocab
 
     The payload holds the parameters in ``parameter_slots`` order, then the
     state tensors by name, each written from its own little-endian float64
-    buffer at an 8-byte-aligned offset given in its header entry.  The bytes
-    go to ``<path>.tmp`` in the same directory, which is fsynced and then
-    renamed over ``path``, so a failed save leaves the previous file whole
-    and no temp file behind.
+    buffer where :func:`_layout` puts it.  The bytes go to ``<path>.tmp`` in
+    the same directory, which is fsynced and then renamed over ``path``, so a
+    failed save leaves the previous file whole and no temp file behind.
     """
     state_tensors = state_tensors or {}
-    tables = {
-        "tensors": [(name, t.data) for name, t in named_parameters(params)],
-        "state_tensors": [(name, state_tensors[name]) for name in sorted(state_tensors)],
-    }
+    tensors = [(name, t.data) for name, t in named_parameters(params)]
+    tensors += [(name, state_tensors[name]) for name in sorted(state_tensors)]
+    # ascontiguousarray would make 0-d 1-d
+    payload = [np.asarray(arr, dtype="<f8", order="C") for _, arr in tensors]
+    index = _layout((name, arr.shape) for (name, _), arr in zip(tensors, payload))
+    n = len(tensors) - len(state_tensors)
     header = {"version": CHECKPOINT_VERSION, "config": config.to_json(),
-              "vocab": vocab.to_json(), "state": state}
-    payload, offset = [], 0
-    for key, arrays in tables.items():
-        header[key] = []
-        for name, arr in arrays:
-            arr = np.asarray(arr, dtype="<f8", order="C")  # ascontiguousarray would make 0-d 1-d
-            header[key].append({"name": name, "shape": list(arr.shape),
-                                "offset": offset, "nbytes": arr.nbytes})
-            payload.append(arr)
-            offset += arr.nbytes
+              "vocab": vocab.to_json(), "state": state,
+              "tensors": index[:n], "state_tensors": index[n:]}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = f"{path}.tmp"
     try:
@@ -728,7 +733,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocab
 
 def _check_entries(path, key: str, entries) -> None:
     """Each tensor entry is an object with a str name, a list-of-int shape,
-    and int offset and nbytes, all non-negative."""
+    and int offset and nbytes, all non-negative, and no two share a name."""
     if not isinstance(entries, list):
         raise DataFormatError(f"{path}: checkpoint {key} is not a list")
 
@@ -740,16 +745,19 @@ def _check_entries(path, key: str, entries) -> None:
                 and isinstance(entry.get("shape"), list) and all(map(count, entry["shape"]))
                 and count(entry.get("offset")) and count(entry.get("nbytes"))):
             raise DataFormatError(f"{path}: malformed {key} entry {i}: {json.dumps(entry)}")
+    if len({entry["name"] for entry in entries}) < len(entries):
+        raise DataFormatError(f"{path}: checkpoint {key} repeats a tensor name")
 
 
 def load_checkpoint(path, keep_state: bool = True) -> Checkpoint:
     """Read a checkpoint, validating every tensor name and shape against its config.
 
-    The parameters are views of one array, read from the start of the
-    payload to the end of the last parameter.  The state tensors follow,
-    one read each in file order, and each is checked as a parameter is; they
-    are kept only with ``keep_state``, so that a caller that only decodes
-    holds the parameters' bytes alone.
+    Each index entry must sit where :func:`_layout` puts it, parameters in
+    ``parameter_slots`` order and then state tensors by name, and the
+    payload must end at the last tensor.  One pass in file order then reads
+    each tensor into its own array and checks it once.  The state tensors
+    (the Adam moments) are kept only with ``keep_state``, so that a caller
+    that only decodes holds the parameters' bytes alone.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CKPT_HEAD.size)
@@ -767,8 +775,7 @@ def load_checkpoint(path, keep_state: bool = True) -> Checkpoint:
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: undecodable checkpoint header: {exc}") from exc
-        payload_at = fh.tell()
-        slots = (size - payload_at) // 8  # whole float64 values in the payload
+        payload = size - fh.tell()
         required = ("config", "vocab", "tensors")
         missing = [k for k in required if k not in header] if isinstance(header, dict) else required
         if missing:
@@ -780,37 +787,15 @@ def load_checkpoint(path, keep_state: bool = True) -> Checkpoint:
             config.validate()
         except (TypeError, KeyError, ConfigError) as exc:
             raise DataFormatError(f"{path}: malformed checkpoint config or vocab: {exc}") from exc
+        if len(vocab) != config.vocab_size:
+            raise DataFormatError(f"{path}: checkpoint vocabulary of {len(vocab)} tokens "
+                                  f"does not fit vocab_size {config.vocab_size}")
         for key in ("tensors", "state_tensors"):
             _check_entries(path, key, header.get(key, []))
         stored = {e["name"]: e for e in header["tensors"]}
 
-        def span(entry) -> tuple[int, int]:
-            """The payload values [start, stop) of ``entry``, within the file."""
-            name, shape = entry["name"], entry["shape"]
-            start, nbytes = entry["offset"], entry["nbytes"]
-            if start % 8 or nbytes != 8 * math.prod(shape):  # exact: np.prod wraps at 2**63
-                raise DataFormatError(
-                    f"{path}: tensor {name!r} at offset {start} with {nbytes} "
-                    f"bytes is not an 8-byte-aligned float64 array of shape {shape}")
-            start, stop = start // 8, (start + nbytes) // 8
-            if stop > slots:
-                raise DataFormatError(f"{path}: payload truncated at tensor {name!r}")
-            return start, stop
-
-        def read(count: int) -> np.ndarray:
-            """The next ``count`` payload values; fstat has bounded ``count``."""
-            arr = np.empty(count, dtype="<f8")
-            if fh.readinto(arr) != arr.nbytes:
-                raise DataFormatError(f"{path}: payload truncated while reading")
-            return arr
-
-        def finite(name: str, arr: np.ndarray) -> np.ndarray:
-            if not np.isfinite(arr).all():
-                raise DataFormatError(f"{path}: tensor {name!r} holds non-finite values")
-            return arr
-
         params = _build_params(config)
-        spans = []
+        slots = []
         for name, owner, attr in parameter_slots(params):
             entry, shape = stored.pop(name, None), getattr(owner, attr)
             if entry is None:
@@ -820,20 +805,35 @@ def load_checkpoint(path, keep_state: bool = True) -> Checkpoint:
                     f"{path}: shape mismatch for {name!r}: "
                     f"checkpoint {tuple(entry['shape'])} vs config {shape}"
                 )
-            spans.append((owner, attr, entry, span(entry)))
+            slots.append((entry, owner, attr))
         if stored:
             raise DataFormatError(f"{path}: unexpected parameter {min(stored)!r} for this config")
-        table = read(max((stop for *_, (_, stop) in spans), default=0))
-        for owner, attr, entry, (start, stop) in spans:
-            arr = finite(entry["name"], table[start:stop]).reshape(entry["shape"])
-            setattr(owner, attr, Tensor(arr, requires_grad=True))
+        slots += [(entry, None, None) for entry in
+                  sorted(header.get("state_tensors", []), key=lambda e: e["name"])]
+        layout = _layout((entry["name"], entry["shape"]) for entry, _, _ in slots)
 
         state_tensors = {}
-        for entry in sorted(header.get("state_tensors", []), key=lambda e: e["offset"]):
-            start, stop = span(entry)
-            fh.seek(payload_at + 8 * start)
-            arr = finite(entry["name"], read(stop - start))
-            if keep_state:
-                state_tensors[entry["name"]] = arr.reshape(entry["shape"])
+        for (entry, owner, attr), want in zip(slots, layout):
+            name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+            if offset + nbytes > payload:
+                raise DataFormatError(f"{path}: payload truncated at tensor {name!r}")
+            if (offset, nbytes) != (want["offset"], want["nbytes"]):
+                raise DataFormatError(
+                    f"{path}: tensor {name!r} at offset {offset} with {nbytes} bytes is not "
+                    f"where the layout puts it, at offset {want['offset']} "
+                    f"with {want['nbytes']} bytes")
+            arr = np.empty(entry["shape"], dtype="<f8")
+            if fh.readinto(arr) != nbytes:
+                raise DataFormatError(f"{path}: payload truncated while reading")
+            try:  # Tensor construction is the one finite check, state tensors' too
+                tensor = Tensor(arr, requires_grad=True)
+            except DomainError as exc:
+                raise DataFormatError(f"{path}: tensor {name!r} holds non-finite values") from exc
+            if owner is not None:
+                setattr(owner, attr, tensor)
+            elif keep_state:
+                state_tensors[name] = arr
+        if fh.tell() != size:
+            raise DataFormatError(f"{path}: {size - fh.tell()} bytes follow the last tensor")
     return Checkpoint(params=params, config=config, vocab=vocab,
                       state=header.get("state"), state_tensors=state_tensors)

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import fcntl
@@ -421,6 +422,37 @@ class TestTrain:
             "error: out of memory: Unable to allocate 72.8 TiB for an array"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("clips, mode", [("avf1", "concatenate"), ("wav", "audio_only")])
+    def test_train_reads_each_clip_once(self, tmp_path, monkeypatch, clips, mode):
+        """The widths that neither file nor flag gives come from the loaded
+        rows, so no input file is read a second time to learn them."""
+        manifest_path = ragged_manifest(tmp_path) if clips == "avf1" else tone_manifest(tmp_path)
+        reads = collections.Counter()
+        for name in ("load_audio_input", "read_feature_file"):
+            def counted(path, _read=getattr(data, name), _name=name):
+                reads[_name, str(path)] += 1
+                return _read(path)
+
+            monkeypatch.setattr(data, name, counted)
+        argv = ["train", "--train-manifest", manifest_path, "--out", tmp_path / "r",
+                "--fusion-mode", mode, "--d", 8, "--heads", 2, "--encoder-blocks", 1,
+                "--decoder-blocks", 1, "--epochs", 0]
+        assert run(argv) == EXIT_OK
+        assert reads and set(reads.values()) == {1}, reads
+        resolved = json.loads((tmp_path / "r" / "resolved_config.json").read_text())["model"]
+        width = 8 if clips == "avf1" else frontend.MelConfig().n_mels * 4
+        assert resolved["audio_in_dim"] == width
+        assert resolved["visual_in_dim"] == (8 if mode == "concatenate" else 512)
+
+    def test_zero_wide_first_clip_is_validation_naming_the_width(self, tmp_path, capsys):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        data.write_feature_file(tmp_path / "a0.avf", np.zeros((3, 0), np.float32))
+        rc = run(["train", "--train-manifest", manifest_path, "--out", tmp_path / "r",
+                  "--fusion-mode", "audio_only", "--epochs", 0])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: audio_in_dim must be >= 1, got 0\n"
+        assert not (tmp_path / "r").exists()
+
 
 def test_dir_lock_is_released_on_exit_and_its_file_kept(tmp_path):
     run_dir = tmp_path / "run"
@@ -795,6 +827,28 @@ class TestExitCodes:
         rc = run(["eval", "--checkpoint", ck, "--manifest", manifest_path, "--greedy"])
         assert rc == EXIT_RUNTIME
         assert capsys.readouterr().err == f"error: {ck}: tensor {name!r} holds non-finite values\n"
+
+    @pytest.mark.parametrize("fault", ["parameter-alias", "trailing-bytes", "vocabulary"])
+    def test_checkpoint_index_or_vocabulary_fault_is_runtime_naming_it(self, tmp_path, capsys,
+                                                                      fault):
+        manifest_path = tone_manifest(tmp_path)
+        ck = tmp_path / "ck.avck"
+        untrained_checkpoint(ck, manifest_path)
+        if fault == "parameter-alias":
+            def alias(header):  # wk's entry points at wq's bytes
+                entries = {e["name"]: e for e in header["tensors"]}
+                entries["decoder.0.self_attn.wk"]["offset"] = (
+                    entries["decoder.0.self_attn.wq"]["offset"])
+
+            rewrite_header(ck, alias)
+        elif fault == "trailing-bytes":
+            ck.write_bytes(ck.read_bytes() + bytes(64))
+        else:
+            rewrite_header(ck, lambda header: header["vocab"].update(tokens=["a"]))
+        for argv in (["eval", "--manifest", manifest_path, "--greedy"],
+                     ["infer", "--audio", tmp_path / "tone.wav"]):
+            assert run(argv + ["--checkpoint", ck]) == EXIT_RUNTIME
+            assert capsys.readouterr().err.startswith(f"error: {ck}: ")
 
     def test_non_object_manifest_line_is_validation(self, tmp_path, capsys):
         manifest_path = tone_manifest(tmp_path)

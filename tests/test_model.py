@@ -768,6 +768,67 @@ class TestCheckpoint:
             M.load_checkpoint(path, keep_state=keep_state)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("keep_state", [True, False])
+    @pytest.mark.parametrize("table, name, onto", [
+        ("tensors", "decoder.0.self_attn.wk", "decoder.0.self_attn.wq"),
+        ("state_tensors", "m.word_embedding", "word_embedding"),
+    ], ids=["parameter-on-parameter", "state-on-parameter"])
+    def test_entry_aliasing_a_parameter_is_named(self, tmp_path, keep_state, table, name, onto):
+        """An entry pointing at another tensor's bytes of the same size
+        would load those bytes twice."""
+        path = tmp_path / "ck.avck"
+        self._save_with_moments(path)
+        offsets = {}
+
+        def alias(header):
+            [target] = [e for e in header["tensors"] if e["name"] == onto]
+            [entry] = [e for e in header[table] if e["name"] == name]
+            assert entry["nbytes"] == target["nbytes"]
+            offsets.update(stored=target["offset"], layout=entry["offset"], nbytes=entry["nbytes"])
+            entry["offset"] = target["offset"]
+            return header
+
+        self._rewrite_header(path, alias)
+        with pytest.raises(DataFormatError) as exc:
+            M.load_checkpoint(path, keep_state=keep_state)
+        assert str(exc.value) == (
+            f"{path}: tensor {name!r} at offset {offsets['stored']} with {offsets['nbytes']} "
+            f"bytes is not where the layout puts it, at offset {offsets['layout']} "
+            f"with {offsets['nbytes']} bytes")
+
+    @pytest.mark.parametrize("keep_state", [True, False])
+    def test_trailing_payload_bytes_are_rejected(self, tmp_path, keep_state):
+        path = tmp_path / "ck.avck"
+        self._save_with_moments(path)
+        path.write_bytes(path.read_bytes() + bytes(64))
+        with pytest.raises(DataFormatError) as exc:
+            M.load_checkpoint(path, keep_state=keep_state)
+        assert str(exc.value) == f"{path}: 64 bytes follow the last tensor"
+
+    @pytest.mark.parametrize("key", ["tensors", "state_tensors"])
+    def test_repeated_entry_name_is_named(self, tmp_path, key):
+        """A second entry of one name, even one pointing past the payload,
+        would be dropped unread."""
+        path = tmp_path / "ck.avck"
+        self._save_with_moments(path)
+        self._rewrite_header(path, lambda h: {
+            **h, key: [{**h[key][0], "offset": 2**40, "nbytes": 8}] + h[key]})
+        with pytest.raises(DataFormatError) as exc:
+            M.load_checkpoint(path)
+        assert str(exc.value) == f"{path}: checkpoint {key} repeats a tensor name"
+
+    @pytest.mark.parametrize("tokens", [["dog"], [f"w{i}" for i in range(9)]])
+    def test_vocabulary_not_fitting_the_config_is_named(self, tmp_path, tokens):
+        """Emitted ids would decode to the wrong words, or fail later."""
+        cfg, params, vocab = self._setup()
+        path = tmp_path / "ck.avck"
+        M.save_checkpoint(path, params, cfg, vocab)
+        self._rewrite_header(path, lambda h: {**h, "vocab": {"tokens": tokens}})
+        with pytest.raises(DataFormatError) as exc:
+            M.load_checkpoint(path)
+        assert str(exc.value) == (f"{path}: checkpoint vocabulary of {len(tokens) + 4} tokens "
+                                  "does not fit vocab_size 12")
+
     def test_save_is_deterministic(self, tmp_path):
         cfg, params, vocab = self._setup(seed=9)
         p1, p2 = tmp_path / "a.avck", tmp_path / "b.avck"
@@ -826,6 +887,60 @@ def test_header_byte_flip_loads_or_is_a_format_error(tiny_checkpoint, data):
     (work / "flipped.avck").write_bytes(bytes(corrupt))
     with contextlib.suppress(DataFormatError):
         M.load_checkpoint(work / "flipped.avck")
+
+
+@pytest.fixture(scope="module")
+def moments_checkpoint(tmp_path_factory):
+    """A tiny checkpoint with an Adam m and v for every parameter: its JSON
+    header, its payload, and a directory to write variants to."""
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=4)
+    rng = np.random.default_rng(4)
+    moments = {f"{kind}.{name}": rng.normal(size=t.shape) for kind in "mv"
+               for name, t in M.named_parameters(params)}
+    vocab = Vocabulary(["dog", "barks", "a", "motor", "runs", "cat", "rain", "falls"])
+    work = tmp_path_factory.mktemp("index")
+    M.save_checkpoint(work / "moments.avck", params, cfg, vocab, state={"step": 2},
+                      state_tensors=moments)
+    raw = (work / "moments.avck").read_bytes()
+    head = 16 + int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[16:head]), raw[head:], work
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_index_edit_is_a_format_error(moments_checkpoint, data):
+    """One edit to the tensor index (an offset shifted by a nonzero multiple
+    of 8, the offsets of two equal-sized entries swapped, an nbytes changed)
+    or bytes appended to the file is a DataFormatError naming the file, with
+    or without the state kept."""
+    header, payload, work = moments_checkpoint
+    header = json.loads(json.dumps(header))
+    entries = header["tensors"] + header["state_tensors"]
+    edit = data.draw(st.sampled_from(["shift", "swap", "nbytes", "append"]), label="edit")
+    if edit == "shift":
+        entry = data.draw(st.sampled_from(entries), label="entry")
+        entry["offset"] += 8 * data.draw(
+            st.integers(-(entry["offset"] // 8), len(payload) // 8).filter(bool), label="shift")
+    elif edit == "swap":
+        a = data.draw(st.sampled_from(entries), label="first")
+        b = data.draw(st.sampled_from([e for e in entries
+                                       if e["nbytes"] == a["nbytes"] and e is not a]),
+                      label="second")
+        a["offset"], b["offset"] = b["offset"], a["offset"]
+    elif edit == "nbytes":
+        entry = data.draw(st.sampled_from(entries), label="entry")
+        entry["nbytes"] = data.draw(st.integers(0, len(payload)).filter(
+            lambda n: n != entry["nbytes"]), label="nbytes")
+    else:
+        payload += data.draw(st.binary(min_size=1, max_size=64), label="appended")
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path = work / "edited.avck"
+    path.write_bytes(M._CKPT_HEAD.pack(M.CHECKPOINT_MAGIC, M.CHECKPOINT_VERSION, len(text))
+                     + text + payload)
+    with pytest.raises(DataFormatError) as exc:
+        M.load_checkpoint(path, keep_state=data.draw(st.booleans(), label="keep_state"))
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestConfigValidation:

@@ -1,0 +1,30 @@
+"""The README quickstart runs as written: each of its ``avfuse`` commands
+exits 0 through ``cli.main``, so a renamed flag cannot leave it stale."""
+
+import re
+import shlex
+from pathlib import Path
+
+from avfuse.cli import EXIT_OK, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SHORT_TRAIN = ["--epochs", "1", "--warmup-epochs", "1"]  # later flags win
+
+
+def quickstart_commands() -> list[list[str]]:
+    """The argv of each ``avfuse`` command in the README's Quickstart shell
+    block, with ``\\`` continuations joined and comments dropped."""
+    section = README.read_text().split("## Quickstart", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("avfuse ")]
+
+
+def test_quickstart_commands_exit_zero(tmp_path, monkeypatch, capsys):
+    commands = quickstart_commands()
+    assert [argv[0] for argv in commands] == ["synth", "train", "eval", "infer", "gradcheck"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = argv + SHORT_TRAIN if argv[0] == "train" else argv
+        code = main(argv)
+        assert code == EXIT_OK, (argv, capsys.readouterr().err)
