@@ -280,9 +280,9 @@ _EVAL_ROWS = 2048
 
 def _check_inputs(inputs, config: model.ModelConfig) -> None:
     """Reject the first of ``inputs``, (name, side, rows) triples, that the
-    model cannot read: no rows or rows of another width than its config's
-    for a side it reads, or audio of more patch rows than its positional
-    table."""
+    model cannot read: no rows, rows of another width than its config's or
+    rows holding NaN or Inf for a side it reads, or audio of more patch rows
+    than its positional table."""
     mode = config.fusion_mode
     widths = {"audio": config.audio_in_dim if model.mode_uses_audio(mode) else None,
               "visual": config.visual_in_dim if model.mode_uses_visual(mode) else None}
@@ -297,6 +297,8 @@ def _check_inputs(inputs, config: model.ModelConfig) -> None:
         if rows.shape[1] != widths[side]:
             raise ConfigError(f"{name}: {side} features have width {rows.shape[1]}, "
                               f"the model reads {widths[side]}")
+        if not np.isfinite(rows).all():
+            raise ConfigError(f"{name}: {side} features hold NaN or Inf")
         if side == "audio" and len(rows) > config.max_audio_len:
             raise ConfigError(f"{name}: audio of {len(rows)} patches exceeds the checkpoint's "
                               f"positional table ({config.max_audio_len})")
@@ -326,8 +328,7 @@ def _eval_chunks(examples, config: model.ModelConfig):
         yield chunk
 
 
-def _decode_manifest(ck: model.Checkpoint, manifest_path,
-                     manifest: data.DatasetManifest,
+def _decode_manifest(ck: model.Checkpoint, examples,
                      beam: int) -> tuple[dict[str, str], list[float]]:
     """Candidate captions by id, and the seconds each clip took to decode.
 
@@ -337,9 +338,6 @@ def _decode_manifest(ck: model.Checkpoint, manifest_path,
     one by one, and beam search all of them in lockstep.  Every clip of a
     chunk is booked the chunk's wall time over its clip count.
     """
-    examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)
-    _check_inputs(_manifest_inputs(manifest_path, examples), ck.config)
-
     candidates, clip_s = {}, []
     for chunk in _eval_chunks(examples, ck.config):
         start = time.perf_counter()
@@ -372,11 +370,23 @@ def cmd_eval(args) -> int:
     per-clip times.  ``settings`` names the beam width that ran, 1 under
     ``--greedy``.  ``environment`` names the interpreter, numpy, the CPU
     count and the BLAS thread settings.
+
+    An output path in a missing directory exits 1 before the checkpoint is
+    read, and a manifest too small for CIDEr exits 1 before any clip is decoded.
     """
+    for flag, path in (("--candidates-out", args.candidates_out), ("--report", args.report)):
+        if path and not Path(path).parent.is_dir():
+            raise ValidationError(f"{flag} {path}: directory {Path(path).parent} does not exist")
     manifest = data.load_manifest(args.manifest)
     ck = model.load_checkpoint(args.checkpoint, keep_state=False)
+    examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)
+    _check_inputs(_manifest_inputs(args.manifest, examples), ck.config)
+    if len(examples) < metrics.CIDER_MIN_CORPUS:
+        raise ValidationError(f"{args.manifest}: CIDEr needs at least "
+                              f"{metrics.CIDER_MIN_CORPUS} records, the manifest has "
+                              f"{len(examples)}")
     beam = 1 if args.greedy else args.beam
-    candidates, clip_s = _decode_manifest(ck, args.manifest, manifest, beam)
+    candidates, clip_s = _decode_manifest(ck, examples, beam)
     if args.candidates_out:
         with open(args.candidates_out, "w", encoding="utf-8") as fh:
             for cid, caption in candidates.items():

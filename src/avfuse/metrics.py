@@ -25,6 +25,7 @@ from .errors import DomainError, ValidationError
 
 CIDER_N = 4
 CIDER_SIGMA = 6.0
+CIDER_MIN_CORPUS = 2  # idf over fewer reference sets is degenerate
 ROUGE_BETA = 1.2
 
 
@@ -135,9 +136,9 @@ def rouge_l(corpus: list[EvalItem]) -> float:
 def cider(corpus: list[EvalItem]) -> float:
     """CIDEr-D over the corpus; idf comes from the corpus's own reference sets."""
     _check_corpus(corpus)
-    if len(corpus) < 2:
+    if len(corpus) < CIDER_MIN_CORPUS:
         raise DomainError(
-            "CIDEr needs a corpus of at least 2 items: idf over a single "
+            f"CIDEr needs a corpus of at least {CIDER_MIN_CORPUS} items: idf over a single "
             "reference set is degenerate (every n-gram weight collapses to 0)"
         )
     doc_freq: dict = defaultdict(int)

@@ -2,7 +2,7 @@
 
 Everything downstream (encoders, fusion, training) computes on this module.
 Tensors wrap numpy arrays; operations record vector-Jacobian products onto an
-explicitly opened :class:`GradTape`, and :func:`backward` replays the tape to
+explicitly opened :class:`GradTape`, and :func:`backward` consumes the tape to
 produce one gradient per ``requires_grad`` leaf.  A finite-difference
 :func:`gradcheck` harness verifies analytic gradients.
 
@@ -590,38 +590,38 @@ def multi_head_attention(
 
 
 def backward(output: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
-    """Replay ``tape`` backwards from a scalar ``output``.
+    """Replay ``tape`` backwards from a scalar ``output``, popping each entry
+    once its VJP has run: the tape is empty afterwards and cannot be replayed.
 
-    Returns a dict with exactly one gradient per requires_grad leaf that
-    participated in the tape (zero-filled if the leaf did not influence the
-    output).
+    Returns a dict, in no set order, with exactly one gradient per
+    requires_grad leaf that participated in the tape (zero-filled if the leaf
+    did not influence the output).
     """
     if output.data.size != 1:
         raise UsageError(f"backward needs a scalar output, got shape {output.shape}")
+    entries = tape._entries
+    if not entries:
+        raise UsageError("backward over an empty tape: it recorded no op or was replayed")
     grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-    produced = {id(out) for out, _, _ in tape._entries}
-
-    leaves: list[Tensor] = []
-    seen: set[int] = set()
-    for _, inputs, _ in tape._entries:
+    # an input is a leaf until the entry that produced it, popped later, is popped
+    leaves: dict[int, Tensor] = {}
+    while entries:
+        out, inputs, vjp = entries.pop()
+        leaves.pop(id(out), None)
         for t in inputs:
-            if t.requires_grad and id(t) not in produced and id(t) not in seen:
-                seen.add(id(t))
-                leaves.append(t)
-
-    for out, inputs, vjp in reversed(tape._entries):
+            if t.requires_grad:
+                leaves[id(t)] = t
         g = grads.pop(id(out), None)
         if g is None:
             continue
-        in_grads = vjp(g)
-        for t, gi in zip(inputs, in_grads):
+        for t, gi in zip(inputs, vjp(g)):
             if gi is None or not t.requires_grad:
                 continue
             acc = grads.get(id(t))
             grads[id(t)] = gi if acc is None else acc + gi
 
     result: dict[Tensor, np.ndarray] = {}
-    for leaf in leaves:
+    for leaf in leaves.values():
         g = grads.get(id(leaf))
         if g is None:
             g = np.zeros_like(leaf.data)

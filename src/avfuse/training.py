@@ -113,7 +113,7 @@ class AdamState:
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their global L2 norm is <= max_norm."""
+    """Replace each gradient by a scaled copy so their global L2 norm is <= max_norm."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm and total > 0:
         scale = max_norm / total
@@ -346,14 +346,13 @@ def fit(
                     loss_val = loss.item()
                 except DomainError as exc:
                     raise TrainingError(f"aborted at step {state.step}: {exc}") from exc
-                if not math.isfinite(loss_val):
-                    raise TrainingError(f"aborted at step {state.step}: loss is not finite")
-                by_leaf = N.backward(loss, tape)
+                grads = N.backward(loss, tape)
                 # parameter order, so the clip norm's sum does not follow the tape
-                grads = {name: by_leaf[t] for name, t in named if t in by_leaf}
+                grads = {name: grads[t] for name, t in named if t in grads}
                 if cfg.clip_norm is not None:
                     clip_gradients(grads, cfg.clip_norm)
                 adam_step(named, grads, state.adam, lr, cfg)
+                del grads  # no gradient outlives its step
                 state.step += 1
                 log({"step": state.step, "epoch": epoch, "lr": lr,
                      "train_loss": loss_val, "val_loss": None})

@@ -94,6 +94,13 @@ def ragged_manifest(directory, clips=8, visual=True):
     return path
 
 
+def poison_rows(path, value) -> None:
+    """Set the first value of the last row of the AVF1 file at ``path``."""
+    rows = data.read_feature_file(path).copy()
+    rows[-1, 0] = value
+    data.write_feature_file(path, rows)
+
+
 def peaked_checkpoint(path, manifest_path, mode="concatenate"):
     """A desk model whose weights are 7x the init scale, so captions vary by clip."""
     vocab = data.build_vocabulary_from_manifest(data.load_manifest(manifest_path))
@@ -940,6 +947,88 @@ class TestExitCodes:
                   "--visual", tmp_path / "v1.avf"])
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {empty}: {problem}"
+
+    @pytest.mark.parametrize("side, value", [("audio", np.nan), ("visual", np.inf)])
+    def test_train_clip_with_non_finite_rows_is_validation_naming_it(
+            self, dataset, tmp_path, capsys, side, value):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        poison_rows(tmp_path / f"{side[0]}1.avf", value)
+        out = tmp_path / "run"
+        rc = run(train_args(dataset, out, **{"--train-manifest": manifest_path,
+                                              "--fusion-mode": "concatenate"}))
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: {manifest_path}: clip 'c1': {side} "
+                                           "features hold NaN or Inf\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side, value", [("audio", np.inf), ("visual", np.nan)])
+    def test_eval_clip_with_non_finite_rows_is_validation_naming_it(
+            self, tmp_path, capsys, side, value):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)
+        poison_rows(tmp_path / f"{side[0]}1.avf", value)
+        out = tmp_path / "cands.jsonl"
+        rc = run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                  "--candidates-out", out])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: {manifest_path}: clip 'c1': {side} "
+                                           "features hold NaN or Inf\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side", ["audio", "visual", "wav"])
+    def test_infer_clip_with_non_finite_rows_is_validation_naming_it(
+            self, tmp_path, capsys, side):
+        if side == "wav":  # a float32 WAV: NaN samples reach the log-mel patches
+            manifest_path = tone_manifest(tmp_path)
+            untrained_checkpoint(tmp_path / "m.avck", manifest_path)
+            t = np.arange(8000) / 32000.0
+            samples = 0.3 * np.sin(2 * np.pi * 440.0 * t)
+            samples[4000] = np.nan
+            bad = tmp_path / "tone.wav"
+            write_wav(bad, samples, 32000)
+            argv = ["--audio", bad]
+        else:
+            manifest_path = ragged_manifest(tmp_path, clips=2)
+            peaked_checkpoint(tmp_path / "m.avck", manifest_path)
+            bad = tmp_path / f"{side[0]}1.avf"
+            poison_rows(bad, np.nan)
+            argv = ["--audio", tmp_path / "a1.avf", "--visual", tmp_path / "v1.avf"]
+        rc = run(["infer", "--checkpoint", tmp_path / "m.avck", *argv])
+        assert rc == EXIT_VALIDATION
+        side = "audio" if side == "wav" else side
+        assert capsys.readouterr().err == f"error: {bad}: {side} features hold NaN or Inf\n"
+
+    def test_one_record_eval_is_validation_before_decoding(self, tmp_path, capsys):
+        manifest_path = tone_manifest(tmp_path)
+        untrained_checkpoint(tmp_path / "ck.avck", manifest_path)
+        out = tmp_path / "cands.jsonl"
+        rc = run(["eval", "--checkpoint", tmp_path / "ck.avck", "--manifest", manifest_path,
+                  "--greedy", "--candidates-out", out])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: {manifest_path}: CIDEr needs at least 2 "
+                                           "records, the manifest has 1\n")
+        assert not out.exists()
+
+    def test_eval_candidates_out_in_missing_directory_is_validation_before_checkpoint_read(
+            self, tmp_path, capsys):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        out = tmp_path / "missing" / "cands.jsonl"
+        # the checkpoint is missing: reading it first would exit 2
+        rc = run(["eval", "--checkpoint", tmp_path / "none.avck", "--manifest", manifest_path,
+                  "--candidates-out", out])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: --candidates-out {out}: directory "
+                                           f"{out.parent} does not exist\n")
+
+    def test_eval_report_in_missing_directory_is_validation_before_checkpoint_read(
+            self, tmp_path, capsys):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        report = tmp_path / "missing" / "report.json"
+        rc = run(["eval", "--checkpoint", tmp_path / "none.avck", "--manifest", manifest_path,
+                  "--report", report])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: --report {report}: directory "
+                                           f"{report.parent} does not exist\n")
 
     @pytest.mark.parametrize("samples", [300, 600])  # too short to frame; frames < one patch
     def test_wav_too_short_is_runtime_naming_it(self, tmp_path, capsys, samples):

@@ -4,7 +4,9 @@ Oracles here are deliberately naive (triple loops, direct formulas,
 per-head recomputation) and independent of the production code paths.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -510,6 +512,39 @@ class TestBackward:
             out = N.sum_(N.add(N.mul(x, x), x))  # x^2 + x
         grads = N.backward(out, tape)
         np.testing.assert_allclose(grads[x], 2 * xv + 1, atol=1e-12)
+
+    def test_backward_empties_the_tape_and_releases_intermediates(self, rng):
+        # A Tensor has no weakref slot, so the refs watch the intermediates'
+        # buffers: a buffer that is dead has no tensor left holding it.
+        x = N.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        gc.disable()  # only reference counts may free them
+        try:
+            with N.GradTape() as tape:
+                sq = N.mul(x, x)
+                hidden = N.gelu(sq)
+                out = N.sum_(hidden)
+            refs = [weakref.ref(sq.data), weakref.ref(hidden.data)]
+            grads = N.backward(out, tape)
+            assert len(tape) == 0
+            del sq, hidden, out
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+        assert set(grads) == {x}
+
+    def test_second_backward_on_the_same_tape_raises(self, rng):
+        x = N.Tensor(rng.normal(size=3), requires_grad=True)
+        with N.GradTape() as tape:
+            out = N.sum_(N.mul(x, x))
+        N.backward(out, tape)
+        with pytest.raises(UsageError, match="empty tape"):
+            N.backward(out, tape)
+
+    def test_backward_over_a_tape_that_recorded_nothing_raises(self):
+        with N.GradTape() as tape:
+            out = N.sum_(N.Tensor(np.array([1.0])))  # no input requires a gradient
+        with pytest.raises(UsageError, match="empty tape"):
+            N.backward(out, tape)
 
 
 class TestGradcheck:

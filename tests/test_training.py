@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -300,6 +303,34 @@ class TestFit:
         T.fit(params, cfg, vocab, train, [], overfit_config(steps_as_epochs=2))
         assert len(seen) == 2
         assert all(order == [name for name, _ in M.named_parameters(params)] for order in seen)
+
+    def test_no_gradient_of_a_step_is_alive_at_the_next_backward(self, tmp_path, monkeypatch):
+        task = make_task(tmp_path)
+        cfg, vocab, train, val = load_task(task)
+        params = M.init_params(cfg, seed=0)
+        refs, alive, backward = [], [], N.backward
+
+        def recording(loss, tape):
+            alive.append(sum(ref() is not None for ref in refs))
+            grads = backward(loss, tape)
+            refs[:] = [weakref.ref(g) for g in grads.values()]
+            return grads
+
+        monkeypatch.setattr(N, "backward", recording)
+        gc.disable()  # only reference counts may free them
+        try:
+            T.fit(params, cfg, vocab, train, [], overfit_config(steps_as_epochs=2, batch_size=2))
+        finally:
+            gc.enable()
+        assert alive == [0, 0, 0, 0]
+
+    def test_op_fault_aborts_the_step_naming_it(self, tmp_path):
+        cfg, vocab, train, val = load_task(make_task(tmp_path))
+        patches = train[0].audio_patches.copy()
+        patches[-1] = np.nan
+        train = [dataclasses.replace(train[0], audio_patches=patches)]
+        with pytest.raises(TrainingError, match="^aborted at step 0: non-finite values"):
+            T.fit(M.init_params(cfg, seed=0), cfg, vocab, train, [], overfit_config(1))
 
     def test_metrics_log_lines(self, tmp_path):
         import json
