@@ -642,10 +642,11 @@ def gradcheck(
     """Compare analytic gradients of ``f`` against central finite differences.
 
     Returns the max over probed coordinates of
-    ``|analytic - fd| / max(1, |fd|)``.  ``exclusion_predicate(i)`` skips flat
-    coordinates, which is how callers avoid probing across the fusion mask's
-    hard threshold.  ``max_coords`` probes a seeded random subset instead of
-    every coordinate (needed for large parameter groups).
+    ``|analytic - fd| / max(1, |fd|)``.  ``exclusion_predicate(i)`` runs after
+    flat coordinate i's two probes and may read what they left; True skips i,
+    which is how callers drop probes across the fusion mask's hard threshold.
+    ``max_coords`` probes a seeded random subset instead of every coordinate
+    (needed for large parameter groups).
     """
     if not 0.0 < step <= 1e-2:
         raise UsageError(f"gradcheck step must be in (0, 1e-2], got {step}")
@@ -672,13 +673,13 @@ def gradcheck(
     flat = base.reshape(-1)
     max_err = 0.0
     for i in coords:
-        if exclusion_predicate is not None and exclusion_predicate(i):
-            continue
         probe = flat.copy()
         probe[i] = flat[i] + step
         f_plus = f(Tensor(probe.reshape(base.shape))).item()
         probe[i] = flat[i] - step
         f_minus = f(Tensor(probe.reshape(base.shape))).item()
+        if exclusion_predicate is not None and exclusion_predicate(i):
+            continue
         if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
             raise DomainError(f"non-finite value while probing coordinate {i}")
         fd = (f_plus - f_minus) / (2.0 * step)

@@ -19,7 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from avfuse import cli, data, frontend, inference, model
+from avfuse import cli, data, frontend, inference, model, numerics
 from avfuse.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _DirLock, main
 from avfuse.errors import ValidationError
 from wav_files import write_wav
@@ -214,8 +214,34 @@ class TestSynth:
         assert run(synth_args(out)) == EXIT_VALIDATION
         assert run(synth_args(out) + ["--force"]) == EXIT_OK
 
+    def test_out_that_is_a_file_is_validation_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("keep")
+        assert run(synth_args(out)) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: --out {out}: {out} is not a directory\n")
+        assert out.read_text() == "keep"
+
 
 class TestTrain:
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_is_or_lies_under_a_file_is_validation_before_loading(self, tmp_path,
+                                                                          capsys, out):
+        afile = tmp_path / "file"
+        afile.write_text("keep")
+        # the manifest is missing: reading it first would exit 2
+        rc = run(["train", "--train-manifest", tmp_path / "none.jsonl", "--out", tmp_path / out])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", f"error: --out {tmp_path / out}: {afile} is not a directory\n")
+        assert afile.read_text() == "keep"
+
+    def test_config_out_dir_that_is_a_file_is_named_by_its_key(self, tmp_path, capsys):
+        afile = tmp_path / "file"
+        afile.write_text("keep")
+        cfg = write_run_config(tmp_path, tmp_path / "none.jsonl", out_dir=str(afile))
+        assert run(["train", "--config", cfg]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: out_dir {afile}: {afile} is not a directory\n"
+
     def test_smoke_val_loss_improves(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(train_args(dataset, out, **{"--epochs": 6})) == EXIT_OK
@@ -502,6 +528,17 @@ class TestEvalInfer:
         reported = json.loads(report_path.read_text())["settings"]
         assert {key: reported[key] for key in settings} == settings
 
+    @pytest.mark.parametrize("flags, beam", [(["--beam", 1], 1), (["--greedy", "--beam", 2], 2),
+                                             (["--beam", 2, "--greedy"], 1)])
+    def test_greedy_is_beam_1_and_the_last_flag_wins(self, tmp_path, flags, beam):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        peaked_checkpoint(tmp_path / "m.avck", manifest_path)
+        report_path = tmp_path / "rep.json"
+        assert run(["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+                    "--report", report_path] + flags) == EXIT_OK
+        reported = json.loads(report_path.read_text())["settings"]
+        assert (reported["beam"], reported["greedy"]) == (beam, beam == 1)
+
     def test_report_times_the_decode_loop(self, trained, dataset, tmp_path):
         report_path = tmp_path / "rep.json"
         for flags in (["--greedy"], ["--beam", 3]):
@@ -732,6 +769,42 @@ class TestGradcheckCommand:
     def test_seed_varies_errors_not_verdict(self):
         for seed in (0, 1, 2):
             assert run(["gradcheck", "--coords-per-group", 2, "--seed", seed]) == EXIT_OK
+
+    def test_group_error_of_5e_5_fails_the_1e_5_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(numerics, "gradcheck", lambda *args, **kwargs: 5e-5)
+        assert run(["gradcheck", "--coords-per-group", 1]) == EXIT_RUNTIME
+        out = capsys.readouterr().out
+        assert "max_rel_err=5.000e-05 FAIL" in out
+        assert out.endswith("worst group error: 5.000e-05\ngradcheck FAILED\n")
+
+    def test_each_group_runs_the_block_once_per_probe(self, monkeypatch):
+        """One block pass for the analytic gradient and two per probed
+        coordinate, excluded ones included: the exclusion reads the fusion
+        masks of the probes' own passes."""
+        passes, per_group = [0], []
+        block, check = model.decoder_block, numerics.gradcheck
+
+        def counted_block(*args, **kwargs):
+            passes[0] += 1
+            return block(*args, **kwargs)
+
+        def counted_check(*args, **kwargs):
+            before = passes[0]
+            err = check(*args, **kwargs)
+            per_group.append(passes[0] - before)
+            return err
+
+        monkeypatch.setattr(model, "decoder_block", counted_block)
+        monkeypatch.setattr(numerics, "gradcheck", counted_check)
+        assert run(["gradcheck", "--coords-per-group", 2, "--near-threshold"]) == EXIT_OK
+        assert per_group and set(per_group) == {1 + 2 * 2}
+
+    def test_near_threshold_excludes_the_conf_fc_probes_that_flip_a_mask(self, capsys):
+        assert run(["gradcheck", "--coords-per-group", 8, "--near-threshold"]) == EXIT_OK
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+                 if "max_rel_err=" in line}
+        assert lines["decoder.0.conf_fc.weight"].endswith(" ok (excluded 4)")
+        assert lines["decoder.0.conf_fc.bias"].endswith(" ok (excluded 5)")
 
 
 class TestExitCodes:
@@ -1029,6 +1102,19 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr() == ("", f"error: --report {report}: directory "
                                            f"{report.parent} does not exist\n")
+
+    @pytest.mark.parametrize("flag", ["--candidates-out", "--report"])
+    def test_eval_output_path_that_is_a_directory_is_validation_before_checkpoint_read(
+            self, tmp_path, capsys, flag):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        out = tmp_path / "out"
+        out.mkdir()
+        # the checkpoint is missing: reading it first would exit 2
+        rc = run(["eval", "--checkpoint", tmp_path / "none.avck", "--manifest", manifest_path,
+                  flag, out])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {flag} {out}: is a directory\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("samples", [300, 600])  # too short to frame; frames < one patch
     def test_wav_too_short_is_runtime_naming_it(self, tmp_path, capsys, samples):

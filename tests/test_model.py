@@ -480,29 +480,31 @@ def test_masked_decode_bits_are_pinned(mode):
 
 class TestBlockGradients:
     def test_adaava_block_gradcheck_with_exclusion_band(self, rng):
-        cfg = tiny_config("adaava_audio", d=8, heads=2)
-        params = M.init_params(cfg, seed=41)
-        blk = params.decoder[0]
-        enc = M.EncodedModalities(
-            audio=N.Tensor(rng.normal(size=(4, cfg.d))),
-            visual=N.Tensor(rng.normal(size=(3, cfg.d))),
-        )
-        mixer = rng.normal(size=(3, cfg.d))
-        x0 = rng.normal(size=(3, cfg.d))
-        cache = M.init_decoder_state(params, cfg, enc).blocks[0]
+        # adaava_video's confidence reads the video cross-attention output
+        for mode in ("adaava_audio", "adaava_video"):
+            cfg = tiny_config(mode, d=8, heads=2)
+            params = M.init_params(cfg, seed=41)
+            blk = params.decoder[0]
+            enc = M.EncodedModalities(
+                audio=N.Tensor(rng.normal(size=(4, cfg.d))),
+                visual=N.Tensor(rng.normal(size=(3, cfg.d))),
+            )
+            mixer = rng.normal(size=(3, cfg.d))
+            x0 = rng.normal(size=(3, cfg.d))
+            cache = M.init_decoder_state(params, cfg, enc).blocks[0]
 
-        def f(x):
-            out, _, _ = M.decoder_block(x, blk, cfg, cache)
-            return N.sum_(N.mul(out, mixer))
+            def f(x):
+                out, _, _ = M.decoder_block(x, blk, cfg, cache)
+                return N.sum_(N.mul(out, mixer))
 
-        # confirm the probe sits away from both mask thresholds
-        _, trace, _ = M.decoder_block(N.Tensor(x0), blk, cfg, cache)
-        conf = trace.a_conf.data
-        assert np.all(np.abs(conf - cfg.beta) > 1e-3)
-        assert np.all(np.abs((1 - conf) - cfg.beta) > 1e-3)
+            # confirm the probe sits away from both mask thresholds
+            _, trace, _ = M.decoder_block(N.Tensor(x0), blk, cfg, cache)
+            conf = trace.a_conf.data
+            assert np.all(np.abs(conf - cfg.beta) > 1e-3), mode
+            assert np.all(np.abs((1 - conf) - cfg.beta) > 1e-3), mode
 
-        err = N.gradcheck(f, N.Tensor(x0), step=1e-6)
-        assert err < 1e-5
+            err = N.gradcheck(f, N.Tensor(x0), step=1e-6)
+            assert err < 1e-5, mode
 
 
 class TestCheckpoint:

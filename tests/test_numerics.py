@@ -622,6 +622,22 @@ class TestGradcheck:
         err_excluded = N.gradcheck(f, point, step=1e-6, exclusion_predicate=lambda i: i == 1)
         assert err_excluded < 1e-9
 
+    def test_exclusion_predicate_runs_after_both_probes(self, rng):
+        """The predicate of coordinate i sees f called for the analytic
+        gradient and for the two probes of every coordinate up to i."""
+        calls, seen = [0], []
+
+        def f(t):
+            calls[0] += 1
+            return N.sum_(N.mul(t, t))
+
+        def predicate(i):
+            seen.append((i, calls[0]))
+            return False
+
+        N.gradcheck(f, N.Tensor(rng.normal(size=3)), exclusion_predicate=predicate)
+        assert seen == [(0, 3), (1, 5), (2, 7)]
+
     def test_step_validation(self, rng):
         point = N.Tensor(rng.normal(size=2))
         with pytest.raises(UsageError):

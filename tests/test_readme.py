@@ -1,11 +1,13 @@
 """The README quickstart runs as written: each of its ``avfuse`` commands
-exits 0 through ``cli.main``, so a renamed flag cannot leave it stale."""
+exits 0 through ``cli.main``, so a renamed flag cannot leave it stale; and
+every flag the README names anywhere is a flag of some subcommand."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from avfuse.cli import EXIT_OK, main
+from avfuse.cli import EXIT_OK, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SHORT_TRAIN = ["--epochs", "1", "--warmup-epochs", "1"]  # later flags win
@@ -28,3 +30,12 @@ def test_quickstart_commands_exit_zero(tmp_path, monkeypatch, capsys):
         argv = argv + SHORT_TRAIN if argv[0] == "train" else argv
         code = main(argv)
         assert code == EXIT_OK, (argv, capsys.readouterr().err)
+
+
+def test_every_flag_the_readme_names_exists():
+    [subparsers] = [action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    flags = {flag for sub in subparsers.choices.values() for action in sub._actions
+             for flag in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
+    assert named - flags == {"--no-build-isolation"}  # pip's, in *Install and test*
