@@ -96,10 +96,12 @@ def _echo_config(resolved: dict, out_dir: Path) -> None:
     (out_dir / "resolved_config.json").write_text(text + "\n", encoding="utf-8")
 
 
-def _check_out_dir(name: str, path: Path) -> None:
+def _check_out_dir(name: str, path: Path, directory: Path | None = None) -> None:
     """Reject an output directory that is a file or lies under one, naming
-    ``name`` and the path, before a command does any work."""
-    existing = next(p for p in (path, *path.parents) if p.exists())
+    ``name`` and the path, before a command does any work.  ``directory`` is
+    the one to check when ``path`` is an output file in it."""
+    directory = path if directory is None else directory
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
     if not existing.is_dir():
         raise ValidationError(f"{name} {path}: {existing} is not a directory")
 
@@ -208,7 +210,9 @@ def build_run(args):
     """Construct (top-level settings, model_config, train_config, vocab,
     train/val examples) from the ``--config`` file's settings with each
     given :data:`_TRAIN_FLAGS` flag over them; a setting that neither
-    gives takes its default."""
+    gives takes its default.  An output directory that already holds a
+    ``metrics.jsonl`` is rejected before any clip is loaded: one log holds
+    one run."""
     sections = load_run_config(args.config)
     given = vars(args)  # a flag that was not given is absent (argparse.SUPPRESS)
     for _, section, key, _ in _TRAIN_FLAGS:
@@ -217,7 +221,11 @@ def build_run(args):
     top = RunSettings(**sections[None])
     if not top.train_manifest:
         raise ValidationError("train_manifest is required")
-    _check_out_dir("--out" if "out_dir" in given else "out_dir", Path(top.out_dir))
+    out_flag, out_dir = "--out" if "out_dir" in given else "out_dir", Path(top.out_dir)
+    _check_out_dir(out_flag, out_dir)
+    if (out_dir / "metrics.jsonl").exists():
+        raise ValidationError(f"{out_flag} {out_dir}: {out_dir / 'metrics.jsonl'} exists: "
+                              "the directory holds an earlier run")
 
     manifest = data.load_manifest(top.train_manifest)
     val_manifest = data.load_manifest(top.val_manifest) if top.val_manifest else None
@@ -382,15 +390,19 @@ def cmd_eval(args) -> int:
     ``--greedy``.  ``environment`` names the interpreter, numpy, the CPU
     count and the BLAS thread settings.
 
-    An output path that is a directory or lies in a missing one exits 1 before
-    the checkpoint is read, and a manifest too small for CIDEr exits 1 before
-    any clip is decoded.
+    An output path that is a directory, or lies in a missing directory or
+    under a file, exits 1 before the checkpoint is read, and a manifest too
+    small for CIDEr exits 1 before any clip is decoded.
     """
     for flag, path in (("--candidates-out", args.candidates_out), ("--report", args.report)):
-        if path and Path(path).is_dir():
+        if not path:
+            continue
+        path = Path(path)
+        if path.is_dir():
             raise ValidationError(f"{flag} {path}: is a directory")
-        if path and not Path(path).parent.is_dir():
-            raise ValidationError(f"{flag} {path}: directory {Path(path).parent} does not exist")
+        _check_out_dir(flag, path, path.parent)
+        if not path.parent.is_dir():
+            raise ValidationError(f"{flag} {path}: directory {path.parent} does not exist")
     manifest = data.load_manifest(args.manifest)
     ck = model.load_checkpoint(args.checkpoint, keep_state=False)
     examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)

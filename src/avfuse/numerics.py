@@ -3,8 +3,8 @@
 Everything downstream (encoders, fusion, training) computes on this module.
 Tensors wrap numpy arrays; operations record vector-Jacobian products onto an
 explicitly opened :class:`GradTape`, and :func:`backward` consumes the tape to
-produce one gradient per ``requires_grad`` leaf.  A finite-difference
-:func:`gradcheck` harness verifies analytic gradients.
+produce the gradient of each ``requires_grad`` leaf that the output reaches.
+A finite-difference :func:`gradcheck` harness verifies analytic gradients.
 
 Conventions that the rest of the package relies on:
 
@@ -593,42 +593,28 @@ def backward(output: Tensor, tape: GradTape) -> dict[Tensor, np.ndarray]:
     """Replay ``tape`` backwards from a scalar ``output``, popping each entry
     once its VJP has run: the tape is empty afterwards and cannot be replayed.
 
-    Returns a dict, in no set order, with exactly one gradient per
-    requires_grad leaf that participated in the tape (zero-filled if the leaf
-    did not influence the output).
+    Returns a dict, in no set order, with the gradient of each requires_grad
+    leaf that the output reaches through the tape.  A leaf it does not reach
+    has no entry; :func:`training.adam_step` reads a missing entry as zero.
     """
     if output.data.size != 1:
         raise UsageError(f"backward needs a scalar output, got shape {output.shape}")
     entries = tape._entries
     if not entries:
         raise UsageError("backward over an empty tape: it recorded no op or was replayed")
-    grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-    # an input is a leaf until the entry that produced it, popped later, is popped
-    leaves: dict[int, Tensor] = {}
+    # (tensor, gradient) by tensor id; an entry's pop takes its output's pair,
+    # so the pairs left at the end are the leaves
+    pairs: dict[int, tuple[Tensor, np.ndarray]] = {id(output): (output, np.ones_like(output.data))}
     while entries:
         out, inputs, vjp = entries.pop()
-        leaves.pop(id(out), None)
-        for t in inputs:
-            if t.requires_grad:
-                leaves[id(t)] = t
-        g = grads.pop(id(out), None)
-        if g is None:
+        pair = pairs.pop(id(out), None)
+        if pair is None:
             continue
-        for t, gi in zip(inputs, vjp(g)):
-            if gi is None or not t.requires_grad:
-                continue
-            acc = grads.get(id(t))
-            grads[id(t)] = gi if acc is None else acc + gi
-
-    result: dict[Tensor, np.ndarray] = {}
-    for leaf in leaves.values():
-        g = grads.get(id(leaf))
-        if g is None:
-            g = np.zeros_like(leaf.data)
-        if g.shape != leaf.data.shape:  # pragma: no cover - internal invariant
-            raise DimensionError(f"gradient shape {g.shape} != leaf shape {leaf.shape}")
-        result[leaf] = g
-    return result
+        for t, gi in zip(inputs, vjp(pair[1])):
+            if t.requires_grad:
+                acc = pairs.get(id(t))
+                pairs[id(t)] = (t, gi if acc is None else acc[1] + gi)
+    return dict(pairs.values())
 
 
 def gradcheck(

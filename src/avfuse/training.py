@@ -124,7 +124,12 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 def adam_step(named_params: list[tuple[str, Tensor]], grads: dict[str, np.ndarray],
               state: AdamState, lr: float, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update; parameters are replaced, never mutated mid-tape."""
+    """One bias-corrected Adam update; parameters are replaced, never mutated mid-tape.
+
+    A parameter with no entry in ``grads`` is updated as if its gradient were
+    zero.  This is the one rule for a parameter the loss does not reach:
+    :func:`numerics.backward` gives such a parameter no entry.
+    """
     state.t += 1
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     bc1 = 1.0 - b1 ** state.t

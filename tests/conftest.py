@@ -5,8 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture
-def tmp_dir(tmp_path):
-    return tmp_path

@@ -242,6 +242,32 @@ class TestTrain:
         assert run(["train", "--config", cfg]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: out_dir {afile}: {afile} is not a directory\n"
 
+    def test_second_run_into_a_used_run_directory_is_validation_before_loading(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert run(train_args(dataset, out, **{"--epochs": 1, "--warmup-epochs": 0})) == EXIT_OK
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def load_examples(*args, **kwargs):
+            raise AssertionError("clips loaded")
+
+        monkeypatch.setattr(data, "load_examples", load_examples)
+        rc = run(train_args(dataset, out, **{"--epochs": 1, "--warmup-epochs": 0, "--seed": 2}))
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: --out {out}: {out / 'metrics.jsonl'} exists: "
+                                           "the directory holds an earlier run\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_config_out_dir_of_an_earlier_run_is_named_by_its_key(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "metrics.jsonl").write_text("")
+        cfg = write_run_config(tmp_path, tmp_path / "none.jsonl")
+        assert run(["train", "--config", cfg]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"error: out_dir {out}: {out / 'metrics.jsonl'} "
+                                           "exists: the directory holds an earlier run\n")
+
     def test_smoke_val_loss_improves(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(train_args(dataset, out, **{"--epochs": 6})) == EXIT_OK
@@ -1102,6 +1128,21 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr() == ("", f"error: --report {report}: directory "
                                            f"{report.parent} does not exist\n")
+
+    @pytest.mark.parametrize("flag, out", [("--candidates-out", "file/cands.jsonl"),
+                                           ("--report", "file/sub/report.json")])
+    def test_eval_output_path_under_a_file_is_validation_before_checkpoint_read(
+            self, tmp_path, capsys, flag, out):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        afile = tmp_path / "file"
+        afile.write_text("keep")
+        # the checkpoint is missing: reading it first would exit 2
+        rc = run(["eval", "--checkpoint", tmp_path / "none.avck", "--manifest", manifest_path,
+                  flag, tmp_path / out])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", f"error: {flag} {tmp_path / out}: {afile} is not a directory\n")
+        assert afile.read_text() == "keep"
 
     @pytest.mark.parametrize("flag", ["--candidates-out", "--report"])
     def test_eval_output_path_that_is_a_directory_is_validation_before_checkpoint_read(

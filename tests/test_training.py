@@ -161,6 +161,26 @@ class TestAdam:
             ref = ref - 1e-3 * mhat / (np.sqrt(vhat) + cfg.adam_eps)
         np.testing.assert_allclose(named[0][1].data, ref, atol=1e-10)
 
+    def test_missing_gradient_is_a_zero_gradient(self, rng):
+        """``b`` has no entry at steps 1 and 3 (before and after it has moments)
+        in one run, and an explicit zero in the other: the bytes agree."""
+        cfg = T.TrainConfig()
+        values = [("a", rng.normal(size=4)), ("b", rng.normal(size=(2, 3)))]
+        runs = []
+        for explicit in (True, False):
+            named, state = self._named(values), T.AdamState()
+            for step, g in enumerate(np.random.default_rng(7).normal(size=(3, 10)), 1):
+                grads = {"a": g[:4], "b": g[4:].reshape(2, 3)}
+                if step != 2:
+                    if explicit:
+                        grads["b"] = np.zeros((2, 3))
+                    else:
+                        del grads["b"]
+                T.adam_step(named, grads, state, 1e-2, cfg)
+            runs.append([arr.tobytes() for arr in
+                         (*(t.data for _, t in named), *state.m.values(), *state.v.values())])
+        assert runs[0] == runs[1]
+
     def test_non_finite_grad_names_parameter(self, rng):
         named = self._named([("decoder.0.mlp.fc1.weight", rng.normal(size=3))])
         with pytest.raises(TrainingError) as exc:
@@ -242,6 +262,23 @@ class TestFit:
             T.adam_step(named, grads, state, 2e-3, tcfg)
             losses.append(T.batch_loss(params, cfg, batch, targets, 0.0).item())
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("mode", M.FUSION_MODES)
+    def test_one_backward_reaches_every_parameter(self, tmp_path, mode, dropout):
+        """The parameter tree has no dead parameter: ``backward`` gives one
+        gradient per parameter and nothing else."""
+        cfg, vocab, train, val = load_task(make_task(tmp_path))
+        cfg = dataclasses.replace(cfg, fusion_mode=mode, dropout=dropout)
+        params = M.init_params(cfg, seed=0)
+        batch, targets = T.collate(train, cfg)
+        rng = np.random.default_rng(0) if dropout else None
+        with N.GradTape() as tape:
+            loss = T.batch_loss(params, cfg, batch, targets, 0.1, rng=rng)
+        grads = N.backward(loss, tape)
+        named = M.named_parameters(params)
+        assert [name for name, t in named if t not in grads] == []
+        assert len(grads) == len(named)
 
     def test_two_runs_same_seed_identical_curves(self, tmp_path):
         task = make_task(tmp_path)
