@@ -502,9 +502,8 @@ def _gradcheck_probe(seed: int, near_threshold: bool):
     return config, params, blk, enc, x0, mixer
 
 
-# Each probe steps one coordinate by GRADCHECK_STEP either way, and a group
-# passes when its worst relative error is below GRADCHECK_BOUND, criterion 2's.
-GRADCHECK_STEP = 1e-6
+# Each probe steps one coordinate by numerics.GRADCHECK_STEP either way, and a
+# group passes when its worst relative error is below GRADCHECK_BOUND, criterion 2's.
 GRADCHECK_BOUND = 1e-5
 
 
@@ -546,8 +545,7 @@ def cmd_gradcheck(args) -> int:
             return True
 
         err = numerics.gradcheck(
-            f, original, step=GRADCHECK_STEP,
-            exclusion_predicate=flips_mask if args.exclusion else None,
+            f, original, exclusion_predicate=flips_mask if args.exclusion else None,
             max_coords=args.coords_per_group, rng=rng,
         )
         errors.append(err)

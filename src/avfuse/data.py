@@ -86,19 +86,16 @@ class Vocabulary:
         return cls(list(payload["tokens"]))
 
 
-def encode_caption(tokens: list[str], vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, int]:
-    """Wrap tokens in sos/eos, truncate keeping eos last, pad to ``max_len``.
-
-    Returns (ids of shape (max_len,), true length including sos and eos).
-    """
+def encode_caption(tokens: list[str], vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """Wrap tokens in sos/eos, truncate keeping eos last, pad to ``max_len``:
+    ids of shape (max_len,)."""
     if max_len < 3:
         raise ConfigError(f"max_len must be >= 3, got {max_len}")
     body = [vocab.encode_token(t) for t in tokens][: max_len - 2]
     seq = [SOS_ID] + body + [EOS_ID]
-    length = len(seq)
     out = np.full(max_len, PAD_ID, dtype=np.int64)
-    out[:length] = seq
-    return out, length
+    out[: len(seq)] = seq
+    return out
 
 
 def decode_caption(ids, vocab: Vocabulary) -> list[str]:
@@ -162,7 +159,7 @@ def read_feature_file(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(t, d)
 
 
-def load_audio_input(path) -> tuple[np.ndarray, frontend.MelSpec | None]:
+def load_audio_input(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Encoder input rows for one audio file, and its log-mel spectrogram.
 
     A ``.wav`` file is read at the frontend's sample rate, turned into log-mel
@@ -172,7 +169,7 @@ def load_audio_input(path) -> tuple[np.ndarray, frontend.MelSpec | None]:
     """
     if Path(path).suffix.lower() != ".wav":
         return read_feature_file(path).astype(np.float64), None
-    waveform = frontend.read_wav(path, frontend.MelConfig().sample_rate)
+    waveform = frontend.read_wav(path, frontend.MEL.sample_rate)
     try:
         mel = frontend.log_mel(waveform)
         return frontend.patchify(mel), mel
@@ -417,7 +414,7 @@ class PreparedExample:
     visual: np.ndarray | None
     token_ids: np.ndarray
     captions: list[str]
-    mel: frontend.MelSpec | None = None  # set when the source was a waveform
+    mel: np.ndarray | None = None  # (T_frames, n_mels), set when the source was a waveform
 
 
 def load_examples(manifest: DatasetManifest, vocab: Vocabulary,
@@ -429,7 +426,7 @@ def load_examples(manifest: DatasetManifest, vocab: Vocabulary,
         visual = None
         if rec.visual_features is not None:
             visual = read_feature_file(manifest.resolve(rec.visual_features)).astype(np.float64)
-        ids, _ = encode_caption(normalize_caption(rec.captions[0]), vocab, max_caption_len)
+        ids = encode_caption(normalize_caption(rec.captions[0]), vocab, max_caption_len)
         examples.append(
             PreparedExample(
                 id=rec.id,

@@ -1,14 +1,16 @@
 """Audio waveform -> log-mel spectrogram -> time-axis patches, plus SpecAugment.
 
-The hop size defaults to 320 samples so that 10 s at 32 kHz yields exactly
-1000 frames of 64 mel bins (the shape every downstream dimension is derived
-from); the 64 triangular filters use the HTK mel scale, normalized to unit
-area.  Frames are centered via reflect padding, so the frame count is
-ceil(num_samples / hop).
+The front end has one configuration, :data:`MEL`: a hop of 320 samples, so
+that 10 s at 32 kHz yields exactly 1000 frames of 64 mel bins (the shape
+every downstream dimension is derived from); the 64 triangular filters use
+the HTK mel scale, normalized to unit area.  Frames are centered via reflect
+padding, so the frame count is ceil(num_samples / hop).  Spectrograms are
+plain (T_frames, n_mels) float64 arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,8 +21,10 @@ from scipy.io import wavfile
 from .errors import ConfigError, DataFormatError, DomainError
 
 
-@dataclass
+@dataclass(frozen=True)
 class MelConfig:
+    """The front end's constants; :data:`MEL` is the one instance read."""
+
     sample_rate: int = 32000
     n_fft: int = 1024
     win_length: int = 1024
@@ -30,20 +34,8 @@ class MelConfig:
     fmax: float = 16000.0
     log_floor: float = 1e-10
 
-    def validate(self) -> None:
-        if self.hop < 1 or self.win_length < 1 or self.n_fft < self.win_length:
-            raise ConfigError(
-                f"bad STFT geometry: n_fft={self.n_fft}, win={self.win_length}, hop={self.hop}"
-            )
-        if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
-            raise ConfigError(f"bad mel range [{self.fmin}, {self.fmax}]")
 
-
-@dataclass
-class MelSpec:
-    """A (T_frames, n_mels) log-mel matrix."""
-
-    frames: np.ndarray
+MEL = MelConfig()
 
 
 def hz_to_mel(f):
@@ -55,18 +47,21 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: MelConfig) -> np.ndarray:
-    """(n_mels, n_fft//2 + 1) triangular filters, each normalized to unit area in Hz."""
-    n_bins = cfg.n_fft // 2 + 1
-    fft_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
-    edges = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2))
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for i in range(cfg.n_mels):
+@functools.cache
+def mel_filterbank() -> np.ndarray:
+    """(n_mels, n_fft//2 + 1) triangular filters, each normalized to unit area
+    in Hz: one read-only array, built on the first call."""
+    n_bins = MEL.n_fft // 2 + 1
+    fft_freqs = np.arange(n_bins) * MEL.sample_rate / MEL.n_fft
+    edges = mel_to_hz(np.linspace(hz_to_mel(MEL.fmin), hz_to_mel(MEL.fmax), MEL.n_mels + 2))
+    fb = np.zeros((MEL.n_mels, n_bins))
+    for i in range(MEL.n_mels):
         lo, center, hi = edges[i], edges[i + 1], edges[i + 2]
         rising = (fft_freqs - lo) / (center - lo)
         falling = (hi - fft_freqs) / (hi - center)
         tri = np.maximum(0.0, np.minimum(rising, falling))
         fb[i] = tri * (2.0 / (hi - lo))
+    fb.flags.writeable = False
     return fb
 
 
@@ -74,44 +69,41 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def log_mel(waveform: np.ndarray, cfg: MelConfig | None = None) -> MelSpec:
+def log_mel(waveform: np.ndarray) -> np.ndarray:
     """Magnitude STFT -> mel projection -> log with floor clamp.
 
-    The waveform must be 1-d at ``cfg.sample_rate``.  Pure silence maps every
-    cell to log(log_floor).
+    The waveform must be 1-d at ``MEL.sample_rate``; the result is its
+    (T_frames, n_mels) log-mel frames.  Pure silence maps every cell to
+    log(log_floor).
     """
-    cfg = cfg or MelConfig()
-    cfg.validate()
     x = np.asarray(waveform, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise DomainError(f"waveform must be non-empty and 1-d, got shape {x.shape}")
-    pad = cfg.win_length // 2
+    pad = MEL.win_length // 2
     if x.size <= pad:
         raise DomainError(f"waveform of {x.size} samples too short for centered framing")
     padded = np.pad(x, pad, mode="reflect")
 
-    n_frames = math.ceil(x.size / cfg.hop)
-    window = _hann_periodic(cfg.win_length)
-    starts = np.arange(n_frames) * cfg.hop
-    idx = starts[:, None] + np.arange(cfg.win_length)[None, :]
+    n_frames = math.ceil(x.size / MEL.hop)
+    window = _hann_periodic(MEL.win_length)
+    starts = np.arange(n_frames) * MEL.hop
+    idx = starts[:, None] + np.arange(MEL.win_length)[None, :]
     frames = padded[idx] * window
-    spectrum = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1))
-    mel = spectrum @ mel_filterbank(cfg).T
-    logmel = np.log(np.maximum(mel, cfg.log_floor))
-    return MelSpec(frames=logmel)
+    spectrum = np.abs(np.fft.rfft(frames, n=MEL.n_fft, axis=1))
+    mel = spectrum @ mel_filterbank().T
+    return np.log(np.maximum(mel, MEL.log_floor))
 
 
 FRAMES_PER_PATCH = 4
 
 
-def patchify(spec: MelSpec | np.ndarray) -> np.ndarray:
+def patchify(frames: np.ndarray) -> np.ndarray:
     """Group consecutive frames into flattened non-overlapping patches.
 
     A (T, n_mels) spectrogram becomes (T // FRAMES_PER_PATCH,
     FRAMES_PER_PATCH * n_mels); trailing frames that do not fill a patch are
     dropped.
     """
-    frames = spec.frames if isinstance(spec, MelSpec) else np.asarray(spec)
     t, n_mels = frames.shape
     if t < FRAMES_PER_PATCH:
         raise DomainError(f"{t} frames cannot form a {FRAMES_PER_PATCH}-frame patch")
@@ -130,21 +122,22 @@ class SpecAugmentPolicy:
     max_freq_width: int = 8
 
 
-def spec_augment(spec: MelSpec, policy: SpecAugmentPolicy, rng: np.random.Generator) -> MelSpec:
+def spec_augment(frames: np.ndarray, policy: SpecAugmentPolicy,
+                 rng: np.random.Generator) -> np.ndarray:
     """Mask random time and frequency bands, filling with the spectrogram mean.
 
     Draw order is fixed (time masks first, then frequency; width before
     start), so a given rng state determines the result exactly.  Shapes never
     change and unmasked cells are left bit-identical.
     """
-    t, f = spec.frames.shape
+    t, f = frames.shape
     if policy.max_time_width > t or policy.max_freq_width > f:
         raise ConfigError(
             f"mask widths ({policy.max_time_width}, {policy.max_freq_width}) exceed "
             f"spectrogram extents ({t}, {f})"
         )
-    out = spec.frames.copy()
-    fill = spec.frames.mean()
+    out = frames.copy()
+    fill = frames.mean()
     for _ in range(policy.n_time_masks):
         width = int(rng.integers(0, policy.max_time_width + 1))
         start = int(rng.integers(0, t - width + 1))
@@ -153,15 +146,17 @@ def spec_augment(spec: MelSpec, policy: SpecAugmentPolicy, rng: np.random.Genera
         width = int(rng.integers(0, policy.max_freq_width + 1))
         start = int(rng.integers(0, f - width + 1))
         out[:, start : start + width] = fill
-    return MelSpec(frames=out)
+    return out
 
 
-def read_wav(path, expected_rate: int | None = None) -> np.ndarray:
-    """Read a single-channel PCM16 or float32 WAV into float64 samples in [-1, 1].
+def read_wav(path, expected_rate: int) -> np.ndarray:
+    """Read a single-channel PCM16 or float32 WAV into float64 samples.
 
-    A file that does not parse as a WAV, or whose data ends before its
-    header says, is a DataFormatError naming it; chunks that scipy does not
-    know are skipped.
+    PCM16 samples are scaled by 1/32768 into [-1, 1); float32 samples are
+    returned as stored, unscaled.  A sample rate other than ``expected_rate``
+    is a ConfigError.  A file that does not parse as a WAV, or whose data
+    ends before its header says, is a DataFormatError naming it; chunks that
+    scipy does not know are skipped.
     """
     try:
         with warnings.catch_warnings():
@@ -175,7 +170,7 @@ def read_wav(path, expected_rate: int | None = None) -> np.ndarray:
         raise DataFormatError(f"{path}: not a readable WAV file: {exc}") from exc
     if samples.ndim != 1:
         raise DataFormatError(f"{path}: expected mono audio, got {samples.shape[1]} channels")
-    if expected_rate is not None and rate != expected_rate:
+    if rate != expected_rate:
         raise ConfigError(f"{path}: sample rate {rate} != required {expected_rate}")
     if samples.dtype == np.int16:
         return samples.astype(np.float64) / 32768.0

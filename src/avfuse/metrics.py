@@ -23,6 +23,7 @@ import numpy as np
 from .data import DatasetManifest, normalize_caption
 from .errors import DomainError, ValidationError
 
+BLEU_N = 4
 CIDER_N = 4
 CIDER_SIGMA = 6.0
 CIDER_MIN_CORPUS = 2  # idf over fewer reference sets is degenerate
@@ -64,11 +65,11 @@ def _check_corpus(corpus: list[EvalItem]) -> None:
             raise DomainError(f"item {i} has no references")
 
 
-def bleu(corpus: list[EvalItem], n_max: int = 4) -> list[float]:
-    """Corpus-level BLEU_1..n_max (modified n-gram precision, geometric mean)."""
+def bleu(corpus: list[EvalItem]) -> list[float]:
+    """Corpus-level BLEU_1..BLEU_N (modified n-gram precision, geometric mean)."""
     _check_corpus(corpus)
-    matched = [0] * n_max
-    total = [0] * n_max
+    matched = [0] * BLEU_N
+    total = [0] * BLEU_N
     cand_len = 0
     eff_ref_len = 0
     for item in corpus:
@@ -76,7 +77,7 @@ def bleu(corpus: list[EvalItem], n_max: int = 4) -> list[float]:
         cand_len += c
         # closest reference length; ties resolved toward the shorter reference
         eff_ref_len += min((abs(len(r) - c), len(r)) for r in item.references)[1]
-        for n in range(1, n_max + 1):
+        for n in range(1, BLEU_N + 1):
             counts = _ngrams(item.candidate, n)
             if not counts:
                 continue
@@ -89,11 +90,11 @@ def bleu(corpus: list[EvalItem], n_max: int = 4) -> list[float]:
             total[n - 1] += sum(counts.values())
 
     if cand_len == 0:
-        return [0.0] * n_max
+        return [0.0] * BLEU_N
     bp = 1.0 if cand_len >= eff_ref_len else math.exp(1.0 - eff_ref_len / cand_len)
-    precisions = [(matched[k] / total[k]) if total[k] > 0 else 0.0 for k in range(n_max)]
+    precisions = [(matched[k] / total[k]) if total[k] > 0 else 0.0 for k in range(BLEU_N)]
     scores = []
-    for n in range(1, n_max + 1):
+    for n in range(1, BLEU_N + 1):
         if any(p == 0.0 for p in precisions[:n]):
             scores.append(0.0)
             continue
@@ -188,7 +189,7 @@ def exact_match(corpus: list[EvalItem]) -> float:
 
 
 def score_corpus(corpus: list[EvalItem]) -> MetricReport:
-    b = bleu(corpus, 4)
+    b = bleu(corpus)
     return MetricReport(
         bleu_1=b[0], bleu_2=b[1], bleu_3=b[2], bleu_4=b[3],
         rouge_l=rouge_l(corpus),

@@ -295,7 +295,7 @@ def fit(
     if cfg.augment is not None and model.mode_uses_audio(config.fusion_mode):
         widths = (cfg.augment.max_time_width, cfg.augment.max_freq_width)
         short = [ex.id for ex in train_examples
-                 if ex.mel is not None and np.any(np.less(ex.mel.frames.shape, widths))]
+                 if ex.mel is not None and np.any(np.less(ex.mel.shape, widths))]
         if short:
             raise ConfigError(f"train.augment mask widths {widths} exceed the spectrogram "
                               f"extents of clips {', '.join(short)}")

@@ -165,14 +165,14 @@ class TestBleu:
 
     def test_brevity_penalty_hand_case(self):
         corpus = [EvalItem(["the", "cat"], [["the", "cat", "sat"]])]
-        b1 = MX.bleu(corpus, 1)[0]
+        b1 = MX.bleu(corpus)[0]
         assert b1 == pytest.approx(math.exp(1 - 3 / 2), abs=1e-12)
         assert b1 == pytest.approx(0.6065, abs=1e-4)
 
     def test_clipping_hand_case(self):
         corpus = [EvalItem(["the", "the", "the"], [["the", "cat"]])]
         # unigram precision clipped at the reference count: 1/3; BP = 1 (c > r)
-        b1 = MX.bleu(corpus, 1)[0]
+        b1 = MX.bleu(corpus)[0]
         assert b1 == pytest.approx(1 / 3, abs=1e-12)
 
     def test_matches_oracle_on_fuzz(self, rng):
@@ -190,9 +190,9 @@ class TestBleu:
 
     def test_monotone_in_matching_extension(self, rng):
         ref = ["a", "b", "c", "d", "e"]
-        prev = MX.bleu([EvalItem(["a"], [ref])], 1)[0]
+        prev = MX.bleu([EvalItem(["a"], [ref])])[0]
         for k in range(2, 6):
-            cur = MX.bleu([EvalItem(ref[:k], [ref])], 1)[0]
+            cur = MX.bleu([EvalItem(ref[:k], [ref])])[0]
             assert cur >= prev
             prev = cur
 

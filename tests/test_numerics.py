@@ -604,7 +604,7 @@ class TestGradcheck:
             h = N.softmax_lastdim(h)
             return N.sum_(N.mul(N.sigmoid(h), h))
 
-        err = N.gradcheck(f, N.Tensor(rng.normal(size=(4, d))), step=1e-6)
+        err = N.gradcheck(f, N.Tensor(rng.normal(size=(4, d))))
         assert err < 1e-5
 
     def test_threshold_crossing_without_exclusion_blows_up(self):
@@ -615,10 +615,10 @@ class TestGradcheck:
             return N.sum_(N.mul(x, hard))
 
         point = N.Tensor(np.array([0.2, beta - 1e-8, 0.9]))
-        err = N.gradcheck(f, point, step=1e-6)
+        err = N.gradcheck(f, point)
         assert err > 0.4  # the finite difference sees the jump; far beyond any tolerance
 
-        err_excluded = N.gradcheck(f, point, step=1e-6, exclusion_predicate=lambda i: i == 1)
+        err_excluded = N.gradcheck(f, point, exclusion_predicate=lambda i: i == 1)
         assert err_excluded < 1e-9
 
     def test_exclusion_predicate_runs_after_both_probes(self, rng):
@@ -636,11 +636,6 @@ class TestGradcheck:
 
         N.gradcheck(f, N.Tensor(rng.normal(size=3)), exclusion_predicate=predicate)
         assert seen == [(0, 3), (1, 5), (2, 7)]
-
-    def test_step_validation(self, rng):
-        point = N.Tensor(rng.normal(size=2))
-        with pytest.raises(UsageError):
-            N.gradcheck(lambda t: N.sum_(t), point, step=0.5)
 
     def test_coordinate_sampling_deterministic(self, rng):
         point = N.Tensor(rng.normal(size=50))
@@ -690,7 +685,7 @@ class TestGradcheck:
 
         for seed in range(20):
             f, point = random_graph(seed)
-            err = N.gradcheck(f, point, step=1e-6)
+            err = N.gradcheck(f, point)
             assert err < 1e-5, f"graph seed {seed}: {err}"
 
 
