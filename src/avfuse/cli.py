@@ -254,6 +254,7 @@ def build_run(args):
                                *(len(ex.audio_patches) for ex in train_examples + val_examples))
     _check_inputs(_manifest_inputs(top.train_manifest, train_examples)
                   + _manifest_inputs(top.val_manifest, val_examples), config)
+    training.check_augment(tcfg, config, train_examples, top.train_manifest)
     return top, config, tcfg, vocab, train_examples, val_examples
 
 

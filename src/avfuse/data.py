@@ -404,13 +404,12 @@ class PreparedExample:
     """One example with model-ready inputs.
 
     ``audio_patches`` holds encoder input rows.  If the manifest pointed at a
-    raw waveform, ``mel`` holds the pre-augmentation spectrogram and patches
-    are recomputed per epoch (SpecAugment happens on the mel stage); feature
-    files skip augmentation.
+    raw waveform, ``mel`` holds its spectrogram, which ``train.augment`` masks
+    anew in each training batch before re-patchifying; feature files hold none.
     """
 
     id: str
-    audio_patches: np.ndarray | None
+    audio_patches: np.ndarray
     visual: np.ndarray | None
     token_ids: np.ndarray
     captions: list[str]

@@ -112,9 +112,9 @@ def patchify(frames: np.ndarray) -> np.ndarray:
     return trimmed.reshape(n_patches, FRAMES_PER_PATCH * n_mels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpecAugmentPolicy:
-    """Mild default policy; the masking technique matters, not these numbers."""
+    """SpecAugment's one mild policy, read as :data:`SPEC_AUGMENT`."""
 
     n_time_masks: int = 2
     max_time_width: int = 64
@@ -122,28 +122,30 @@ class SpecAugmentPolicy:
     max_freq_width: int = 8
 
 
-def spec_augment(frames: np.ndarray, policy: SpecAugmentPolicy,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Mask random time and frequency bands, filling with the spectrogram mean.
+SPEC_AUGMENT = SpecAugmentPolicy()
+
+
+def spec_augment(frames: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Mask random :data:`SPEC_AUGMENT` bands, filling with the spectrogram mean.
 
     Draw order is fixed (time masks first, then frequency; width before
     start), so a given rng state determines the result exactly.  Shapes never
     change and unmasked cells are left bit-identical.
     """
     t, f = frames.shape
-    if policy.max_time_width > t or policy.max_freq_width > f:
+    if SPEC_AUGMENT.max_time_width > t or SPEC_AUGMENT.max_freq_width > f:
         raise ConfigError(
-            f"mask widths ({policy.max_time_width}, {policy.max_freq_width}) exceed "
-            f"spectrogram extents ({t}, {f})"
+            f"mask widths ({SPEC_AUGMENT.max_time_width}, {SPEC_AUGMENT.max_freq_width}) "
+            f"exceed spectrogram extents ({t}, {f})"
         )
     out = frames.copy()
     fill = frames.mean()
-    for _ in range(policy.n_time_masks):
-        width = int(rng.integers(0, policy.max_time_width + 1))
+    for _ in range(SPEC_AUGMENT.n_time_masks):
+        width = int(rng.integers(0, SPEC_AUGMENT.max_time_width + 1))
         start = int(rng.integers(0, t - width + 1))
         out[start : start + width, :] = fill
-    for _ in range(policy.n_freq_masks):
-        width = int(rng.integers(0, policy.max_freq_width + 1))
+    for _ in range(SPEC_AUGMENT.n_freq_masks):
+        width = int(rng.integers(0, SPEC_AUGMENT.max_freq_width + 1))
         start = int(rng.integers(0, f - width + 1))
         out[:, start : start + width] = fill
     return out

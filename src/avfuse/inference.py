@@ -61,6 +61,11 @@ def greedy_decode(step_fn: StepFn, max_len: int) -> list[int]:
     return tokens
 
 
+def top_tokens(block: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ``k`` best token ids, best first; ties go to the lowest id."""
+    return np.argsort(-block, axis=-1, kind="stable")[..., :k]
+
+
 def beam_search_clips(step_clips: ClipsStepFn, clips: int, beam: int,
                       max_len: int) -> list[list[Hypothesis]]:
     """Standard beam search over ``clips`` clips in lockstep, returning up to
@@ -95,18 +100,13 @@ def beam_search_clips(step_clips: ClipsStepFn, clips: int, beam: int,
             break
         rows = step_clips({c: [hyp.tokens for hyp in hyps] for c, hyps in live.items()})
         for c, hyps in list(live.items()):
-            candidates: list[Hypothesis] = []
-            for hyp, logprobs in zip(hyps, rows[c]):
-                logprobs = np.asarray(logprobs)
-                if (logprobs > 0).any():
-                    raise DomainError(f"step log-probs must be <= 0, got max {logprobs.max()}")
-                top = np.argsort(-logprobs, kind="stable")[:beam]  # stable: ties -> lowest id
-                for tok in top.tolist():
-                    candidates.append(Hypothesis(
-                        tokens=hyp.tokens + [tok],
-                        logprob=hyp.logprob + float(logprobs[tok]),
-                        finished=tok == EOS_ID,
-                    ))
+            block = np.asarray(rows[c])
+            if (block > 0).any():
+                raise DomainError(f"step log-probs must be <= 0, got max {block.max()}")
+            candidates = [Hypothesis(hyp.tokens + [tok], hyp.logprob + float(logprobs[tok]),
+                                     finished=tok == EOS_ID)
+                          for hyp, logprobs, top in zip(hyps, block, top_tokens(block, beam))
+                          for tok in top.tolist()]
             candidates.sort(key=rank_key)
             pool, kept = pools[c], []
             for cand in candidates:

@@ -338,7 +338,8 @@ def _affine(x: Tensor, weight: Tensor, bias: Tensor):
         raise DimensionError(f"linear input width {x.shape[-1]} != weight rows {k}")
     if bias.shape != (n,):
         raise DimensionError(f"linear bias shape {bias.shape} != ({n},)")
-    out = x.data @ weight.data + bias.data
+    # one 2-d product: numpy runs a stack of (1, k) rows as one product per row
+    out = (x.data.reshape(-1, k) @ weight.data).reshape(*x.shape[:-1], n) + bias.data
 
     def vjp(g):
         gx = g @ weight.data.T

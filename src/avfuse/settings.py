@@ -15,6 +15,7 @@ from .errors import ConfigError
 # A float setting also takes an int, a bool is no number, a float is finite,
 # and a str holds no NUL, which no path can.
 _KINDS = {
+    bool: lambda v: isinstance(v, bool),
     int: lambda v: isinstance(v, Integral) and not isinstance(v, bool),
     float: lambda v: isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v),
     str: lambda v: isinstance(v, str) and "\0" not in v,
@@ -39,8 +40,8 @@ def _within(value, within) -> bool:
 
 def problem(f: Field, value, name: str) -> str | None:
     """Why ``value`` cannot be field ``f``'s, naming the setting ``name``, or
-    None if it can.  A field not declared by :func:`setting` takes any value."""
-    if "kind" not in f.metadata or (value is None and f.metadata["optional"]):
+    None if it can."""
+    if value is None and f.metadata["optional"]:
         return None
     kind, within = f.metadata["kind"], f.metadata["within"]
     if not _KINDS[kind](value):

@@ -1,25 +1,26 @@
 """Loss, schedule, Adam, and the training loop.
 
-The regime: Adam with a linear warmup to a
-flat peak learning rate, label-smoothed cross entropy over non-pad positions,
-optional SpecAugment on waveform-backed examples, seeded shuffling, and
-per-epoch validation with best-checkpoint tracking.  Every source of
-randomness lives in a named substream of one seed, so runs are bit-identical
-and a checkpoint resumes mid-run without divergence.
+The regime: Adam with a linear warmup to a flat peak learning rate,
+label-smoothed cross entropy over non-pad positions, SpecAugment's one policy
+on waveform-backed examples if ``train.augment`` is on (:func:`check_augment`
+rejects it where it cannot act), seeded shuffling, and per-epoch validation
+with best-checkpoint tracking.  Every source of randomness lives in a named
+substream of one seed, so runs are bit-identical and a checkpoint resumes
+mid-run without divergence.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import frontend, model, numerics as N
 from .data import PAD_ID, PreparedExample, Vocabulary
-from .errors import ConfigError, DomainError, TrainingError, ValidationError
+from .errors import ConfigError, DomainError, TrainingError
 from .numerics import GradTape, Tensor
 from .settings import check, setting
 
@@ -37,7 +38,7 @@ class TrainConfig:
     clip_norm: float | None = setting(1.0, "> 0", optional=True)
     seed: int = setting(0, ">= 0")
     checkpoint_interval: int = setting(1, ">= 1")  # in epochs
-    augment: frontend.SpecAugmentPolicy | None = None  # checked by from_json
+    augment: bool | None = setting(None, kind=bool, optional=True)  # None and False: off
 
     def validate(self) -> None:
         check(self)
@@ -49,22 +50,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TrainConfig":
-        """A ``train`` config object.  Its ``augment`` is absent or false for
-        no augmentation, true for the default policy, or an object of
-        :class:`frontend.SpecAugmentPolicy` fields with values >= 0."""
-        payload = dict(payload)
-        augment = payload.pop("augment", None)
-        policy_keys = {f.name for f in fields(frontend.SpecAugmentPolicy)}
-        if augment is True:
-            augment = frontend.SpecAugmentPolicy()
-        elif (isinstance(augment, dict) and set(augment) <= policy_keys
-              and all(type(v) is int and v >= 0 for v in augment.values())):
-            augment = frontend.SpecAugmentPolicy(**augment)
-        elif augment is not None and augment is not False:
-            raise ValidationError(
-                f"train.augment must be true, false or an object of integers >= 0 "
-                f"with keys from {sorted(policy_keys)}; got {json.dumps(augment)}")
-        return cls(**payload, augment=augment or None)
+        return cls(**payload)
 
 
 def label_smoothing_ce(logits: Tensor, targets: np.ndarray, eps: float) -> Tensor:
@@ -156,13 +142,12 @@ def adam_step(named_params: list[tuple[str, Tensor]], grads: dict[str, np.ndarra
 
 
 def collate(examples: list[PreparedExample], config: model.ModelConfig,
-            augment: frontend.SpecAugmentPolicy | None = None,
             augment_rng: np.random.Generator | None = None) -> tuple[model.Batch, np.ndarray]:
     """Stack examples into padded arrays; returns (batch, targets).
 
     Teacher forcing: the model reads token_ids[:-1] and predicts token_ids[1:].
-    Waveform-backed examples are re-augmented here (mel-stage masking) before
-    patchification; feature-file examples pass through untouched.
+    Given ``augment_rng``, waveform-backed examples are re-augmented here
+    (mel-stage masking) before patchification; feature-file examples are not.
     """
     uses_audio = model.mode_uses_audio(config.fusion_mode)
     uses_visual = model.mode_uses_visual(config.fusion_mode)
@@ -172,14 +157,9 @@ def collate(examples: list[PreparedExample], config: model.ModelConfig,
     targets = tokens[:, 1:]
 
     if uses_audio:
-        mats = []
-        for ex in examples:
-            if ex.mel is not None and augment is not None and augment_rng is not None:
-                mats.append(frontend.patchify(frontend.spec_augment(ex.mel, augment, augment_rng)))
-            else:
-                if ex.audio_patches is None:
-                    raise ConfigError(f"example {ex.id!r} has no audio input")
-                mats.append(ex.audio_patches)
+        mats = [frontend.patchify(frontend.spec_augment(ex.mel, augment_rng))
+                if ex.mel is not None and augment_rng is not None else ex.audio_patches
+                for ex in examples]
         batch.audio, batch.audio_mask = model.pad_stack(mats, config.audio_in_dim)
     if uses_visual:
         for ex in examples:
@@ -239,6 +219,25 @@ class TrainState:
         return out
 
 
+def check_augment(cfg: TrainConfig, config: model.ModelConfig,
+                  train_examples: list[PreparedExample], source: str = "the training set") -> None:
+    """Reject ``cfg.augment`` where SpecAugment cannot act, naming ``train.augment``:
+    in a fusion mode that reads no audio, on training clips (``source``) none of
+    which is waveform-backed, and on waveform clips shorter than its mask widths."""
+    if not cfg.augment:
+        return
+    if not model.mode_uses_audio(config.fusion_mode):
+        raise ConfigError(f"train.augment: fusion mode {config.fusion_mode!r} reads no audio")
+    waveforms = [ex for ex in train_examples if ex.mel is not None]
+    if not waveforms:
+        raise ConfigError(f"train.augment: {source} holds no waveform-backed clip to mask")
+    widths = (frontend.SPEC_AUGMENT.max_time_width, frontend.SPEC_AUGMENT.max_freq_width)
+    short = [repr(ex.id) for ex in waveforms if np.any(np.less(ex.mel.shape, widths))]
+    if short:
+        raise ConfigError(f"train.augment: mask widths {widths} exceed the spectrogram "
+                          f"extents of clips {', '.join(short)} in {source}")
+
+
 def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, key))))
 
@@ -280,8 +279,8 @@ def fit(
 ) -> tuple[TrainState, list[dict]]:
     """Run the epoch loop; returns the final state and the metrics history.
 
-    A waveform-backed example too short for ``cfg.augment``'s mask widths is
-    a :class:`ConfigError` before anything is logged.
+    ``cfg.augment`` where it cannot act (:func:`check_augment`) is a
+    :class:`ConfigError` before anything is written.
 
     With ``state`` from a checkpoint, training continues exactly where it
     stopped (same shuffles, same dropout draws, same Adam moments).
@@ -292,13 +291,7 @@ def fit(
     config.validate()
     if not train_examples:
         raise DomainError("training set is empty")
-    if cfg.augment is not None and model.mode_uses_audio(config.fusion_mode):
-        widths = (cfg.augment.max_time_width, cfg.augment.max_freq_width)
-        short = [ex.id for ex in train_examples
-                 if ex.mel is not None and np.any(np.less(ex.mel.shape, widths))]
-        if short:
-            raise ConfigError(f"train.augment mask widths {widths} exceed the spectrogram "
-                              f"extents of clips {', '.join(short)}")
+    check_augment(cfg, config, train_examples)
 
     named = model.named_parameters(params)
 
@@ -341,7 +334,7 @@ def fit(
             perm = streams["shuffle"].permutation(len(train_examples))
             for lo in range(0, len(train_examples), cfg.batch_size):
                 chunk = [train_examples[i] for i in perm[lo : lo + cfg.batch_size]]
-                batch, targets = collate(chunk, config, cfg.augment, streams["augment"])
+                batch, targets = collate(chunk, config, streams["augment"] if cfg.augment else None)
                 lr = lr_at(state.step, steps_per_epoch, cfg)
                 rng = streams["dropout"] if config.dropout > 0 else None
                 try:

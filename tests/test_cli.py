@@ -19,7 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from avfuse import cli, data, frontend, inference, model, numerics
+from avfuse import cli, data, frontend, inference, model, numerics, training
 from avfuse.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _DirLock, main
 from avfuse.errors import ValidationError
 from wav_files import write_wav
@@ -46,6 +46,14 @@ def exits_cleanly(argv) -> tuple[int, str]:
     return code, stderr.getvalue()
 
 
+@pytest.mark.parametrize("cls", [cli.RunSettings, model.ModelConfig, training.TrainConfig,
+                                 data.SyntheticTaskSpec], ids=lambda cls: cls.__name__)
+def test_every_config_field_is_declared_as_a_setting(cls):
+    """Every field carries a kind and range from ``settings.setting``, so
+    ``load_run_config`` and ``validate`` hold each value to its declaration."""
+    assert [f.name for f in dataclasses.fields(cls) if "kind" not in f.metadata] == []
+
+
 def untrained_checkpoint(path, manifest_path) -> model.ModelConfig:
     """An initialized audio_only model for the captions of ``manifest_path``."""
     vocab = data.build_vocabulary_from_manifest(data.load_manifest(manifest_path))
@@ -65,9 +73,10 @@ def rewrite_header(path, change) -> None:
     path.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + hlen:])
 
 
-def tone_manifest(directory):
-    """A one-record manifest over a 0.25 s WAV tone, ``tone.wav`` in ``directory``."""
-    t = np.arange(8000) / 32000.0
+def tone_manifest(directory, seconds=0.25):
+    """A one-record manifest over a WAV tone, ``tone.wav`` in ``directory``:
+    25 frames by default, fewer than SpecAugment's 64-frame time mask."""
+    t = np.arange(int(32000 * seconds)) / 32000.0
     wav = (0.3 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32)
     write_wav(directory / "tone.wav", wav, 32000)
     path = directory / "m.jsonl"
@@ -309,8 +318,7 @@ class TestTrain:
         "--no-clip": (True, ("train", "clip_norm")),
     }
     # what the flags that take no value (True above) land as
-    BARE_FLAG_VALUES = {"--augment": dataclasses.asdict(frontend.SpecAugmentPolicy()),
-                        "--no-clip": None}
+    BARE_FLAG_VALUES = {"--no-clip": None}
 
     def test_flag_cases_cover_every_train_flag(self):
         assert sorted(self.FLAG_CASES) == sorted(row[0] for row in cli._TRAIN_FLAGS)
@@ -321,8 +329,12 @@ class TestTrain:
         if flag in ("--train-manifest", "--val-manifest", "--out"):
             value = str(tmp_path / value)
         out = tmp_path / ("elsewhere" if flag == "--out" else "out")
-        argv = train_args(dataset, tmp_path / "out",
-                          **{"--epochs": 1, "--warmup-epochs": 0, flag: value})
+        flags = {"--epochs": 1, "--warmup-epochs": 0, flag: value}
+        if flag == "--augment":  # SpecAugment masks WAV clips, of at least 64 frames
+            tone = tone_manifest(tmp_path, seconds=1.0)
+            flags.update({"--train-manifest": tone, "--val-manifest": tone,
+                          "--fusion-mode": "audio_only"})
+        argv = train_args(dataset, tmp_path / "out", **flags)
         assert run(argv) == EXIT_OK
         resolved = json.loads((out / "resolved_config.json").read_text())
         for key in where:
@@ -358,14 +370,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "bogus_key" in err and "not_a_field" in err
 
-    def test_flags_override_config_file(self, dataset, tmp_path, capsys):
-        cfg = write_run_config(tmp_path, dataset / "train.jsonl", model={"beta": 0.5},
+    def test_flags_override_config_file(self, tmp_path, capsys):
+        cfg = write_run_config(tmp_path, tone_manifest(tmp_path, seconds=1.0),
+                               model={"beta": 0.5},
                                train={"lr_peak": 1e-3, "augment": False, "clip_norm": 0.5})
         assert run(["train", "--config", cfg, "--beta", "0.13", "--augment",
                     "--no-clip"]) == EXIT_OK
         resolved = json.loads((tmp_path / "r" / "resolved_config.json").read_text())
         assert resolved["model"]["beta"] == 0.13  # flag wins over file
-        assert resolved["train"]["augment"] == self.BARE_FLAG_VALUES["--augment"]
+        assert resolved["train"]["augment"] is True
         assert resolved["train"]["clip_norm"] is None
 
     def test_seed_flag_overrides_file_train_seed(self, dataset, tmp_path):
@@ -412,29 +425,47 @@ class TestTrain:
         assert run(["train", "--config", cfg]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {cfg}: a run config must be an object, got [1]\n"
 
-    @pytest.mark.parametrize("augment, code, policy", [
-        (False, EXIT_OK, None),
-        ({"n_time_masks": 1, "max_time_width": 4}, EXIT_OK,
-         {"n_time_masks": 1, "max_time_width": 4, "n_freq_masks": 2, "max_freq_width": 8}),
+    @pytest.mark.parametrize("augment, code, resolved", [
         (5, EXIT_VALIDATION, None),
-        ({"bogus": 1}, EXIT_VALIDATION, None),
-        ({"max_time_width": -1}, EXIT_VALIDATION, None),
+        (True, EXIT_OK, True),
+        (False, EXIT_OK, False),
+        ({}, EXIT_VALIDATION, None),
+        (dataclasses.asdict(frontend.SPEC_AUGMENT), EXIT_VALIDATION, None),
+        ("true", EXIT_VALIDATION, None),
+        (None, EXIT_OK, None),
     ])
-    def test_augment_config_value(self, tmp_path, capsys, augment, code, policy):
-        """``train.augment`` on waveform-backed examples: false or a policy
-        object trains, anything else is a validation error naming the key."""
-        cfg = write_run_config(tmp_path, tone_manifest(tmp_path),
+    def test_augment_config_value(self, tmp_path, capsys, augment, code, resolved):
+        """``train.augment`` on a 1 s WAV clip: true, false or null trains and
+        is echoed as given; anything else, the policy's object form included,
+        is the standard validation error naming the key."""
+        cfg = write_run_config(tmp_path, tone_manifest(tmp_path, seconds=1.0),
                                train={"batch_size": 1, "augment": augment})
         assert run(["train", "--config", cfg]) == code
         if code == EXIT_OK:
-            resolved = json.loads((tmp_path / "r" / "resolved_config.json").read_text())
-            assert resolved["train"]["augment"] == policy
+            echo = json.loads((tmp_path / "r" / "resolved_config.json").read_text())
+            assert echo["train"]["augment"] is resolved
         else:
-            assert "error: train.augment must be" in capsys.readouterr().err
+            assert capsys.readouterr().err == (f"error: {cfg}: train.augment must be bool, "
+                                               f"got {json.dumps(augment)}\n")
+            assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("mode", ["adaava_audio", "video_only"])
+    def test_augment_where_it_cannot_act_is_rejected(self, dataset, tmp_path, capsys, mode):
+        """``--augment`` on the synthetic task's feature files, which hold no
+        waveform to mask, or in a fusion mode that reads no audio exits 1
+        naming ``train.augment`` (and the manifest that holds no waveform)
+        before anything is written."""
+        out = tmp_path / "r"
+        rc = run(train_args(dataset, out, **{"--fusion-mode": mode, "--augment": True}))
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.augment: ") and err.count("\n") == 1
+        assert (str(dataset / "train.jsonl") in err) == (mode != "video_only")
+        assert not out.exists()
 
     def test_augment_rejects_clip_shorter_than_mask(self, tmp_path, capsys):
-        """A 0.5 s clip has 50 frames, fewer than the default 64-frame time
-        mask: the run stops before its first step and names the clip."""
+        """A 0.5 s clip has 50 frames, fewer than SpecAugment's 64-frame time
+        mask: the run stops before anything is written and names the clip."""
         lines = []
         for name, seconds in (("long", 1.0), ("short", 0.5)):
             t = np.arange(int(32000 * seconds)) / 32000.0
@@ -448,9 +479,9 @@ class TestTrain:
                   "--batch-size", 1, "--augment"])
         assert rc == EXIT_VALIDATION
         error = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
-        assert len(error) == 1 and "short" in error[0] and "long" not in error[0]
-        log = tmp_path / "r" / "metrics.jsonl"
-        assert not log.exists() or log.read_text() == ""
+        assert len(error) == 1 and "'short'" in error[0] and "'long'" not in error[0]
+        assert "train.augment" in error[0] and str(tmp_path / "m.jsonl") in error[0]
+        assert not (tmp_path / "r").exists()  # no lock, echo or log in --out
 
     def test_lockfile_blocks_second_owner(self, dataset, tmp_path, capsys):
         out = tmp_path / "locked"

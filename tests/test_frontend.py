@@ -138,53 +138,55 @@ class TestPatchify:
 
 
 class TestSpecAugment:
-    def _spec(self, rng, t=20, f=8):
+    """Against the one policy, ``SPEC_AUGMENT``."""
+
+    P = F.SPEC_AUGMENT
+
+    def _spec(self, rng, t=100, f=16):
         return rng.normal(size=(t, f))
 
-    def test_zero_width_policy_is_identity(self, rng):
-        spec = self._spec(rng)
-        policy = F.SpecAugmentPolicy(2, 0, 2, 0)
-        out = F.spec_augment(spec, policy, np.random.default_rng(0))
-        assert np.array_equal(out, spec)
-
     def test_forced_full_width_time_band(self, rng):
-        spec = self._spec(rng, t=6, f=4)
-        policy = F.SpecAugmentPolicy(n_time_masks=1, max_time_width=6, n_freq_masks=0, max_freq_width=0)
-        out = F.spec_augment(spec, policy, FixedDraws([6, 0]))
+        spec = self._spec(rng, t=self.P.max_time_width, f=self.P.max_freq_width)
+        # the first time mask spans every frame; every other mask is 0 wide
+        draws = [self.P.max_time_width, 0] + [0, 0] * (self.P.n_time_masks - 1
+                                                       + self.P.n_freq_masks)
+        out = F.spec_augment(spec, FixedDraws(draws))
         assert np.all(out == spec.mean())
 
     def test_masked_cells_match_counting_oracle(self, rng):
-        spec = self._spec(rng, t=30, f=10)
-        policy = F.SpecAugmentPolicy(2, 8, 2, 3)
-        out = F.spec_augment(spec, policy, np.random.default_rng(77))
+        t, f = 100, 16
+        spec = self._spec(rng, t, f)
+        out = F.spec_augment(spec, np.random.default_rng(77))
 
         # replay the documented draw order to reconstruct the union mask
         replay = np.random.default_rng(77)
-        mask = np.zeros((30, 10), dtype=bool)
-        for _ in range(2):
-            w = int(replay.integers(0, 9))
-            s = int(replay.integers(0, 30 - w + 1))
+        mask = np.zeros((t, f), dtype=bool)
+        for _ in range(self.P.n_time_masks):
+            w = int(replay.integers(0, self.P.max_time_width + 1))
+            s = int(replay.integers(0, t - w + 1))
             mask[s : s + w, :] = True
-        for _ in range(2):
-            w = int(replay.integers(0, 4))
-            s = int(replay.integers(0, 10 - w + 1))
+        for _ in range(self.P.n_freq_masks):
+            w = int(replay.integers(0, self.P.max_freq_width + 1))
+            s = int(replay.integers(0, f - w + 1))
             mask[:, s : s + w] = True
 
         fill = spec.mean()
+        assert mask.any() and not mask.all()
         assert np.all(out[mask] == fill)
         assert np.array_equal(out[~mask], spec[~mask])
         assert out.shape == spec.shape
 
     def test_width_exceeding_extent_rejected(self, rng):
-        spec = self._spec(rng, t=5, f=4)
-        with pytest.raises(ConfigError):
-            F.spec_augment(spec, F.SpecAugmentPolicy(1, 6, 0, 0), np.random.default_rng(0))
+        fits = (self.P.max_time_width, self.P.max_freq_width)
+        F.spec_augment(self._spec(rng, *fits), np.random.default_rng(0))
+        for short in ((fits[0] - 1, fits[1]), (fits[0], fits[1] - 1)):
+            with pytest.raises(ConfigError):
+                F.spec_augment(self._spec(rng, *short), np.random.default_rng(0))
 
     def test_deterministic_given_seed(self, rng):
         spec = self._spec(rng)
-        policy = F.SpecAugmentPolicy(2, 8, 2, 3)
-        a = F.spec_augment(spec, policy, np.random.default_rng(5))
-        b = F.spec_augment(spec, policy, np.random.default_rng(5))
+        a = F.spec_augment(spec, np.random.default_rng(5))
+        b = F.spec_augment(spec, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
 

@@ -16,6 +16,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfuse import inference as I
 from avfuse import model as M
@@ -170,6 +172,23 @@ class TestBeam:
     def test_beam_width_validation(self):
         with pytest.raises(ConfigError):
             I.beam_search(toy_model(0), 0, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_top_tokens_break_ties_to_lowest_id(data):
+    """One argsort over a block of rows gives each row's stable argsort, a
+    sort by (-log-prob, id).  Rows of at least 5 ids over 4 values each hold
+    a tie."""
+    vocab = data.draw(st.integers(5, 9))
+    k = data.draw(st.integers(1, vocab))
+    row = st.lists(st.sampled_from([0.0, -0.5, -1.0, -1e9]), min_size=vocab, max_size=vocab)
+    block = np.array(data.draw(st.lists(row, min_size=1, max_size=6)))
+    top = I.top_tokens(block, k)
+    assert top.shape == (len(block), k)
+    for values, got in zip(block, top.tolist()):
+        assert got == np.argsort(-values, kind="stable")[:k].tolist()
+        assert got == sorted(range(vocab), key=lambda t: (-values[t], t))[:k]
 
 
 class TestBeamStop:
@@ -514,6 +533,32 @@ class TestClipsSearch:
         # a clip leaves the decoder state once its search has stopped
         live = [state.blocks[0].self_kv[0].shape[0] for state in calls[1:]]
         assert live == [sum(n > t for n in own) for t in range(1, max(own))]
+
+    @pytest.mark.parametrize("mode", M.FUSION_MODES)
+    def test_beam_rows_and_tokens_match_full_prefix_decode(self, mode):
+        """Beam 3 over a chunk of clips of unequal audio lengths, so their
+        padding masks are on: every step row is within 1e-12 of its clip's
+        full-prefix decode, and each clip's tokens are those of
+        ``beam_search`` over that decode."""
+        cfg, params, batch, encs = chunk(mode, lengths=CHUNK_LENGTHS[:4])
+        step_clips = I.make_clips_step_fn(params, cfg, batch)
+        checked = []
+
+        def checked_step(live):
+            rows = step_clips(live)
+            for c, prefixes in live.items():
+                for prefix, row in zip(prefixes, rows[c]):
+                    ref = full_prefix_log_probs(params, cfg, encs[c], prefix)[-1]
+                    np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12,
+                                               err_msg=f"{mode}, clip {c}, {prefix}")
+                    checked.append(c)
+            return rows
+
+        got = I.beam_search_clips(checked_step, len(batch), 3, cfg.max_caption_len)
+        assert sorted(set(checked)) == list(range(len(encs))) and len(checked) > 3 * len(encs)
+        for c, enc in enumerate(encs):
+            ref = I.beam_search(full_prefix_step_fn(params, cfg, enc), 3, cfg.max_caption_len)
+            assert [h.tokens for h in got[c]] == [h.tokens for h in ref], f"{mode}, clip {c}"
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_single_clip_chunk(self, masked):

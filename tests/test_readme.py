@@ -1,13 +1,16 @@
 """The README quickstart runs as written: each of its ``avfuse`` commands
-exits 0 through ``cli.main``, so a renamed flag cannot leave it stale; and
-every flag the README names anywhere is a flag of some subcommand."""
+exits 0 through ``cli.main``, so a renamed flag cannot leave it stale;
+every flag the README names anywhere is a flag of some subcommand; and every
+``model.*`` and ``train.*`` key it names is a setting of that run-config
+section."""
 
 import argparse
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
-from avfuse.cli import EXIT_OK, build_parser, main
+from avfuse.cli import _SECTIONS, EXIT_OK, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SHORT_TRAIN = ["--epochs", "1", "--warmup-epochs", "1"]  # later flags win
@@ -39,3 +42,13 @@ def test_every_flag_the_readme_names_exists():
              for flag in action.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
     assert named - flags == {"--no-build-isolation"}  # pip's, in *Install and test*
+
+
+def test_every_setting_the_readme_names_exists():
+    named = set(re.findall(r"`(model|train)\.([a-z][a-z0-9_]*)`", README.read_text()))
+    assert ("train", "augment") in named
+    settable = {section: {f.name for f in dataclasses.fields(_SECTIONS[section])
+                          if f.default is not dataclasses.MISSING}
+                for section in ("model", "train")}
+    assert sorted(f"{section}.{key}" for section, key in named
+                  if key not in settable[section]) == []

@@ -423,9 +423,8 @@ class TestFit:
     def test_augmented_training_on_waveforms(self, tmp_path, rng):
         import json as _json
 
-        from avfuse import frontend as F
-
-        # two tiny wav-backed examples exercise the mel + SpecAugment path
+        # two 1 s wav-backed examples (100 frames, wider than the 64-frame time
+        # mask) exercise the mel + SpecAugment path
         records = []
         for i, freq in enumerate((440.0, 880.0)):
             t = np.arange(32000) / 32000.0
@@ -446,9 +445,13 @@ class TestFit:
         assert examples[0].mel is not None
         params = M.init_params(cfg, seed=7)
         tcfg = overfit_config(2, batch_size=2)
-        tcfg.augment = F.SpecAugmentPolicy(1, 4, 1, 4)
+        tcfg.augment = True
         _, history = T.fit(params, cfg, vocab, examples, [], tcfg)
         assert all(math.isfinite(h["train_loss"]) for h in history if h["train_loss"] is not None)
+        # the masks act: the same run without them logs other losses
+        tcfg.augment = False
+        _, plain = T.fit(M.init_params(cfg, seed=7), cfg, vocab, examples, [], tcfg)
+        assert [h["train_loss"] for h in plain] != [h["train_loss"] for h in history]
 
 
 class TestTrainConfigValidation:
@@ -457,9 +460,7 @@ class TestTrainConfigValidation:
             T.TrainConfig(epochs=3, warmup_epochs=5).validate()
 
     def test_round_trip_json(self):
-        from avfuse import frontend as F
-
-        cfg = T.TrainConfig(epochs=7, augment=F.SpecAugmentPolicy(1, 2, 3, 4))
+        cfg = T.TrainConfig(epochs=7, augment=True)
         back = T.TrainConfig.from_json(cfg.to_json())
         assert back == cfg
 
