@@ -4,8 +4,11 @@ A train run is configured by an optional JSON config file, whose top
 level and ``model`` and ``train`` sections each spell a setting once and
 hold it within its declared type and range, and by flags, each of which
 overrides one setting (file < flags).  The configuration each command ran
-with is echoed next to every artifact it writes.  Exit codes: 0 success,
-1 validation error, 2 runtime or numerical error.
+with is echoed next to every artifact it writes.  Each command checks its
+output paths before it does any work, and writes every file whole or not at
+all (a temp file, fsynced and renamed over it), except AVF1 feature files and
+the append-only metrics.jsonl.  Exit codes: 0 success, 1 validation error,
+2 runtime or numerical error.
 """
 
 from __future__ import annotations
@@ -93,17 +96,31 @@ def _echo_config(resolved: dict, out_dir: Path) -> None:
     text = json.dumps(resolved, indent=2, sort_keys=True)
     print(text)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(text + "\n", encoding="utf-8")
+    data.write_whole(out_dir / "resolved_config.json", [(text + "\n").encode("utf-8")])
 
 
-def _check_out_dir(name: str, path: Path, directory: Path | None = None) -> None:
-    """Reject an output directory that is a file or lies under one, naming
-    ``name`` and the path, before a command does any work.  ``directory`` is
-    the one to check when ``path`` is an output file in it."""
-    directory = path if directory is None else directory
-    existing = next(p for p in (directory, *directory.parents) if p.exists())
-    if not existing.is_dir():
-        raise ValidationError(f"{name} {path}: {existing} is not a directory")
+def _check_outputs(outputs, inputs=()) -> None:
+    """Reject the first of ``outputs``, (flag, path, is_file) triples, that the
+    command cannot write, naming its flag and path, before it does any work:
+    a directory that is a file or lies under one, and a file that is a
+    directory or whose directory is missing, is a file or lies under one.  An
+    output that resolves to the same path as an earlier output or one of
+    ``inputs``, (flag, path) pairs, is rejected naming both flags."""
+    claimed = [(flag, path, Path(path).resolve()) for flag, path in inputs]
+    for flag, path, is_file in outputs:
+        path = Path(path)
+        if is_file and path.is_dir():
+            raise ValidationError(f"{flag} {path}: is a directory")
+        directory = path.parent if is_file else path
+        existing = next(p for p in (directory, *directory.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValidationError(f"{flag} {path}: {existing} is not a directory")
+        if is_file and existing != directory:
+            raise ValidationError(f"{flag} {path}: directory {directory} does not exist")
+        for other_flag, other, resolved in claimed:
+            if path.resolve() == resolved:
+                raise ValidationError(f"{flag} {path}: the same file as {other_flag} {other}")
+        claimed.append((flag, path, path.resolve()))
 
 
 class _DirLock:
@@ -158,7 +175,7 @@ _SYNTH_FIELDS = {
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
-    _check_out_dir("--out", out_dir)
+    _check_outputs([("--out", out_dir, False)])
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise ValidationError(
             f"output directory {out_dir} is not empty; pass --force to overwrite"
@@ -206,13 +223,25 @@ _TRAIN_FLAGS = (
 )
 
 
+def _out_flag(args) -> str:
+    """What gave the train run's output directory: ``--out`` or the config's ``out_dir``."""
+    return "--out" if "out_dir" in vars(args) else "out_dir"
+
+
+def _check_unused_run_dir(flag: str, out_dir: Path) -> None:
+    """One log holds one run: reject an output directory that holds a ``metrics.jsonl``."""
+    if (out_dir / "metrics.jsonl").exists():
+        raise ValidationError(f"{flag} {out_dir}: {out_dir / 'metrics.jsonl'} exists: "
+                              "the directory holds an earlier run")
+
+
 def build_run(args):
     """Construct (top-level settings, model_config, train_config, vocab,
     train/val examples) from the ``--config`` file's settings with each
     given :data:`_TRAIN_FLAGS` flag over them; a setting that neither
-    gives takes its default.  An output directory that already holds a
-    ``metrics.jsonl`` is rejected before any clip is loaded: one log holds
-    one run."""
+    gives takes its default.  The output directory is checked, and one
+    that already holds a ``metrics.jsonl`` is rejected, before any clip is
+    loaded."""
     sections = load_run_config(args.config)
     given = vars(args)  # a flag that was not given is absent (argparse.SUPPRESS)
     for _, section, key, _ in _TRAIN_FLAGS:
@@ -221,11 +250,9 @@ def build_run(args):
     top = RunSettings(**sections[None])
     if not top.train_manifest:
         raise ValidationError("train_manifest is required")
-    out_flag, out_dir = "--out" if "out_dir" in given else "out_dir", Path(top.out_dir)
-    _check_out_dir(out_flag, out_dir)
-    if (out_dir / "metrics.jsonl").exists():
-        raise ValidationError(f"{out_flag} {out_dir}: {out_dir / 'metrics.jsonl'} exists: "
-                              "the directory holds an earlier run")
+    out_flag, out_dir = _out_flag(args), Path(top.out_dir)
+    _check_outputs([(out_flag, out_dir, False)])
+    _check_unused_run_dir(out_flag, out_dir)
 
     manifest = data.load_manifest(top.train_manifest)
     val_manifest = data.load_manifest(top.val_manifest) if top.val_manifest else None
@@ -263,12 +290,14 @@ def cmd_train(args) -> int:
     them, and echo the run as it was built to ``<out_dir>/resolved_config.json``:
     the top-level settings, ``min_count`` included, and the model and train
     configs, each value once.  A bad setting exits 1, and parameters too
-    large for memory exit 2, before anything is written."""
+    large for memory exit 2, before anything is written.  The used-run-directory
+    check runs again under the lock, against a run that logged in between."""
     top, config, tcfg, vocab, train_examples, val_examples = build_run(args)
     out_dir = Path(top.out_dir)
     echo = {"command": "train", **asdict(top), "model": config.to_json(), "train": tcfg.to_json()}
     params = model.init_params(config, seed=tcfg.seed)
     with _DirLock(out_dir):
+        _check_unused_run_dir(_out_flag(args), out_dir)
         _echo_config(echo, out_dir)
         state, history = training.fit(
             params, config, vocab, train_examples, val_examples, tcfg,
@@ -391,19 +420,14 @@ def cmd_eval(args) -> int:
     ``--greedy``.  ``environment`` names the interpreter, numpy, the CPU
     count and the BLAS thread settings.
 
-    An output path that is a directory, or lies in a missing directory or
-    under a file, exits 1 before the checkpoint is read, and a manifest too
+    An output path that is a directory, lies in a missing directory or
+    under a file, or is the path of the other output, the manifest or the
+    checkpoint, exits 1 before the checkpoint is read, and a manifest too
     small for CIDEr exits 1 before any clip is decoded.
     """
-    for flag, path in (("--candidates-out", args.candidates_out), ("--report", args.report)):
-        if not path:
-            continue
-        path = Path(path)
-        if path.is_dir():
-            raise ValidationError(f"{flag} {path}: is a directory")
-        _check_out_dir(flag, path, path.parent)
-        if not path.parent.is_dir():
-            raise ValidationError(f"{flag} {path}: directory {path.parent} does not exist")
+    outputs = (("--candidates-out", args.candidates_out), ("--report", args.report))
+    _check_outputs([(flag, path, True) for flag, path in outputs if path],
+                   inputs=[("--manifest", args.manifest), ("--checkpoint", args.checkpoint)])
     manifest = data.load_manifest(args.manifest)
     ck = model.load_checkpoint(args.checkpoint, keep_state=False)
     examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)
@@ -414,9 +438,9 @@ def cmd_eval(args) -> int:
                               f"{len(examples)}")
     candidates, clip_s = _decode_manifest(ck, examples, args.beam)
     if args.candidates_out:
-        with open(args.candidates_out, "w", encoding="utf-8") as fh:
-            for cid, caption in candidates.items():
-                fh.write(json.dumps({"id": cid, "caption": caption}, sort_keys=True) + "\n")
+        data.write_whole(args.candidates_out, [
+            (json.dumps({"id": cid, "caption": caption}, sort_keys=True) + "\n").encode("utf-8")
+            for cid, caption in candidates.items()])
     report = metrics.evaluate(candidates, manifest)
     payload = report.to_json()
     payload["settings"] = {
@@ -433,7 +457,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.report:
-        Path(args.report).write_text(text + "\n", encoding="utf-8")
+        data.write_whole(args.report, [(text + "\n").encode("utf-8")])
     return EXIT_OK
 
 

@@ -110,6 +110,23 @@ def decode_caption(ids, vocab: Vocabulary) -> list[str]:
     return tokens
 
 
+def write_whole(path, parts) -> None:
+    """Write the bytes-like ``parts`` to ``path`` whole or not at all: into
+    ``<path>.tmp`` beside it, fsynced and renamed over ``path``, unlinked on failure."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # feature files
 # ---------------------------------------------------------------------------
@@ -120,7 +137,9 @@ _HEADER = struct.Struct("<4sIIB")  # magic, T, d, dtype code
 
 
 def write_feature_file(path, matrix) -> None:
-    """Write a T x d float32 matrix in the AVF1 layout (little-endian, row-major)."""
+    """Write a T x d float32 matrix in the AVF1 layout (little-endian, row-major),
+    not by :func:`write_whole`: :func:`read_feature_file` rejects a torn file by
+    its declared size, and a synth writes hundreds, which fsync would slow several-fold."""
     arr = np.ascontiguousarray(matrix, dtype="<f4")
     if arr.ndim != 2:
         raise DataFormatError(f"feature matrix must be 2-d, got shape {arr.shape}")
@@ -265,9 +284,8 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def write_manifest(records: list[ManifestRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+    write_whole(path, [(json.dumps(rec.to_json(), sort_keys=True) + "\n").encode("utf-8")
+                       for rec in records])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import numerics as N
-from .data import Vocabulary
+from .data import Vocabulary, write_whole
 from .errors import ConfigError, DataFormatError, DimensionError, DomainError
 from .numerics import AttentionParams, Tensor
 from .settings import check, setting
@@ -700,8 +700,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocab
 
     The payload holds the parameters in ``parameter_slots`` order, then the
     state tensors by name, each written from its own little-endian float64
-    buffer where :func:`_layout` puts it.  The bytes go to ``<path>.tmp`` in
-    the same directory, which is fsynced and then renamed over ``path``, so a
+    buffer where :func:`_layout` puts it, all by :func:`data.write_whole`, so a
     failed save leaves the previous file whole and no temp file behind.
     """
     state_tensors = state_tensors or {}
@@ -715,20 +714,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, vocab: Vocab
               "vocab": vocab.to_json(), "state": state,
               "tensors": index[:n], "state_tensors": index[n:]}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CKPT_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header_bytes)))
-            fh.write(header_bytes)
-            for arr in payload:
-                fh.write(arr)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    head = _CKPT_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header_bytes))
+    write_whole(path, [head, header_bytes, *payload])
 
 
 def _check_entries(path, key: str, entries) -> None:

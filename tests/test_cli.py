@@ -1,3 +1,4 @@
+import ast
 import collections
 import contextlib
 import dataclasses
@@ -276,6 +277,26 @@ class TestTrain:
         assert run(["train", "--config", cfg]) == EXIT_VALIDATION
         assert capsys.readouterr().err == (f"error: out_dir {out}: {out / 'metrics.jsonl'} "
                                            "exists: the directory holds an earlier run\n")
+
+    def test_run_that_logs_first_into_the_same_directory_keeps_its_log(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        """The used-run-directory check runs again under the lock, so a run
+        that started alongside and wrote its log after the first check is
+        not appended to."""
+        out = tmp_path / "run"
+        init_params = model.init_params
+
+        def other_run_logs_first(config, seed=0):
+            out.mkdir()
+            (out / "metrics.jsonl").write_text("other run\n")
+            return init_params(config, seed=seed)
+
+        monkeypatch.setattr(model, "init_params", other_run_logs_first)
+        assert run(train_args(dataset, out, **{"--epochs": 1})) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: --out {out}: {out / 'metrics.jsonl'} exists: "
+                                           "the directory holds an earlier run\n")
+        assert sorted(p.name for p in out.iterdir()) == [".lock", "metrics.jsonl"]
+        assert (out / "metrics.jsonl").read_text() == "other run\n"
 
     def test_smoke_val_loss_improves(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
@@ -1188,6 +1209,27 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: {flag} {out}: is a directory\n")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, other", [("--report", "--manifest"),
+                                             ("--candidates-out", "--manifest"),
+                                             ("--report", "--candidates-out"),
+                                             ("--candidates-out", "--checkpoint")])
+    def test_eval_output_at_an_input_or_the_other_output_is_validation_before_checkpoint_read(
+            self, tmp_path, capsys, flag, other):
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        before = manifest_path.read_bytes()
+        (tmp_path / "sub").mkdir()
+        # the checkpoint is missing: reading it first would exit 2
+        paths = {"--manifest": manifest_path, "--checkpoint": tmp_path / "none.avck",
+                 "--candidates-out": tmp_path / "cands.jsonl"}
+        paths[flag] = tmp_path / "sub" / ".." / paths[other].name  # the same file, spelled apart
+        argv = ["eval"] + [arg for pair in paths.items() for arg in pair]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", f"error: {flag} {paths[flag]}: the same file as {other} {paths[other]}\n")
+        assert manifest_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".avf") == [
+            "ragged.jsonl", "sub"]
+
     @pytest.mark.parametrize("samples", [300, 600])  # too short to frame; frames < one patch
     def test_wav_too_short_is_runtime_naming_it(self, tmp_path, capsys, samples):
         manifest_path = tone_manifest(tmp_path)
@@ -1204,6 +1246,125 @@ class TestExitCodes:
                   "--audio", tmp_path / "none.wav", "--beam", 0])
         assert rc == EXIT_VALIDATION
         assert "--beam" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# whole-or-nothing writes
+# ---------------------------------------------------------------------------
+
+
+class TornFile(io.FileIO):
+    """A file whose every write stores the first half of its bytes and raises."""
+
+    def write(self, b):
+        view = memoryview(b).cast("B")
+        super().write(view[:len(view) // 2])
+        raise OSError("injected write failure")
+
+
+def write_site(tmp_path, site) -> tuple[list, Path]:
+    """The argv of a command that writes over ``site``'s file, and that file,
+    which holds a previous version."""
+    if site in ("manifest", "resolved_config.json"):
+        task = tmp_path / "task"
+        assert run(synth_args(task)) == EXIT_OK
+        argv = synth_args(task, classes=4, pairs=2) + ["--force"]
+        return argv, task / ("train.jsonl" if site == "manifest" else site)
+    if site == "checkpoint":
+        task, out = tmp_path / "task", tmp_path / "run"
+        assert run(synth_args(task)) == EXIT_OK
+        out.mkdir()
+        (out / "last.avck").write_bytes(b"previous")
+        return train_args(task, out, **{"--epochs": 1}), out / "last.avck"
+    manifest_path = ragged_manifest(tmp_path, clips=2)
+    peaked_checkpoint(tmp_path / "m.avck", manifest_path)
+    for name in ("cands.jsonl", "report.json"):
+        (tmp_path / name).write_text("previous\n")
+    argv = ["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
+            "--candidates-out", tmp_path / "cands.jsonl", "--report", tmp_path / "report.json"]
+    return argv, tmp_path / ("cands.jsonl" if site == "candidates" else "report.json")
+
+
+@pytest.mark.parametrize("fault", ["fsync", "write"])
+@pytest.mark.parametrize("site", ["resolved_config.json", "candidates", "report", "manifest",
+                                  "checkpoint"])
+def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(
+        tmp_path, capsys, monkeypatch, site, fault):
+    argv, target = write_site(tmp_path, site)
+    before = target.read_bytes()
+    tmp = Path(f"{target}.tmp")
+    if fault == "fsync":
+        fsync = os.fsync
+
+        def failing_fsync(fd):
+            if tmp.exists() and os.path.samestat(os.fstat(fd), tmp.stat()):
+                raise OSError("injected fsync failure")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+    else:
+        def tearing_open(file, mode="r", *args, **kwargs):
+            if Path(file) == tmp:
+                return TornFile(file, mode)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(data, "open", tearing_open, raising=False)
+    capsys.readouterr()
+    assert run(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: injected {fault} failure\n"
+    assert target.read_bytes() == before
+    assert not tmp.exists()
+
+
+# The writes that are not whole-or-nothing, each by (module, function, mode):
+# an AVF1 feature file, which the reader rejects when torn by its declared size
+# and of which a synth writes hundreds; the metrics log, which training appends
+# to step by step; and the run directory's lock file, which holds its owner's pid.
+PLAIN_WRITES = {("data", "write_feature_file", "wb"), ("training", "fit", "a"),
+                ("cli", "_DirLock.__enter__", "os.open")}
+
+
+def _write_mode(call: ast.Call) -> str | None:
+    """How ``call`` writes a file: its open mode, ``os.open``, ``write_text``
+    or ``write_bytes``; None if it does not.  A mode that is not a literal
+    counts as a write."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return name
+    if name != "open":
+        return None
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        flags = {n.attr for arg in call.args[1:2] for n in ast.walk(arg)
+                 if isinstance(n, ast.Attribute)}
+        return "os.open" if flags & {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND"} else None
+    # open(file, mode) or path.open(mode)
+    modes = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return None
+    if not (isinstance(modes[0], ast.Constant) and isinstance(modes[0].value, str)):
+        return "?"
+    return modes[0].value if set(modes[0].value) & set("wax+") else None
+
+
+def test_every_file_write_is_whole_or_nothing_or_named_as_plain():
+    """Only ``data.write_whole`` and the :data:`PLAIN_WRITES` open a file to
+    write, or call ``write_text`` or ``write_bytes``, in ``src/avfuse``."""
+    found = set()
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and (mode := _write_mode(child)):
+                found.add((module, ".".join(scope), mode))
+            visit(module, child, scope)
+
+    for source in sorted(Path(cli.__file__).parent.glob("*.py")):
+        visit(source.stem, ast.parse(source.read_text(encoding="utf-8")), [])
+    assert found == {("data", "write_whole", "wb")} | PLAIN_WRITES
 
 
 # ---------------------------------------------------------------------------
