@@ -4,10 +4,11 @@ A train run is configured by an optional JSON config file, whose top
 level and ``model`` and ``train`` sections each spell a setting once and
 hold it within its declared type and range, and by flags, each of which
 overrides one setting (file < flags).  The configuration each command ran
-with is echoed next to every artifact it writes.  Each command checks its
-output paths before it does any work, and writes every file whole or not at
-all (a temp file, fsynced and renamed over it), except AVF1 feature files and
-the append-only metrics.jsonl.  Exit codes: 0 success, 1 validation error,
+with is echoed next to every artifact it writes.  Each command checks every
+path it reads or writes before any work (an output directory must be new or
+hold only .lock), and writes every file whole or not at all (a temp file,
+fsynced and renamed), except AVF1 feature files and the append-only
+metrics.jsonl.  Exit codes: 0 success, 1 validation error,
 2 runtime or numerical error.
 """
 
@@ -99,13 +100,14 @@ def _echo_config(resolved: dict, out_dir: Path) -> None:
     data.write_whole(out_dir / "resolved_config.json", [(text + "\n").encode("utf-8")])
 
 
-def _check_outputs(outputs, inputs=()) -> None:
-    """Reject the first of ``outputs``, (flag, path, is_file) triples, that the
-    command cannot write, naming its flag and path, before it does any work:
-    a directory that is a file or lies under one, and a file that is a
-    directory or whose directory is missing, is a file or lies under one.  An
-    output that resolves to the same path as an earlier output or one of
-    ``inputs``, (flag, path) pairs, is rejected naming both flags."""
+def _check_paths(outputs, inputs=()) -> None:
+    """Reject the first path the command cannot use, naming its flag and path.
+    ``outputs``, (flag, path, is_file) triples, come first: a directory that is
+    a file, lies under one or holds anything but ``.lock``, and a file that is
+    a directory or whose directory is missing, is a file or lies under one.  An
+    output that resolves to an earlier output or one of ``inputs``, (flag, path)
+    pairs, is rejected naming both flags.  Then each input must exist and not
+    be a directory."""
     claimed = [(flag, path, Path(path).resolve()) for flag, path in inputs]
     for flag, path, is_file in outputs:
         path = Path(path)
@@ -117,10 +119,18 @@ def _check_outputs(outputs, inputs=()) -> None:
             raise ValidationError(f"{flag} {path}: {existing} is not a directory")
         if is_file and existing != directory:
             raise ValidationError(f"{flag} {path}: directory {directory} does not exist")
+        if not is_file and existing == directory and (
+                entry := min({p.name for p in directory.iterdir()} - {".lock"}, default=None)):
+            raise ValidationError(f"{flag} {path}: the directory is not empty: it holds {entry}")
         for other_flag, other, resolved in claimed:
             if path.resolve() == resolved:
                 raise ValidationError(f"{flag} {path}: the same file as {other_flag} {other}")
         claimed.append((flag, path, path.resolve()))
+    for flag, path in inputs:
+        if not Path(path).exists():
+            raise ValidationError(f"{flag} {path}: does not exist")
+        if Path(path).is_dir():
+            raise ValidationError(f"{flag} {path}: is a directory")
 
 
 class _DirLock:
@@ -175,11 +185,7 @@ _SYNTH_FIELDS = {
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
-    _check_outputs([("--out", out_dir, False)])
-    if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
-        raise ValidationError(
-            f"output directory {out_dir} is not empty; pass --force to overwrite"
-        )
+    _check_paths([("--out", out_dir, False)])
     spec = data.SyntheticTaskSpec(**{f: getattr(args, dest) for dest, f in _SYNTH_FIELDS.items()})
     task = data.generate_synthetic_task(spec, out_dir)
     echo = {"command": "synth", **{dest: getattr(spec, f) for dest, f in _SYNTH_FIELDS.items()}}
@@ -223,25 +229,18 @@ _TRAIN_FLAGS = (
 )
 
 
-def _out_flag(args) -> str:
-    """What gave the train run's output directory: ``--out`` or the config's ``out_dir``."""
-    return "--out" if "out_dir" in vars(args) else "out_dir"
-
-
-def _check_unused_run_dir(flag: str, out_dir: Path) -> None:
-    """One log holds one run: reject an output directory that holds a ``metrics.jsonl``."""
-    if (out_dir / "metrics.jsonl").exists():
-        raise ValidationError(f"{flag} {out_dir}: {out_dir / 'metrics.jsonl'} exists: "
-                              "the directory holds an earlier run")
+def _given_by(args, key: str) -> str:
+    """What gave a top-level train setting: its flag, or the config's key."""
+    return next(flag for flag, _, k, _ in _TRAIN_FLAGS if k == key) if key in vars(args) else key
 
 
 def build_run(args):
     """Construct (top-level settings, model_config, train_config, vocab,
     train/val examples) from the ``--config`` file's settings with each
     given :data:`_TRAIN_FLAGS` flag over them; a setting that neither
-    gives takes its default.  The output directory is checked, and one
-    that already holds a ``metrics.jsonl`` is rejected, before any clip is
-    loaded."""
+    gives takes its default.  The config file, then the output directory
+    and the manifests, are checked before either is read."""
+    _check_paths([], [("--config", args.config)] if args.config is not None else [])
     sections = load_run_config(args.config)
     given = vars(args)  # a flag that was not given is absent (argparse.SUPPRESS)
     for _, section, key, _ in _TRAIN_FLAGS:
@@ -250,9 +249,9 @@ def build_run(args):
     top = RunSettings(**sections[None])
     if not top.train_manifest:
         raise ValidationError("train_manifest is required")
-    out_flag, out_dir = _out_flag(args), Path(top.out_dir)
-    _check_outputs([(out_flag, out_dir, False)])
-    _check_unused_run_dir(out_flag, out_dir)
+    _check_paths([(_given_by(args, "out_dir"), top.out_dir, False)],
+                 [(_given_by(args, key), path) for key in ("train_manifest", "val_manifest")
+                  if (path := getattr(top, key))])
 
     manifest = data.load_manifest(top.train_manifest)
     val_manifest = data.load_manifest(top.val_manifest) if top.val_manifest else None
@@ -290,14 +289,14 @@ def cmd_train(args) -> int:
     them, and echo the run as it was built to ``<out_dir>/resolved_config.json``:
     the top-level settings, ``min_count`` included, and the model and train
     configs, each value once.  A bad setting exits 1, and parameters too
-    large for memory exit 2, before anything is written.  The used-run-directory
-    check runs again under the lock, against a run that logged in between."""
+    large for memory exit 2, before anything is written.  The output directory
+    rule runs again under the lock, against a run that wrote there in between."""
     top, config, tcfg, vocab, train_examples, val_examples = build_run(args)
     out_dir = Path(top.out_dir)
     echo = {"command": "train", **asdict(top), "model": config.to_json(), "train": tcfg.to_json()}
     params = model.init_params(config, seed=tcfg.seed)
     with _DirLock(out_dir):
-        _check_unused_run_dir(_out_flag(args), out_dir)
+        _check_paths([(_given_by(args, "out_dir"), out_dir, False)])
         _echo_config(echo, out_dir)
         state, history = training.fit(
             params, config, vocab, train_examples, val_examples, tcfg,
@@ -420,14 +419,13 @@ def cmd_eval(args) -> int:
     ``--greedy``.  ``environment`` names the interpreter, numpy, the CPU
     count and the BLAS thread settings.
 
-    An output path that is a directory, lies in a missing directory or
-    under a file, or is the path of the other output, the manifest or the
-    checkpoint, exits 1 before the checkpoint is read, and a manifest too
-    small for CIDEr exits 1 before any clip is decoded.
+    A path that :func:`_check_paths` rejects exits 1 before the manifest or
+    the checkpoint is read, and a manifest too small for CIDEr exits 1
+    before any clip is decoded.
     """
     outputs = (("--candidates-out", args.candidates_out), ("--report", args.report))
-    _check_outputs([(flag, path, True) for flag, path in outputs if path],
-                   inputs=[("--manifest", args.manifest), ("--checkpoint", args.checkpoint)])
+    _check_paths([(flag, path, True) for flag, path in outputs if path],
+                 [("--manifest", args.manifest), ("--checkpoint", args.checkpoint)])
     manifest = data.load_manifest(args.manifest)
     ck = model.load_checkpoint(args.checkpoint, keep_state=False)
     examples = data.load_examples(manifest, ck.vocab, ck.config.max_caption_len)
@@ -462,17 +460,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    named = (("--checkpoint", args.checkpoint), ("--audio", args.audio), ("--visual", args.visual))
+    _check_paths([], [(flag, path) for flag, path in named if path])
     ck = model.load_checkpoint(args.checkpoint, keep_state=False)
     config = ck.config
-    audio = None
+    for flag, path, uses in (("--audio", args.audio, model.mode_uses_audio),
+                             ("--visual", args.visual, model.mode_uses_visual)):
+        if uses(config.fusion_mode) and not path:
+            raise ValidationError(f"fusion mode {config.fusion_mode!r} needs {flag} features")
+    audio = visual = None
     if model.mode_uses_audio(config.fusion_mode):
         audio, _ = data.load_audio_input(args.audio)
-    visual = None
     if model.mode_uses_visual(config.fusion_mode):
-        if not args.visual:
-            raise ValidationError(
-                f"fusion mode {config.fusion_mode!r} needs --visual features"
-            )
         visual = data.read_feature_file(args.visual).astype(np.float64)
     _check_inputs([(args.audio, "audio", audio), (args.visual, "visual", visual)], config)
 
@@ -599,7 +598,6 @@ def build_parser() -> _Parser:
     for dest, f in _SYNTH_FIELDS.items():
         default = getattr(spec, f)
         p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a captioner")
@@ -621,8 +619,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("infer", help="caption one clip")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--audio", required=True, help="WAV file or AVF1 feature file")
-    p.add_argument("--visual", help="AVF1 feature file")
+    p.add_argument("--audio", help="WAV file or AVF1 feature file, for a mode that reads audio")
+    p.add_argument("--visual", help="AVF1 feature file, for a mode that reads video")
     p.add_argument("--beam", type=int, default=3)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_infer)

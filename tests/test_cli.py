@@ -30,6 +30,12 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def tree_bytes(directory) -> dict:
+    """Every file under ``directory`` by its relative path, with its bytes."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
 def exits_cleanly(argv) -> tuple[int, str]:
     """Run ``argv`` through ``main`` and return its exit code and stderr,
     having checked that the code is 0, 1 or 2, that no warning was raised,
@@ -218,11 +224,30 @@ class TestSynth:
         assert run(["synth", "--out", tmp_path / "x", "--classes", 17]) == EXIT_VALIDATION
         assert "need 17 object words, have 16" in capsys.readouterr().err
 
-    def test_refuses_non_empty_dir_without_force(self, tmp_path):
+    def test_second_synth_into_a_used_out_is_validation_keeping_the_task(self, tmp_path,
+                                                                          capsys):
+        """No synth writes over another: the second exits 1 naming ``--out`` and
+        an entry it holds, and ``--force``, which left a larger task's feature
+        files behind, is no flag."""
         out = tmp_path / "d"
-        assert run(synth_args(out)) == EXIT_OK
+        assert run(synth_args(out, classes=4, pairs=2)) == EXIT_OK
+        before = tree_bytes(out)
+        capsys.readouterr()
         assert run(synth_args(out)) == EXIT_VALIDATION
-        assert run(synth_args(out) + ["--force"]) == EXIT_OK
+        assert capsys.readouterr().err == (f"error: --out {out}: the directory is not empty: "
+                                           "it holds eval.jsonl\n")
+        assert run(synth_args(out) + ["--force"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: unrecognized arguments: --force\n"
+        assert tree_bytes(out) == before
+
+    def test_out_holding_only_a_lock_file_is_accepted(self, tmp_path):
+        """The one rule for output directories: a train run that ended, or was
+        killed, leaves only its ``.lock`` behind (``TestTrain`` reclaims one)."""
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / ".lock").write_text("999999999")
+        assert run(synth_args(out)) == EXIT_OK
+        assert (out / "train.jsonl").exists()
 
     def test_out_that_is_a_file_is_validation_naming_it(self, tmp_path, capsys):
         out = tmp_path / "file"
@@ -265,8 +290,8 @@ class TestTrain:
         monkeypatch.setattr(data, "load_examples", load_examples)
         rc = run(train_args(dataset, out, **{"--epochs": 1, "--warmup-epochs": 0, "--seed": 2}))
         assert rc == EXIT_VALIDATION
-        assert capsys.readouterr() == ("", f"error: --out {out}: {out / 'metrics.jsonl'} exists: "
-                                           "the directory holds an earlier run\n")
+        assert capsys.readouterr() == ("", f"error: --out {out}: the directory is not empty: "
+                                           "it holds best.avck\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_config_out_dir_of_an_earlier_run_is_named_by_its_key(self, tmp_path, capsys):
@@ -275,12 +300,12 @@ class TestTrain:
         (out / "metrics.jsonl").write_text("")
         cfg = write_run_config(tmp_path, tmp_path / "none.jsonl")
         assert run(["train", "--config", cfg]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == (f"error: out_dir {out}: {out / 'metrics.jsonl'} "
-                                           "exists: the directory holds an earlier run\n")
+        assert capsys.readouterr().err == (f"error: out_dir {out}: the directory is not empty: "
+                                           "it holds metrics.jsonl\n")
 
     def test_run_that_logs_first_into_the_same_directory_keeps_its_log(
             self, dataset, tmp_path, capsys, monkeypatch):
-        """The used-run-directory check runs again under the lock, so a run
+        """The output directory rule runs again under the lock, so a run
         that started alongside and wrote its log after the first check is
         not appended to."""
         out = tmp_path / "run"
@@ -293,10 +318,51 @@ class TestTrain:
 
         monkeypatch.setattr(model, "init_params", other_run_logs_first)
         assert run(train_args(dataset, out, **{"--epochs": 1})) == EXIT_VALIDATION
-        assert capsys.readouterr() == ("", f"error: --out {out}: {out / 'metrics.jsonl'} exists: "
-                                           "the directory holds an earlier run\n")
+        assert capsys.readouterr() == ("", f"error: --out {out}: the directory is not empty: "
+                                           "it holds metrics.jsonl\n")
         assert sorted(p.name for p in out.iterdir()) == [".lock", "metrics.jsonl"]
         assert (out / "metrics.jsonl").read_text() == "other run\n"
+
+    def test_out_of_a_synth_task_is_validation_keeping_the_task(self, dataset, capsys):
+        """A train run into the task's own directory would replace the task's
+        ``resolved_config.json`` with its own."""
+        before = tree_bytes(dataset)
+        capsys.readouterr()
+        assert run(train_args(dataset, dataset, **{"--epochs": 1})) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: --out {dataset}: the directory is not "
+                                           "empty: it holds eval.jsonl\n")
+        assert tree_bytes(dataset) == before
+
+    def test_out_holding_a_lock_file_and_another_is_validation_before_and_under_the_lock(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text("999999999")
+        (out / "notes.txt").write_text("keep")
+
+        def load_examples(*args, **kwargs):
+            raise AssertionError("clips loaded")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "load_examples", load_examples)
+            assert run(train_args(dataset, out, **{"--epochs": 1})) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: --out {out}: the directory is not empty: "
+                                           "it holds notes.txt\n")
+        assert {p.name: p.read_text() for p in out.iterdir()} == {".lock": "999999999",
+                                                                  "notes.txt": "keep"}
+        other = tmp_path / "other"
+        init_params = model.init_params
+
+        def another_file_appears(config, seed=0):
+            other.mkdir()
+            (other / "notes.txt").write_text("keep")
+            return init_params(config, seed=seed)
+
+        monkeypatch.setattr(model, "init_params", another_file_appears)
+        assert run(train_args(dataset, other, **{"--epochs": 1})) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: --out {other}: the directory is not empty: "
+                                           "it holds notes.txt\n")
+        assert sorted(p.name for p in other.iterdir()) == [".lock", "notes.txt"]
 
     def test_smoke_val_loss_improves(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
@@ -786,6 +852,21 @@ class TestEvalInfer:
         assert rc == EXIT_VALIDATION
         assert "adaava_audio" in capsys.readouterr().err
 
+    def test_infer_reads_only_the_sides_its_mode_uses(self, tmp_path, capsys):
+        """``--audio`` is needed only where the fusion mode reads audio, as
+        ``--visual`` is only where it reads video."""
+        manifest_path = ragged_manifest(tmp_path, clips=2)
+        peaked_checkpoint(tmp_path / "v.avck", manifest_path, mode="video_only")
+        peaked_checkpoint(tmp_path / "c.avck", manifest_path)
+        capsys.readouterr()
+        assert run(["infer", "--checkpoint", tmp_path / "v.avck",
+                    "--visual", tmp_path / "v0.avf"]) == EXIT_OK
+        assert capsys.readouterr().out.strip()
+        assert run(["infer", "--checkpoint", tmp_path / "c.avck",
+                    "--visual", tmp_path / "v0.avf"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", "error: fusion mode 'concatenate' needs --audio features\n")
+
     def test_infer_wav_patches_equal_load_examples(self, tmp_path, monkeypatch):
         manifest_path = tone_manifest(tmp_path)
         config = untrained_checkpoint(tmp_path / "ck.avck", manifest_path)
@@ -892,10 +973,50 @@ class TestExitCodes:
     def test_missing_subcommand_is_validation(self):
         assert run([]) == EXIT_VALIDATION
 
-    def test_missing_checkpoint_is_runtime(self, tmp_path):
-        rc = run(["eval", "--checkpoint", tmp_path / "none.avck",
-                  "--manifest", tmp_path / "none.jsonl"])
-        assert rc == EXIT_RUNTIME
+    # (command, the flag or config key whose path is bad)
+    INPUTS = [("train", "--config"), ("train", "--train-manifest"), ("train", "--val-manifest"),
+              ("train", "train_manifest"), ("train", "val_manifest"), ("eval", "--checkpoint"),
+              ("eval", "--manifest"), ("infer", "--checkpoint"), ("infer", "--audio"),
+              ("infer", "--visual")]
+
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    @pytest.mark.parametrize("command, flag", INPUTS, ids=["-".join(c) for c in INPUTS])
+    def test_missing_or_directory_input_is_validation_before_any_read(
+            self, dataset, tmp_path, capsys, monkeypatch, command, flag, bad):
+        """Every path a command reads is checked, naming the flag (or the
+        config key that gave it), before a manifest or checkpoint is read."""
+        def no_read(*args, **kwargs):
+            raise AssertionError("read or trained")
+
+        for module, name in ((model, "load_checkpoint"), (training, "fit"),
+                             (data, "load_manifest")):
+            monkeypatch.setattr(module, name, no_read)
+        path = tmp_path / "bad"
+        if bad == "directory":
+            path.mkdir()
+        out = tmp_path / "r"
+        if command == "train":
+            if flag == "--config":
+                argv = ["train", "--config", path]
+            elif flag.startswith("--"):
+                argv = train_args(dataset, out, **{flag: path})
+            else:  # the config file gives the path
+                cfg = write_run_config(tmp_path, dataset / "train.jsonl")
+                cfg.write_text(json.dumps({**json.loads(cfg.read_text()), flag: str(path)}))
+                argv = ["train", "--config", cfg]
+        else:
+            manifest_path = ragged_manifest(tmp_path, clips=2)
+            (tmp_path / "m.avck").write_bytes(b"not read")
+            paths = ({"--checkpoint": tmp_path / "m.avck", "--manifest": manifest_path}
+                     if command == "eval" else
+                     {"--checkpoint": tmp_path / "m.avck", "--audio": tmp_path / "a0.avf",
+                      "--visual": tmp_path / "v0.avf"})
+            paths[flag] = path
+            argv = [command] + [arg for pair in paths.items() for arg in pair]
+        assert run(argv) == EXIT_VALIDATION
+        problem = "does not exist" if bad == "missing" else "is a directory"
+        assert capsys.readouterr() == ("", f"error: {flag} {path}: {problem}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--beam", 0], ["--beam", -1], ["--greedy", "--beam", 0]])
     def test_eval_beam_below_one_is_validation(self, tmp_path, capsys, flags):
@@ -1022,13 +1143,14 @@ class TestExitCodes:
                                                                       content):
         empty = tmp_path / "empty.jsonl"
         empty.write_text(content)
-        # the checkpoint is missing: reading it first would exit 2
-        rc = run(["eval", "--checkpoint", tmp_path / "none.avck", "--manifest", empty,
+        # the checkpoint is no checkpoint: reading it first would exit 2
+        (tmp_path / "junk.avck").write_bytes(b"junk")
+        rc = run(["eval", "--checkpoint", tmp_path / "junk.avck", "--manifest", empty,
                   "--report", tmp_path / "report.json",
                   "--candidates-out", tmp_path / "cands.jsonl"])
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {empty}: manifest has no records\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl", "junk.avck"]
 
     @pytest.mark.parametrize("which", ["--train-manifest", "--val-manifest"])
     def test_empty_train_manifest_is_validation_before_anything_is_written(
@@ -1262,27 +1384,26 @@ class TornFile(io.FileIO):
         raise OSError("injected write failure")
 
 
-def write_site(tmp_path, site) -> tuple[list, Path]:
-    """The argv of a command that writes over ``site``'s file, and that file,
-    which holds a previous version."""
+def write_site(tmp_path, site) -> tuple[list, Path, int]:
+    """The argv of a command that writes ``site``'s file, that file, and which
+    of the command's writes to it is to fail.  No command writes over a
+    manifest or ``resolved_config.json``, so synth's first write of one fails;
+    train's second epoch writes over its first epoch's checkpoint; and eval
+    writes over candidates and report files that hold a previous version."""
     if site in ("manifest", "resolved_config.json"):
         task = tmp_path / "task"
-        assert run(synth_args(task)) == EXIT_OK
-        argv = synth_args(task, classes=4, pairs=2) + ["--force"]
-        return argv, task / ("train.jsonl" if site == "manifest" else site)
+        return synth_args(task), task / ("train.jsonl" if site == "manifest" else site), 1
     if site == "checkpoint":
         task, out = tmp_path / "task", tmp_path / "run"
         assert run(synth_args(task)) == EXIT_OK
-        out.mkdir()
-        (out / "last.avck").write_bytes(b"previous")
-        return train_args(task, out, **{"--epochs": 1}), out / "last.avck"
+        return train_args(task, out, **{"--epochs": 2}), out / "last.avck", 2
     manifest_path = ragged_manifest(tmp_path, clips=2)
     peaked_checkpoint(tmp_path / "m.avck", manifest_path)
     for name in ("cands.jsonl", "report.json"):
         (tmp_path / name).write_text("previous\n")
     argv = ["eval", "--checkpoint", tmp_path / "m.avck", "--manifest", manifest_path,
             "--candidates-out", tmp_path / "cands.jsonl", "--report", tmp_path / "report.json"]
-    return argv, tmp_path / ("cands.jsonl" if site == "candidates" else "report.json")
+    return argv, tmp_path / ("cands.jsonl" if site == "candidates" else "report.json"), 1
 
 
 @pytest.mark.parametrize("fault", ["fsync", "write"])
@@ -1290,21 +1411,31 @@ def write_site(tmp_path, site) -> tuple[list, Path]:
                                   "checkpoint"])
 def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(
         tmp_path, capsys, monkeypatch, site, fault):
-    argv, target = write_site(tmp_path, site)
-    before = target.read_bytes()
+    """The write that fails leaves its file as it was before that write,
+    absent where it is the file's first, and no temp file."""
+    argv, target, failing = write_site(tmp_path, site)
     tmp = Path(f"{target}.tmp")
+    writes, before = [], []
+
+    def fails_now() -> bool:  # once per write of ``target``
+        writes.append(target)
+        if len(writes) != failing:
+            return False
+        before.append(target.read_bytes() if target.exists() else None)
+        return True
+
     if fault == "fsync":
         fsync = os.fsync
 
         def failing_fsync(fd):
-            if tmp.exists() and os.path.samestat(os.fstat(fd), tmp.stat()):
+            if tmp.exists() and os.path.samestat(os.fstat(fd), tmp.stat()) and fails_now():
                 raise OSError("injected fsync failure")
             fsync(fd)
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
     else:
         def tearing_open(file, mode="r", *args, **kwargs):
-            if Path(file) == tmp:
+            if Path(file) == tmp and fails_now():
                 return TornFile(file, mode)
             return open(file, mode, *args, **kwargs)
 
@@ -1312,7 +1443,8 @@ def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(
     capsys.readouterr()
     assert run(argv) == EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: injected {fault} failure\n"
-    assert target.read_bytes() == before
+    assert before == [target.read_bytes() if target.exists() else None]
+    assert (before[0] is None) == (site in ("manifest", "resolved_config.json"))
     assert not tmp.exists()
 
 
