@@ -69,7 +69,7 @@ def load_run_config(path: str | None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     problems = []
     for section, cls in _SECTIONS.items():

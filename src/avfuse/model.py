@@ -32,7 +32,7 @@ from . import numerics as N
 from .data import Vocabulary, write_whole
 from .errors import ConfigError, DataFormatError, DimensionError, DomainError
 from .numerics import AttentionParams, Tensor
-from .settings import check, setting
+from .settings import check, read_retired, setting
 
 FUSION_MODES = ("audio_only", "video_only", "concatenate", "adaava_audio", "adaava_video")
 
@@ -50,7 +50,8 @@ class ModelConfig:
     """Architecture and fusion hyperparameters.
 
     Defaults are the desk-scale test configuration; ``full_size_config`` gives
-    the 512-wide, 8-head, 12+4-block variant.
+    the 512-wide, 8-head, 12+4-block variant.  The MLP width, ``MLP_RATIO * d``,
+    and LayerNorm's epsilon, ``numerics.layer_norm``'s 1e-5, are fixed.
     """
 
     vocab_size: int = setting(within=">= 5", kind=int)  # the reserved ids and more
@@ -58,7 +59,6 @@ class ModelConfig:
     heads: int = setting(4, ">= 1")
     encoder_blocks: int = setting(2, ">= 0")
     decoder_blocks: int = setting(2, ">= 1")
-    mlp_ratio: float = setting(4.0, "> 0")
     beta: float = setting(0.13, ">= 0 and <= 1")  # the fusion threshold
     fusion_mode: str = setting("adaava_audio", FUSION_MODES)
     max_caption_len: int = setting(22, ">= 3")
@@ -66,14 +66,11 @@ class ModelConfig:
     visual_in_dim: int = setting(512, ">= 1")
     max_audio_len: int = setting(250, ">= 1")
     dropout: float = setting(0.1, ">= 0 and < 1")
-    ln_eps: float = setting(1e-5, "> 0")
 
     def validate(self) -> None:
         check(self)
         if self.d % self.heads:
             raise ConfigError(f"d={self.d} must be divisible by heads={self.heads}")
-        if round(self.mlp_ratio * self.d) < 1:
-            raise ConfigError(f"mlp_ratio={self.mlp_ratio} leaves d={self.d} no MLP units")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -152,6 +149,7 @@ class ModelParams:
     out_proj: LinearParams
 
 
+MLP_RATIO = 4  # each MLP's hidden width is MLP_RATIO * d
 WEIGHT_STD = 0.02
 _ZERO_INIT = frozenset({"bias", "bq", "bk", "bv", "bo"})
 
@@ -175,7 +173,7 @@ def _build_params(config: ModelConfig) -> ModelParams:
     order.
     """
     d, V = config.d, config.vocab_size
-    hidden = int(round(config.mlp_ratio * d))
+    hidden = MLP_RATIO * d
     mode = config.fusion_mode
     audio = mode_uses_audio(mode)
     adaava = mode.startswith("adaava")
@@ -389,12 +387,12 @@ def audio_encode(patches, params: ModelParams, config: ModelConfig, mask=None,
         _pos_slice(params.encoder_pos, t_a, "audio patch sequence"),
     )
     for blk in params.encoder:
-        attn_in = N.layer_norm(x, blk.norm_attn.gain, blk.norm_attn.bias, config.ln_eps)
+        attn_in = N.layer_norm(x, blk.norm_attn.gain, blk.norm_attn.bias)
         x = N.add(x, N.multi_head_attention(
             attn_in, attn_in, blk.attn, config.heads, kv_padding_mask=mask,
             attn_dropout=config.dropout, dropout_rng=rng,
         ))
-        mlp_in = N.layer_norm(x, blk.norm_mlp.gain, blk.norm_mlp.bias, config.ln_eps)
+        mlp_in = N.layer_norm(x, blk.norm_mlp.gain, blk.norm_mlp.bias)
         x = N.add(x, _mlp_forward(mlp_in, blk.mlp, config.dropout, rng))
     return x
 
@@ -452,7 +450,7 @@ def decoder_self_attend(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
     """
     if x.shape[-2] < 1:
         raise DomainError("decoder prefix is empty")
-    attn_in = N.layer_norm(x, blk.norm_self.gain, blk.norm_self.bias, config.ln_eps)
+    attn_in = N.layer_norm(x, blk.norm_self.gain, blk.norm_self.bias)
     out, kv = N.multi_head_attention(
         attn_in, attn_in, blk.self_attn, config.heads, causal=True,
         attn_dropout=config.dropout, dropout_rng=rng,
@@ -586,7 +584,7 @@ def decoder_block(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
     gating.
     """
     h, self_kv = decoder_self_attend(x, blk, config, cache.self_kv, rng=rng)
-    hn = N.layer_norm(h, blk.norm_fuse.gain, blk.norm_fuse.bias, config.ln_eps)
+    hn = N.layer_norm(h, blk.norm_fuse.gain, blk.norm_fuse.bias)
     crosses = [cross_attend(hn, side[0], attn, config, kv_mask=side[1], rng=rng)
                for attn, side in zip((blk.cross_audio, blk.cross_video), cache.cross)
                if attn is not None]
@@ -600,7 +598,7 @@ def decoder_block(x: Tensor, blk: DecoderBlockParams, config: ModelConfig,
         trace = adaava_fuse(a_cross, v_cross, confidence(primary, hn, blk.conf_fc), config.beta)
         fused = trace.av_out  # no residual into the fusion output
 
-    mlp_in = N.layer_norm(fused, blk.norm_mlp.gain, blk.norm_mlp.bias, config.ln_eps)
+    mlp_in = N.layer_norm(fused, blk.norm_mlp.gain, blk.norm_mlp.bias)
     out = N.add(fused, _mlp_forward(mlp_in, blk.mlp, config.dropout, rng))
     return out, trace, BlockCache(self_kv, cache.cross)
 
@@ -633,7 +631,7 @@ def decode_logits(params: ModelParams, config: ModelConfig, enc: EncodedModaliti
         x, trace, cache = decoder_block(x, blk, config, cache, rng=rng)
         traces.append(trace)
         caches.append(cache)
-    x = N.layer_norm(x, params.final_norm.gain, params.final_norm.bias, config.ln_eps)
+    x = N.layer_norm(x, params.final_norm.gain, params.final_norm.bias)
     logits = N.linear(x, params.out_proj.weight, params.out_proj.bias)
     result = (logits,)
     if collect_traces:
@@ -768,8 +766,12 @@ def load_checkpoint(path, keep_state: bool = True) -> Checkpoint:
         if missing:
             raise DataFormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
 
-        try:
-            config = ModelConfig.from_json(header["config"])
+        state = header.get("state")
+        try:  # a header written before a setting was fixed holds it at its value
+            config = ModelConfig.from_json(read_retired("config", header["config"]))
+            if isinstance(state, dict) and "train_config" in state:
+                state = {**state, "train_config": read_retired("train_config",
+                                                               state["train_config"])}
             vocab = Vocabulary.from_json(header["vocab"])
             config.validate()
         except (TypeError, KeyError, ConfigError) as exc:
@@ -823,4 +825,4 @@ def load_checkpoint(path, keep_state: bool = True) -> Checkpoint:
         if fh.tell() != size:
             raise DataFormatError(f"{path}: {size - fh.tell()} bytes follow the last tensor")
     return Checkpoint(params=params, config=config, vocab=vocab,
-                      state=header.get("state"), state_tensors=state_tensors)
+                      state=state, state_tensors=state_tensors)

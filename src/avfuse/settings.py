@@ -1,6 +1,8 @@
 """Each config setting's type and valid range, declared once beside its default:
 :func:`setting` declares a config dataclass field, :func:`problem` holds one
-value to its declaration and :func:`check` every field of a config object."""
+value to its declaration and :func:`check` every field of a config object.
+:func:`read_retired` reads a checkpoint header's config written before some
+settings became constants."""
 
 from __future__ import annotations
 
@@ -59,3 +61,32 @@ def check(config) -> None:
     found = [p for f in fields(config) if (p := problem(f, getattr(config, f.name), f.name))]
     if found:
         raise ConfigError(found)
+
+
+# What a checkpoint header written before these settings became constants
+# holds, by its config section: each key's one old value, and what that value
+# reads as now (MISSING: the key is dropped).
+RETIRED = {
+    "config": {"mlp_ratio": (4.0, MISSING), "ln_eps": (1e-5, MISSING)},
+    "train_config": {"adam_beta1": (0.9, MISSING), "adam_beta2": (0.999, MISSING),
+                     "adam_eps": (1e-8, MISSING), "augment": (None, False)},
+}
+
+
+def read_retired(section: str, body: dict) -> dict:
+    """``body``, a header's config ``section``, with each :data:`RETIRED` key
+    at its old value read as now; a dropped key at another value is a
+    :class:`ConfigError` naming it."""
+    body = {**body}  # a TypeError if body is no mapping
+    for key, (old, new) in RETIRED[section].items():
+        if key not in body:
+            continue
+        if body[key] == old:
+            if new is MISSING:
+                del body[key]
+            else:
+                body[key] = new
+        elif new is MISSING:
+            raise ConfigError(f"{section}.{key} is fixed at {json.dumps(old)}, "
+                              f"got {json.dumps(body[key], default=repr)}")
+    return body

@@ -24,6 +24,8 @@ from .errors import ConfigError, DomainError, TrainingError
 from .numerics import GradTape, Tensor
 from .settings import check, setting
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -32,13 +34,10 @@ class TrainConfig:
     warmup_epochs: int = setting(5, ">= 0")
     batch_size: int = setting(32, ">= 1")
     label_smoothing: float = setting(0.1, ">= 0 and < 1")
-    adam_beta1: float = setting(0.9, ">= 0 and < 1")
-    adam_beta2: float = setting(0.999, ">= 0 and < 1")
-    adam_eps: float = setting(1e-8, "> 0")
     clip_norm: float | None = setting(1.0, "> 0", optional=True)
     seed: int = setting(0, ">= 0")
     checkpoint_interval: int = setting(1, ">= 1")  # in epochs
-    augment: bool | None = setting(None, kind=bool, optional=True)  # None and False: off
+    augment: bool = setting(False)
 
     def validate(self) -> None:
         check(self)
@@ -109,15 +108,16 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def adam_step(named_params: list[tuple[str, Tensor]], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update; parameters are replaced, never mutated mid-tape.
+              state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update with :data:`ADAM_BETA1`, :data:`ADAM_BETA2`
+    and :data:`ADAM_EPS`; parameters are replaced, never mutated mid-tape.
 
     A parameter with no entry in ``grads`` is updated as if its gradient were
     zero.  This is the one rule for a parameter the loss does not reach:
     :func:`numerics.backward` gives such a parameter no entry.
     """
     state.t += 1
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, tensor in named_params:
@@ -349,7 +349,7 @@ def fit(
                 grads = {name: grads[t] for name, t in named if t in grads}
                 if cfg.clip_norm is not None:
                     clip_gradients(grads, cfg.clip_norm)
-                adam_step(named, grads, state.adam, lr, cfg)
+                adam_step(named, grads, state.adam, lr)
                 del grads  # no gradient outlives its step
                 state.step += 1
                 log({"step": state.step, "epoch": epoch, "lr": lr,

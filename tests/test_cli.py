@@ -23,6 +23,7 @@ from scipy.io import wavfile
 from avfuse import cli, data, frontend, inference, model, numerics, training
 from avfuse.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _DirLock, main
 from avfuse.errors import ValidationError
+from test_training import write_earlier_header
 from wav_files import write_wav
 
 
@@ -506,6 +507,19 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("raw", [
+        b"\xff\xfe{\x00}\x00",  # UTF-16, with its byte-order mark
+        b'{"train": {"seed": ' + b"9" * 5000 + b"}}",  # past int's digit limit
+        b'{"train": ',
+    ], ids=["utf-16", "long-int", "truncated"])
+    def test_undecodable_config_is_validation_naming_it(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        code, err = exits_cleanly(["train", "--config", cfg])
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"error: {cfg}: not valid JSON: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_non_object_config_is_validation(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1]")
@@ -519,12 +533,12 @@ class TestTrain:
         ({}, EXIT_VALIDATION, None),
         (dataclasses.asdict(frontend.SPEC_AUGMENT), EXIT_VALIDATION, None),
         ("true", EXIT_VALIDATION, None),
-        (None, EXIT_OK, None),
+        (None, EXIT_VALIDATION, None),
     ])
     def test_augment_config_value(self, tmp_path, capsys, augment, code, resolved):
-        """``train.augment`` on a 1 s WAV clip: true, false or null trains and
-        is echoed as given; anything else, the policy's object form included,
-        is the standard validation error naming the key."""
+        """``train.augment`` on a 1 s WAV clip: true or false trains and is
+        echoed as given; anything else, null and the policy's object form
+        included, is the standard validation error naming the key."""
         cfg = write_run_config(tmp_path, tone_manifest(tmp_path, seconds=1.0),
                                train={"batch_size": 1, "augment": augment})
         assert run(["train", "--config", cfg]) == code
@@ -910,6 +924,63 @@ class TestEvalInfer:
         assert "no fusion trace" in out  # --trace on a non-fusion mode says so
 
 
+class TestEarlierCheckpointHeaders:
+    """A checkpoint whose header holds the MLP ratio, LayerNorm's epsilon and
+    Adam's hyperparameters, and null for an augment that is off, as the header
+    did before they became constants."""
+
+    @pytest.fixture
+    def checkpoints(self, dataset, tmp_path):
+        """A one-epoch run's last.avck and a copy of it in the earlier form."""
+        out = tmp_path / "run"
+        assert run(train_args(dataset, out, **{"--epochs": 1})) == EXIT_OK
+        earlier = tmp_path / "earlier.avck"
+        earlier.write_bytes((out / "last.avck").read_bytes())
+        write_earlier_header(earlier)
+        return out / "last.avck", earlier
+
+    @staticmethod
+    def inputs(command, dataset) -> list:
+        """The flags of ``command``'s inputs other than ``--checkpoint``."""
+        if command == "eval":
+            return ["--manifest", dataset / "eval.jsonl"]
+        return ["--audio", dataset / "features" / "eval-00-000_audio.avf",
+                "--visual", dataset / "features" / "eval-00-000_visual.avf"]
+
+    def outputs(self, checkpoint, dataset, tmp_path, capsys) -> tuple[bytes, str]:
+        """``checkpoint``'s eval candidates and infer output on the first clip."""
+        candidates = tmp_path / f"{checkpoint.stem}.jsonl"
+        assert run(["eval", "--checkpoint", checkpoint, "--candidates-out", candidates]
+                   + self.inputs("eval", dataset)) == EXIT_OK
+        capsys.readouterr()
+        assert run(["infer", "--checkpoint", checkpoint]
+                   + self.inputs("infer", dataset)) == EXIT_OK
+        return candidates.read_bytes(), capsys.readouterr().out
+
+    def test_earlier_form_evals_and_infers_the_same(self, checkpoints, dataset, tmp_path,
+                                                   capsys):
+        now, earlier = checkpoints
+        assert (self.outputs(earlier, dataset, tmp_path, capsys)
+                == self.outputs(now, dataset, tmp_path, capsys))
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("mlp_ratio", 2.0, "config.mlp_ratio is fixed at 4.0, got 2.0"),
+        ("adam_eps", 1e-6, "train_config.adam_eps is fixed at 1e-08, got 1e-06"),
+    ])
+    def test_retired_key_at_another_value_is_runtime_naming_it(
+            self, checkpoints, dataset, tmp_path, capsys, command, key, value, message):
+        now, _ = checkpoints
+        earlier = tmp_path / "other.avck"
+        earlier.write_bytes(now.read_bytes())
+        write_earlier_header(earlier, **{key: value})
+        capsys.readouterr()
+        assert run([command, "--checkpoint", earlier] + self.inputs(command, dataset)) \
+            == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"error: {earlier}: malformed checkpoint config or vocab: {message}\n")
+
+
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):
         assert run(["gradcheck", "--coords-per-group", 2]) == EXIT_OK
@@ -1065,14 +1136,15 @@ class TestExitCodes:
     # Each probe ended in a traceback, wrote a run directory first, or trained.
     @pytest.mark.parametrize("command, sections, flags, messages", [
         ("train", {}, ["--heads", 0], ["heads must be >= 1, got 0"]),
-        ("train", {"model": {"mlp_ratio": 0}}, [], ["{cfg}: model.mlp_ratio must be > 0, got 0"]),
+        # the MLP ratio, LayerNorm's epsilon and Adam's are constants, set by no run
+        ("train", {"model": {"mlp_ratio": 0}}, [], ["{cfg}: unknown config key 'model.mlp_ratio'"]),
         ("train", {"train": {"seed": -1}}, [], ["{cfg}: train.seed must be >= 0, got -1"]),
-        ("train", {"model": {"ln_eps": 0}}, [], ["{cfg}: model.ln_eps must be > 0, got 0"]),
+        ("train", {"model": {"ln_eps": 0}}, [], ["{cfg}: unknown config key 'model.ln_eps'"]),
         ("train", {"train": {"adam_beta1": 1.5, "adam_eps": -1}}, [],
-         ["{cfg}: train.adam_beta1 must be >= 0 and < 1, got 1.5",
-          "{cfg}: train.adam_eps must be > 0, got -1"]),
+         ["{cfg}: unknown config key 'train.adam_beta1'",
+          "{cfg}: unknown config key 'train.adam_eps'"]),
         ("train", {"train": {"adam_beta2": 1.0}}, [],
-         ["{cfg}: train.adam_beta2 must be >= 0 and < 1, got 1.0"]),
+         ["{cfg}: unknown config key 'train.adam_beta2'"]),
         ("synth", {}, ["--seed", -1], ["seed must be >= 0, got -1"]),
     ], ids=["heads-flag", "mlp_ratio", "train-seed", "ln_eps", "adam_beta1-and-eps",
             "adam_beta2", "synth-seed"])

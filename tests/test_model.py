@@ -839,11 +839,11 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("mode, digest, count, size", [
-        ("audio_only", "55d20e73380de050", 77, 107218),
-        ("video_only", "f2c31f7ee38d6cc4", 60, 78820),
-        ("concatenate", "ec782bee95179e17", 79, 108259),
-        ("adaava_audio", "22c7714e3a9e6ac8", 99, 135704),
-        ("adaava_video", "593e54da144a3646", 99, 135704),
+        ("audio_only", "2b905ebdc3babf16", 77, 107187),
+        ("video_only", "ba504eee62d425ed", 60, 78789),
+        ("concatenate", "05be163658c82a95", 79, 108228),
+        ("adaava_audio", "eb804055c534293e", 99, 135673),
+        ("adaava_video", "bf979c8d62a5ae53", 99, 135673),
     ])
     def test_golden_bytes(self, tmp_path, mode, digest, count, size):
         # Pins parameter names, checkpoint order and initial values together.

@@ -1,8 +1,8 @@
 """The README quickstart runs as written: each of its ``avfuse`` commands
 exits 0 through ``cli.main``, so a renamed flag cannot leave it stale;
-every flag the README names anywhere is a flag of some subcommand; and every
+every flag the README names anywhere is a flag of some subcommand; every
 ``model.*`` and ``train.*`` key it names is a setting of that run-config
-section."""
+section; and it names every run-config setting."""
 
 import argparse
 import dataclasses
@@ -10,7 +10,7 @@ import re
 import shlex
 from pathlib import Path
 
-from avfuse.cli import _SECTIONS, EXIT_OK, build_parser, main
+from avfuse.cli import _SECTIONS, _TRAIN_FLAGS, EXIT_OK, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SHORT_TRAIN = ["--epochs", "1", "--warmup-epochs", "1"]  # later flags win
@@ -52,3 +52,20 @@ def test_every_setting_the_readme_names_exists():
                 for section in ("model", "train")}
     assert sorted(f"{section}.{key}" for section, key in named
                   if key not in settable[section]) == []
+
+
+def test_the_readme_names_every_setting():
+    """Each run-config setting is named as ``section.key``, a top-level one
+    as ``key``, or either by its ``avfuse train`` flag."""
+    text = README.read_text()
+    flag_of = {(section, key): flag for flag, section, key, _ in _TRAIN_FLAGS}
+    unnamed = []
+    for section, cls in _SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            name = f.name if section is None else f"{section}.{f.name}"
+            flag = flag_of.get((section, f.name))
+            if f.default is dataclasses.MISSING or f"`{name}`" in text or (
+                    flag and re.search(rf"{flag}(?![\w-])", text)):
+                continue
+            unnamed.append(name)
+    assert unnamed == []

@@ -1,8 +1,10 @@
 import dataclasses
 import gc
 import hashlib
+import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,22 +132,21 @@ class TestAdam:
         before = named[0][1].data.copy()
         state = T.AdamState()
         grads = {"w": np.zeros((3, 3))}
-        T.adam_step(named, grads, state, lr=1e-3, cfg=T.TrainConfig())
+        T.adam_step(named, grads, state, lr=1e-3)
         assert np.array_equal(named[0][1].data, before)
 
     def test_first_step_is_signed_lr(self):
-        cfg = T.TrainConfig()
         for g in (3.7, -0.004):
             named = self._named([("x", [1.0])])
             state = T.AdamState()
-            T.adam_step(named, {"x": np.array([g])}, state, lr=1e-2, cfg=cfg)
+            T.adam_step(named, {"x": np.array([g])}, state, lr=1e-2)
             # bias-corrected first step: lr * g / (|g| + eps)
-            expected = 1.0 - 1e-2 * g / (abs(g) + cfg.adam_eps)
+            expected = 1.0 - 1e-2 * g / (abs(g) + T.ADAM_EPS)
             assert named[0][1].data[0] == pytest.approx(expected, abs=1e-15)
             assert named[0][1].data[0] == pytest.approx(1.0 - 1e-2 * np.sign(g), abs=1e-4)
 
     def test_hundred_steps_match_elementwise_oracle(self, rng):
-        cfg = T.TrainConfig()
+        b1, b2, eps = T.ADAM_BETA1, T.ADAM_BETA2, T.ADAM_EPS
         named = self._named([("w", rng.normal(size=5))])
         state = T.AdamState()
         ref = named[0][1].data.copy()
@@ -153,18 +154,17 @@ class TestAdam:
         v = np.zeros(5)
         for t in range(1, 101):
             g = rng.normal(size=5)
-            T.adam_step(named, {"w": g.copy()}, state, lr=1e-3, cfg=cfg)
-            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-            mhat = m / (1 - cfg.adam_beta1 ** t)
-            vhat = v / (1 - cfg.adam_beta2 ** t)
-            ref = ref - 1e-3 * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            T.adam_step(named, {"w": g.copy()}, state, lr=1e-3)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            mhat = m / (1 - b1 ** t)
+            vhat = v / (1 - b2 ** t)
+            ref = ref - 1e-3 * mhat / (np.sqrt(vhat) + eps)
         np.testing.assert_allclose(named[0][1].data, ref, atol=1e-10)
 
     def test_missing_gradient_is_a_zero_gradient(self, rng):
         """``b`` has no entry at steps 1 and 3 (before and after it has moments)
         in one run, and an explicit zero in the other: the bytes agree."""
-        cfg = T.TrainConfig()
         values = [("a", rng.normal(size=4)), ("b", rng.normal(size=(2, 3)))]
         runs = []
         for explicit in (True, False):
@@ -176,7 +176,7 @@ class TestAdam:
                         grads["b"] = np.zeros((2, 3))
                     else:
                         del grads["b"]
-                T.adam_step(named, grads, state, 1e-2, cfg)
+                T.adam_step(named, grads, state, 1e-2)
             runs.append([arr.tobytes() for arr in
                          (*(t.data for _, t in named), *state.m.values(), *state.v.values())])
         assert runs[0] == runs[1]
@@ -185,7 +185,7 @@ class TestAdam:
         named = self._named([("decoder.0.mlp.fc1.weight", rng.normal(size=3))])
         with pytest.raises(TrainingError) as exc:
             T.adam_step(named, {"decoder.0.mlp.fc1.weight": np.array([1.0, np.nan, 0.0])},
-                        T.AdamState(), 1e-3, T.TrainConfig())
+                        T.AdamState(), 1e-3)
         assert "decoder.0.mlp.fc1.weight" in str(exc.value)
 
     def test_clip_gradients_scales_to_norm(self):
@@ -248,7 +248,6 @@ class TestFit:
         task = make_task(tmp_path)
         cfg, vocab, train, val = load_task(task)
         params = M.init_params(cfg, seed=1)
-        tcfg = overfit_config(steps_as_epochs=1, batch_size=64)
         batch, targets = T.collate(train, cfg)
         named = M.named_parameters(params)
         name_of = {id(t): n for n, t in named}
@@ -259,7 +258,7 @@ class TestFit:
                 loss = T.batch_loss(params, cfg, batch, targets, 0.0)
             grads_by_id = N.backward(loss, tape)
             grads = {name_of[id(t)]: g for t, g in grads_by_id.items()}
-            T.adam_step(named, grads, state, 2e-3, tcfg)
+            T.adam_step(named, grads, state, 2e-3)
             losses.append(T.batch_loss(params, cfg, batch, targets, 0.0).item())
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -421,8 +420,6 @@ class TestFit:
         assert worst < 1e-4
 
     def test_augmented_training_on_waveforms(self, tmp_path, rng):
-        import json as _json
-
         # two 1 s wav-backed examples (100 frames, wider than the 64-frame time
         # mask) exercise the mel + SpecAugment path
         records = []
@@ -433,7 +430,7 @@ class TestFit:
             write_wav(tmp_path / name, wav, 32000)
             records.append({"id": f"w{i}", "audio": name, "captions": [f"tone number {i}"]})
         manifest_path = tmp_path / "wav.jsonl"
-        manifest_path.write_text("\n".join(_json.dumps(r) for r in records) + "\n")
+        manifest_path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
         manifest = D.load_manifest(manifest_path)
         vocab = D.build_vocabulary_from_manifest(manifest)
         cfg = M.ModelConfig(
@@ -465,19 +462,64 @@ class TestTrainConfigValidation:
         assert back == cfg
 
 
-# sha256 prefix and size of last.avck from the fit below, recorded before
-# decoding became incremental; the teacher-forced path must not move a bit.
+# sha256 prefix and size of last.avck from the fit below: the training bits
+# and the header format together.
 GOLDEN_FIT = {
+    "audio_only": ("4715cef46d488b7b", 104737),
+    "video_only": ("e74759d4cf200411", 79295),
+    "concatenate": ("c799cb448c443b04", 106890),
+    "adaava_audio": ("eb4978f452f6501a", 131932),
+    "adaava_video": ("76ef2ddb6d9e1fef", 131933),
+}
+# sha256 prefixes of the same fit's checkpoint payload (the bytes after the
+# head and the JSON header) and of its metrics.jsonl: the training bits apart
+# from the header format, which a change of the header's keys leaves alone.
+GOLDEN_FIT_BITS = {
+    "audio_only": ("0d3329ff8e782d45", "3ab243a0fe2043c7"),
+    "video_only": ("eb2330ce687e3c71", "2f3dbccd913f1acd"),
+    "concatenate": ("e323f48fdb2f0bf8", "ae79a23c138feb4c"),
+    "adaava_audio": ("c0319b3f036319c8", "fccf508ad04809c7"),
+    "adaava_video": ("7ebd65b25697a912", "ed8563a47712b36e"),
+}
+# The same, for last.avck as it was written when its header still held the
+# MLP ratio, LayerNorm's epsilon and Adam's hyperparameters, and null for an
+# augment that was off.
+EARLIER_GOLDEN_FIT = {
     "audio_only": ("59fdc5b34afe334a", 104820),
     "video_only": ("179ca37325520cd9", 79378),
     "concatenate": ("71ea0b916a20652b", 106973),
     "adaava_audio": ("12f6a9429a4997cc", 132015),
     "adaava_video": ("c44cf0cb70addc40", 132016),
 }
+EARLIER_HEADER_VALUES = {
+    "config": {"mlp_ratio": 4.0, "ln_eps": 1e-05},
+    "train_config": {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-08, "augment": None},
+}
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_FIT))
-def test_fit_checkpoint_golden_bytes(tmp_path, mode):
+def write_earlier_header(path, **values) -> None:
+    """Rewrite the header of the checkpoint that ``fit`` wrote at ``path``, for
+    a run without augment, in the earlier form of :data:`EARLIER_HEADER_VALUES`,
+    with any of those keys at another of ``values``."""
+    raw = path.read_bytes()
+    _, _, length = M._CKPT_HEAD.unpack_from(raw)
+    end = M._CKPT_HEAD.size + length
+    header = json.loads(raw[M._CKPT_HEAD.size:end])
+    assert header["state"]["train_config"]["augment"] is False
+    for body, earlier in ((header["config"], EARLIER_HEADER_VALUES["config"]),
+                          (header["state"]["train_config"], EARLIER_HEADER_VALUES["train_config"])):
+        body.update({key: values.get(key, value) for key, value in earlier.items()})
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(M._CKPT_HEAD.pack(M.CHECKPOINT_MAGIC, M.CHECKPOINT_VERSION, len(text))
+                     + text + raw[end:])
+
+
+def digest(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+def golden_fit(tmp_path, mode) -> Path:
+    """Fit the golden run for ``mode`` and return its run directory."""
     spec = D.SyntheticTaskSpec(
         n_classes=2, n_ambiguous_pairs=1, feature_dim=8, noise_std=0.1, examples_per_class=4,
         eval_examples_per_class=2, t_audio=4, t_visual=2, seed=7,
@@ -494,6 +536,39 @@ def test_fit_checkpoint_golden_bytes(tmp_path, mode):
     val = D.load_examples(D.load_manifest(task.eval_manifest), vocab, cfg.max_caption_len)
     tcfg = T.TrainConfig(lr_peak=1e-3, epochs=2, warmup_epochs=1, batch_size=4,
                          label_smoothing=0.1, seed=7, checkpoint_interval=1)
-    T.fit(M.init_params(cfg, seed=7), cfg, vocab, train, val, tcfg, out_dir=tmp_path / "run")
-    blob = (tmp_path / "run" / "last.avck").read_bytes()
-    assert (hashlib.sha256(blob).hexdigest()[:16], len(blob)) == GOLDEN_FIT[mode]
+    run = tmp_path / "run"
+    T.fit(M.init_params(cfg, seed=7), cfg, vocab, train, val, tcfg, out_dir=run,
+          log_path=run / "metrics.jsonl")
+    return run
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_FIT))
+def test_fit_checkpoint_golden_bytes(tmp_path, mode):
+    run = golden_fit(tmp_path, mode)
+    blob = (run / "last.avck").read_bytes()
+    _, _, header_len = M._CKPT_HEAD.unpack_from(blob)
+    payload = blob[M._CKPT_HEAD.size + header_len:]
+    assert (digest(payload), digest((run / "metrics.jsonl").read_bytes())) == GOLDEN_FIT_BITS[mode]
+    assert (digest(blob), len(blob)) == GOLDEN_FIT[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_FIT))
+def test_checkpoint_in_the_earlier_header_form_resumes_the_same(tmp_path, mode):
+    """The golden checkpoint rewritten in the earlier header form is the file
+    the earlier format wrote, and it loads to the same parameters, moments,
+    training state and train config."""
+    path = golden_fit(tmp_path, mode) / "last.avck"
+    now = M.load_checkpoint(path)
+    write_earlier_header(path)
+    blob = path.read_bytes()
+    assert (digest(blob), len(blob)) == EARLIER_GOLDEN_FIT[mode]
+    earlier = M.load_checkpoint(path)
+    assert (earlier.config, earlier.vocab.to_json()) == (now.config, now.vocab.to_json())
+    for (name, a), (_, b) in zip(M.named_parameters(now.params),
+                                 M.named_parameters(earlier.params)):
+        assert a.data.tobytes() == b.data.tobytes(), name
+    (state_now, cfg_now), (state, cfg) = T.load_train_state(now), T.load_train_state(earlier)
+    assert cfg == cfg_now and cfg.augment is False
+    assert state.to_json() == state_now.to_json()
+    assert {k: v.tobytes() for k, v in state.moment_tensors().items()} == \
+        {k: v.tobytes() for k, v in state_now.moment_tensors().items()}
